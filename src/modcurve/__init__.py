@@ -69,13 +69,11 @@ from .classify import (
     Evidence,
     LiftReport,
     Witness,
-    accola_certificates,
     census,
     classify_curve,
     coset_fixed_points,
     curve_name,
     cuspidal_fixed_count,
-    eliminate_by_cusp_rationality,
     lift_fixed_points,
 )
 
@@ -134,6 +132,4 @@ __all__ = [
     "lift_fixed_points",
     "coset_fixed_points",
     "cuspidal_fixed_count",
-    "eliminate_by_cusp_rationality",
-    "accola_certificates",
 ]

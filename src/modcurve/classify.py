@@ -34,7 +34,7 @@ elements in the coset of the automorphism acting on the coset space
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 from .atkinlehner import (
@@ -71,13 +71,11 @@ __all__ = [
     "Evidence",
     "LiftReport",
     "Witness",
-    "accola_certificates",
     "castelnuovo_bound",
     "census",
     "classify_curve",
     "coset_fixed_points",
     "cuspidal_fixed_count",
-    "eliminate_by_cusp_rationality",
     "involution_quotient_genus",
     "lift_fixed_points",
 ]
@@ -420,16 +418,6 @@ class ClassificationRecord:
 # the classifier
 
 
-#: Extra involution candidates for the witness search, beyond diamonds and
-#: Atkin-Lehner lifts: normaliser elements mixing W_d with level structure.
-#: The generic shape [[1,0],[N/2,1]] is tried for every level divisible by 4;
-#: the listed matrices are the known sporadic shapes.
-_EXTRA_WITNESS_MATRICES: dict[int, tuple[Mat2, ...]] = {
-    40: (Mat2(-10, 1, -120, 10),),
-    48: (Mat2(-6, 1, -48, 6),),
-}
-
-
 class Classifier:
     """Curve-by-curve classification engine with a shared memo table.
 
@@ -472,13 +460,11 @@ class Classifier:
             raise InputError("census is supported for levels up to 256")
         out = []
         for N in range(13, max_n + 1):
-            subs = subgroups_containing_minus1(N)
-            inters = [s for s in subs if not s.is_minimal and not s.is_full]
-            if not inters:
-                continue
             if self._x0_type(N) is None:
                 continue
-            out.append(N)
+            subs = subgroups_containing_minus1(N)
+            if any(not s.is_minimal and not s.is_full for s in subs):
+                out.append(N)
         return tuple(out)
 
     def census(self, max_n: int = 131) -> tuple[ClassificationRecord, ...]:
@@ -683,9 +669,15 @@ class Classifier:
                 else:
                     name = f"[{b}]W_{d}" if b != 1 else f"W_{d}"
                 out.append((name, mat, "atkin-lehner", base))
-        extras = list(_EXTRA_WITNESS_MATRICES.get(N, ()))
-        if N % 4 == 0:
-            extras.insert(0, Mat2(1, 0, N // 2, 1))
+        # Beyond diamonds and Atkin-Lehner lifts: the generic shape
+        # [[1,0],[N/2,1]] for levels divisible by 4, and the sporadic
+        # involutions of X_0(N) listed in the fact book.  A candidate is
+        # certified by its own fixed-point count, so the list is read past
+        # the on/off switch and is not recorded as a fact used.
+        extras = [Mat2(1, 0, N // 2, 1)] if N % 4 == 0 else []
+        listed = self.facts._table.get(f"x0.extra-involutions.{N}")
+        if listed is not None:
+            extras.extend(listed.as_matrices())
         for mat in extras:
             if not normalizes(mat, delta):
                 continue
@@ -754,28 +746,6 @@ class Classifier:
                 f"{curve_name(N, sub.label)}: genus-4 curve is bielliptic",
                 target=(N, sub.label),
                 degree=3,
-            )
-        return None
-
-    def _accola_genus5(self, N: int, delta: DeltaSubgroup, g: int) -> Evidence | None:
-        """Genus-5 curve, itself not hyperelliptic, with a degree-2 cover of
-        a hyperelliptic genus-3 curve is bielliptic (Accola)."""
-        if g != 5:
-            return None
-        for M, label2, deg, _galois in self._covers(N, delta):
-            if deg != 2:
-                continue
-            target = self.classify(M, label2)
-            if target.genus != 3 or target.status != "hyperelliptic":
-                continue
-            return Evidence(
-                "accola-genus5",
-                f"degree-2 cover of hyperelliptic genus-3 "
-                f"{curve_name(M, label2)}: non-hyperelliptic genus-5 curve "
-                f"is bielliptic",
-                target=(M, label2),
-                degree=2,
-                facts_used=target.facts_used,
             )
         return None
 
@@ -937,11 +907,7 @@ class Classifier:
         return None
 
     def _involution_elimination(
-        self,
-        N: int,
-        delta: DeltaSubgroup,
-        g: int,
-        stages: tuple[str, ...] = ("field", "cusp", "count", "lift"),
+        self, N: int, delta: DeltaSubgroup, g: int
     ) -> Evidence | None:
         """Exclude every possible image on X_0(N) of a bielliptic involution.
 
@@ -949,46 +915,36 @@ class Classifier:
         central, hence defined over Q and descending to X_0(N).  Its image
         is either trivial (the involution is a diamond) or a hyperelliptic/
         bielliptic involution of X_0(N).  Diamonds are ruled out by the
-        witness search; each X_0(N) candidate is excluded by one of the
-        requested stages.
+        witness search; each X_0(N) candidate is excluded by a field,
+        cusp, count or lift argument.
         """
         if g < 6:
             return None
         cands, tags = self._x0_candidates(N)
         if cands is None:
             return None
-        # A bielliptic involution inside the diamond group would have shown
-        # its 2g-2 fixed points; verify that no diamond attains the count.
-        for b in delta.coset_reps():
-            if b == 1 or (b * b) % N not in delta:
-                continue
-            mat = diamond_matrix(b, N)
-            if automorphism_order(mat, delta) != 2:
-                continue
-            total = coset_fixed_points(N, delta, mat)
-            total += cuspidal_fixed_count(N, delta, mat)
-            if total == 2 * g - 2:
-                return None
         full = _full(N)
         deg = coset_action(N, delta).degree // coset_action(N, full).degree
+        # The witness search counted every diamond involution and found none
+        # with 2g-2 fixed points, or the eliminations would not be reached.
         details = ["no diamond involution attains 2g-2 fixed points"]
-        used_stages: set[str] = set()
+        fired: set[str] = set()
         for name, w, kind in cands:
             reason = None
-            if "field" in stages and kind == "atkin-lehner" and w.det == N:
+            if kind == "atkin-lehner" and w.det == N:
                 k = fricke_field_degree(delta)
                 if k > 1:
                     reason = (
                         f"lifts are defined over a degree-{k} cyclotomic "
                         f"subfield, not over Q"
                     )
-                    used_stages.add("field")
-            if reason is None and "cusp" in stages:
+                    fired.add("field")
+            if reason is None:
                 cusp = self._cusp_obstruction(N, delta, w)
                 if cusp is not None:
                     reason = cusp
-                    used_stages.add("cusp")
-            if reason is None and "count" in stages:
+                    fired.add("cusp")
+            if reason is None:
                 if kind == "atkin-lehner":
                     total0 = fixed_points_X0(N, w.det).count
                 else:
@@ -999,11 +955,11 @@ class Classifier:
                         f"2g-2 = {2 * g - 2} exceeds {deg}*{total0}, the "
                         f"maximum pulled back from X_0({N})"
                     )
-                    used_stages.add("count")
-            if reason is None and "lift" in stages:
+                    fired.add("count")
+            if reason is None:
                 if not normalizes(w, delta):
                     reason = "does not normalize the congruence subgroup, so admits no lift"
-                    used_stages.add("lift")
+                    fired.add("lift")
                 else:
                     good_lift = False
                     for b in delta.coset_reps():
@@ -1018,15 +974,15 @@ class Classifier:
                             break
                     if not good_lift:
                         reason = "no lift is an involution with 2g-2 fixed points"
-                        used_stages.add("lift")
+                        fired.add("lift")
             if reason is None:
                 return None
             details.append(f"{name}: {reason}")
-        if "lift" in used_stages:
+        if "lift" in fired:
             rule = "lift-conflict"
-        elif "count" in used_stages:
+        elif "count" in fired:
             rule = "count-bound"
-        elif "cusp" in used_stages:
+        elif "cusp" in fired:
             rule = "cusp-rationality"
         else:
             rule = "field-of-definition"
@@ -1042,7 +998,7 @@ _DEFAULT: Classifier | None = None
 def _default_classifier() -> Classifier:
     global _DEFAULT
     if _DEFAULT is None:
-        _DEFAULT = Classifier(FactBook.from_environment())
+        _DEFAULT = Classifier(FactBook())
     return _DEFAULT
 
 
@@ -1054,28 +1010,3 @@ def classify_curve(N: int, delta) -> ClassificationRecord:
 def census(max_n: int = 131) -> tuple[ClassificationRecord, ...]:
     """Classify all intermediate curves at levels up to ``max_n``."""
     return _default_classifier().census(max_n)
-
-
-def eliminate_by_cusp_rationality(N: int, delta, facts: FactBook | None = None) -> Evidence | None:
-    """Exclude biellipticity using only the field-of-definition and
-    cusp-rationality stages of the X_0(N) involution analysis."""
-    clf = Classifier(facts) if facts is not None else _default_classifier()
-    delta = _resolve(N, delta)
-    return clf._involution_elimination(
-        N, delta, genus(N, delta), stages=("field", "cusp")
-    )
-
-
-def accola_certificates(N: int, delta, facts: FactBook | None = None) -> tuple[Evidence, ...]:
-    """Accola-type biellipticity certificates for genus-4 and genus-5 curves."""
-    clf = Classifier(facts) if facts is not None else _default_classifier()
-    delta = _resolve(N, delta)
-    g = genus(N, delta)
-    out = []
-    ev4 = clf._accola_genus4(N, delta, g)
-    if ev4 is not None:
-        out.append(ev4)
-    ev5 = clf._accola_genus5(N, delta, g)
-    if ev5 is not None:
-        out.append(ev5)
-    return tuple(out)

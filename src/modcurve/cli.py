@@ -14,9 +14,8 @@ output is wrapped in an envelope carrying the echoed command line, the
 package version, the results payload, and any warnings; it is byte-identical
 across runs for fixed inputs and version.
 
-Curated-fact usage is controlled by ``--facts on|off``; the environment
-variable ``MODCURVE_FACTS`` overrides the flag.  Exit codes: 0 success,
-2 invalid input, 3 internal invariant breach.
+Curated-fact usage is controlled by ``--facts on|off``.  Exit codes:
+0 success, 2 invalid input, 3 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -200,8 +199,8 @@ def _json_text(payload: dict[str, Any]) -> str:
 
 
 def _factbook(setting: str) -> FactBook:
-    """Fact book honouring --facts, overridden by MODCURVE_FACTS."""
-    return FactBook.from_environment(default_enabled=(setting == "on"))
+    """Fact book honouring --facts."""
+    return FactBook(enabled=(setting == "on"))
 
 
 def _resolve_delta(N: int, selector: str) -> DeltaSubgroup:
@@ -395,8 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True, metavar="SEL",
                    help="subgroup label (D2, 1, 0) or comma-separated elements")
     p.add_argument("--facts", choices=("on", "off"), default="on",
-                   help="use curated literature facts (default on; "
-                        "MODCURVE_FACTS overrides)")
+                   help="use curated literature facts (default on)")
     add_common(p, ("text", "json"))
 
     p = sub.add_parser("fixed-points",
@@ -410,8 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="classify every intermediate curve in scope")
     p.add_argument("--max-n", type=int, default=131, dest="max_n")
     p.add_argument("--facts", choices=("on", "off"), default="on",
-                   help="use curated literature facts (default on; "
-                        "MODCURVE_FACTS overrides)")
+                   help="use curated literature facts (default on)")
     add_common(p, ("text", "json", "csv"))
 
     return parser

@@ -8,14 +8,13 @@ The classifier separates two kinds of knowledge:
   bielliptic curves, rank data, curated verdicts).
 
 The second kind lives in ``data/facts.txt`` as ``key | value | citation``
-lines and is served by :class:`FactBook`.  Every lookup is recorded so that a
-classification can report exactly which external inputs it relied on, and the
-whole book can be disabled to see what the machinery proves unaided.
+lines and is served by :class:`FactBook`.  The book can be disabled to see
+what the machinery proves unaided; each piece of classification evidence
+names the facts it rests on.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -29,9 +28,6 @@ __all__ = [
     "default_facts_path",
     "load_facts",
 ]
-
-#: Environment variable overriding whether facts are consulted ("on"/"off").
-FACTS_ENV = "MODCURVE_FACTS"
 
 #: Key families that exist only for some levels/curves; lookups of absent
 #: keys under these prefixes return ``None`` instead of raising.
@@ -95,7 +91,7 @@ def load_facts(path: str | Path) -> dict[str, Fact]:
 
 @dataclass
 class FactBook:
-    """Lookup service for curated facts, with usage tracking.
+    """Lookup service for curated facts.
 
     When ``enabled`` is False every lookup returns ``None``, so callers fall
     back to whatever they can derive themselves.  Lookups of keys absent from
@@ -106,29 +102,9 @@ class FactBook:
     enabled: bool = True
     path: str | Path | None = None
     _table: dict[str, Fact] = field(init=False, repr=False)
-    _used: set[str] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._table = load_facts(self.path if self.path is not None else default_facts_path())
-        self._used = set()
-
-    @classmethod
-    def from_environment(cls, default_enabled: bool = True,
-                         path: str | Path | None = None) -> "FactBook":
-        """Build a book honouring the ``MODCURVE_FACTS`` environment switch."""
-        setting = os.environ.get(FACTS_ENV)
-        enabled = default_enabled
-        if setting is not None:
-            lowered = setting.strip().lower()
-            if lowered in {"on", "1", "true", "yes"}:
-                enabled = True
-            elif lowered in {"off", "0", "false", "no"}:
-                enabled = False
-            else:
-                raise InputError(
-                    f"{FACTS_ENV} must be 'on' or 'off', got {setting!r}"
-                )
-        return cls(enabled=enabled, path=path)
 
     def get(self, key: str) -> Fact | None:
         """The fact for ``key``, or ``None`` when the book is disabled.
@@ -144,14 +120,4 @@ class FactBook:
             if key.startswith(_OPTIONAL_PREFIXES):
                 return None
             raise KeyError(f"unknown fact key {key!r}")
-        self._used.add(key)
         return fact
-
-    def citation(self, key: str) -> str:
-        """Citation string for ``key`` (even when the book is disabled)."""
-        return self._table[key].citation
-
-    @property
-    def used_keys(self) -> tuple[str, ...]:
-        """Sorted keys that have been consulted so far."""
-        return tuple(sorted(self._used))

@@ -1,7 +1,7 @@
 """Shared fixtures: session-wide census runs with facts on and off.
 
-The classifiers are constructed with explicit fact books so the test suite
-is insensitive to the MODCURVE_FACTS environment variable.
+The classifiers are constructed with explicit fact books, one enabled and
+one disabled, and shared by every test of the session.
 """
 
 from __future__ import annotations

@@ -9,7 +9,6 @@ import pytest
 from modcurve.atkinlehner import diamond_matrix, hat_W
 from modcurve.classify import (
     Classifier,
-    accola_certificates,
     classify_curve,
     coset_fixed_points,
     cuspidal_fixed_count,
@@ -17,7 +16,7 @@ from modcurve.classify import (
     lift_fixed_points,
 )
 from modcurve.errors import InputError
-from modcurve.facts import FactBook
+from modcurve.facts import FactBook, default_facts_path
 from modcurve.matrices import Mat2
 from modcurve.qforms import fixed_points_X0
 from modcurve.zmodn import delta_by_label, subgroups_containing_minus1
@@ -268,6 +267,20 @@ def test_census_cutoff_validation():
         Classifier(FactBook(enabled=True)).census(257)
 
 
+def test_scope_enumerates_subgroups_only_at_levels_in_scope():
+    clf = Classifier(FactBook(enabled=True))
+    subgroups_containing_minus1.cache_clear()
+    clf.scope_levels(131)
+    cached = set()
+    for N in range(13, 132):
+        hits = subgroups_containing_minus1.cache_info().hits
+        subgroups_containing_minus1(N)
+        if subgroups_containing_minus1.cache_info().hits > hits:
+            cached.add(N)
+    typed = {N for N in range(13, 132) if clf._x0_type(N) is not None}
+    assert cached == typed
+
+
 # --------------------------------------------------------------------------
 # the 25 positive rows
 
@@ -311,8 +324,19 @@ def test_accola_route_for_the_witnessless_curve(census_by_key):
     assert rec.status == "bielliptic"
     assert rec.witnesses == ()
     assert [e.rule for e in rec.evidence] == ["accola-genus4"]
-    certs = accola_certificates(37, "D3")
-    assert certs
+
+
+def test_extra_witness_matrices_come_from_the_fact_file(tmp_path):
+    text = default_facts_path().read_text(encoding="utf-8")
+    kept = [line for line in text.splitlines()
+            if not line.startswith("x0.extra-involutions.40 ")]
+    assert len(kept) == len(text.splitlines()) - 1
+    path = tmp_path / "facts.txt"
+    path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+    rec = Classifier(FactBook(enabled=True, path=path)).classify(40, "D6")
+    assert rec.status == "bielliptic"
+    names = {w.name for w in rec.witnesses}
+    assert names == {"[[1,0],[20,1]]"}
 
 
 # --------------------------------------------------------------------------

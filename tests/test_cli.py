@@ -219,28 +219,7 @@ def test_facts_flag_off(capsys):
     assert json.loads(out)["results"]["status"] == "undecided"
 
 
-def test_facts_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("MODCURVE_FACTS", "off")
-    code, out, _ = run(capsys, "curve", "37", "--delta", "D4",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)["results"]["status"] == "undecided"
-    # the environment takes precedence over the flag
-    code, out, _ = run(capsys, "curve", "37", "--delta", "D4",
-                       "--facts", "on", "--format", "json")
-    assert code == 0
-    assert json.loads(out)["results"]["status"] == "undecided"
-
-
-def test_facts_env_bogus_value(capsys, monkeypatch):
-    monkeypatch.setenv("MODCURVE_FACTS", "bogus")
-    code, _, err = run(capsys, "curve", "37", "--delta", "D4")
-    assert code == 2
-    assert err
-
-
-def test_facts_on_by_default(capsys, monkeypatch):
-    monkeypatch.delenv("MODCURVE_FACTS", raising=False)
+def test_facts_on_by_default(capsys):
     code, out, _ = run(capsys, "curve", "37", "--delta", "D4",
                        "--format", "json")
     assert code == 0
