@@ -68,6 +68,10 @@ class ParityViolation(InvariantError):
     """A fixed-point count violated the parity forced by Riemann-Hurwitz."""
 
 
+class MalformedSubgroup(InvariantError):
+    """A unit group or Delta was built empty, unsorted, with repeats or without -1."""
+
+
 class SearchExhausted(InvariantError):
     """A bounded representative search hit its cap without success."""
 

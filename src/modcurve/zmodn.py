@@ -8,6 +8,13 @@ studies; they are enumerated in a canonical order and given stable labels:
 * ``"0"``   -- the full unit group,
 * ``"D1"``, ``"D2"``, ... -- the intermediate subgroups, sorted by order
   (ascending) and then lexicographically on their sorted element tuple.
+
+The enumeration is a breadth-first search over the lattice: starting from
+{+-1}, each subgroup H found is joined with one generator g of every
+distinct cyclic subgroup <g, -1>, and H<g> is built as the union of the
+cosets g^k H.  The labels are a function of the set of subgroups alone
+(through the sort above), so the way the search finds them cannot move a
+label.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InputError, NotCoprime, UnknownDelta
+from .errors import InputError, MalformedSubgroup, NotCoprime, UnknownDelta
 
 __all__ = [
     "UnitGroup",
@@ -41,7 +48,8 @@ def crt(r1: int, m1: int, r2: int, m2: int) -> int:
 
     Requires gcd(m1, m2) == 1.
     """
-    assert math.gcd(m1, m2) == 1, (m1, m2)
+    if math.gcd(m1, m2) != 1:
+        raise NotCoprime(f"moduli {m1} and {m2} are not coprime")
     if m1 == 1:
         return r2 % m2
     if m2 == 1:
@@ -96,8 +104,8 @@ class UnitGroup:
     elements: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        assert self.N >= 1
-        assert self.elements, "unit group cannot be empty"
+        if self.N < 1 or not self.elements:
+            raise MalformedSubgroup(f"unit group modulo {self.N} has no elements")
 
     @property
     def order(self) -> int:
@@ -142,9 +150,12 @@ class DeltaSubgroup:
     label: str
 
     def __post_init__(self) -> None:
-        assert self.elements == tuple(sorted(set(self.elements)))
-        if self.N > 2:
-            assert (self.N - 1) in self.elements, "-1 must lie in Delta"
+        if self.elements != tuple(sorted(set(self.elements))):
+            raise MalformedSubgroup(
+                f"elements of Delta modulo {self.N} are not sorted and unique: {self.elements}"
+            )
+        if self.N > 2 and (self.N - 1) not in self.elements:
+            raise MalformedSubgroup(f"-1 must lie in Delta modulo {self.N}: {self.elements}")
 
     @property
     def order(self) -> int:
@@ -186,19 +197,53 @@ class DeltaSubgroup:
         return min(a * h % self.N for h in self.elements)
 
 
+def _join(N: int, have: set[int] | frozenset[int], g: int) -> set[int]:
+    """The subgroup H<g> for a subgroup H = ``have`` of (Z/NZ)* and a unit g.
+
+    H<g> is the disjoint union of the cosets g^k H for k = 0, 1, ... up to
+    the first k with g^k in H, so the cost is O(|H<g>|).
+    """
+    out = set(have)
+    x = g % N
+    while x not in have:
+        out.update(x * h % N for h in have)
+        x = x * g % N
+    return out
+
+
 def _closure(N: int, gens: set[int]) -> tuple[int, ...]:
     """Subgroup of (Z/NZ)* generated by ``gens`` (all must be units)."""
-    gen_set = {g % N for g in gens}
     elems = {1 % N}
-    frontier = [1 % N]
-    while frontier:
-        x = frontier.pop()
-        for g in gen_set:
-            y = x * g % N
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
+    for g in gens:
+        if g % N not in elems:
+            elems = _join(N, elems, g)
     return tuple(sorted(elems))
+
+
+def _cyclic_generators(N: int) -> list[int]:
+    """One unit g for each cyclic subgroup <g, -1> of (Z/NZ)* other than {+-1}.
+
+    One pass over the units: each new g walks its powers once and marks
+    every g^k and -g^k with gcd(k, ord g) = 1, which generate the same
+    <g, -1>, so no later unit repeats that subgroup's walk.
+    """
+    marked = {1, N - 1}
+    gens: list[int] = []
+    for g in unit_group(N).elements:
+        if g in marked:
+            continue
+        gens.append(g)
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = x * g % N
+        order = len(powers)
+        for k in range(1, order):
+            if math.gcd(k, order) == 1:
+                marked.add(powers[k])
+                marked.add(N - powers[k])
+    return gens
 
 
 @lru_cache(maxsize=None)
@@ -209,30 +254,36 @@ def subgroups_containing_minus1(N: int) -> tuple[DeltaSubgroup, ...]:
     sorted element tuple.  The first entry is {+-1} (label "1"), the last is
     the full unit group (label "0"); entries in between get labels "D1",
     "D2", ...  Requires N >= 3 (below that {+-1} is already everything).
+
+    The subgroups are found breadth-first from {+-1}, joining each one found
+    with one generator of every cyclic subgroup <g, -1>: a subgroup
+    containing -1 is the product of the cyclic subgroups <h, -1> of its
+    elements h, so every one is reached.  Labels depend only on the set of
+    subgroups and the sort above, not on the order of the search.
     """
     if N < 3:
         raise InputError(f"subgroup enumeration needs N >= 3, got {N}")
     units = unit_group(N)
-    base = _closure(N, {N - 1})
-    found: set[tuple[int, ...]] = {base}
+    base = frozenset({1, N - 1})
+    gens = _cyclic_generators(N)
+    found = {base}
     frontier = [base]
     while frontier:
-        nxt: list[tuple[int, ...]] = []
-        for sub in frontier:
-            have = set(sub)
-            for g in units.elements:
+        nxt: list[frozenset[int]] = []
+        for have in frontier:
+            for g in gens:
                 if g in have:
                     continue
-                bigger = _closure(N, have | {g})
+                bigger = frozenset(_join(N, have, g))
                 if bigger not in found:
                     found.add(bigger)
                     nxt.append(bigger)
         frontier = nxt
-    ordered = sorted(found, key=lambda t: (len(t), t))
+    ordered = sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
     out: list[DeltaSubgroup] = []
     inter = 0
     for elems in ordered:
-        if elems == base:
+        if len(elems) == len(base):
             label = "1"
         elif len(elems) == units.order:
             label = "0"

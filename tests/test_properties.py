@@ -223,7 +223,7 @@ def test_order_mod_is_minimal(n, a):
             assert pow(a, div, n) != 1
 
 
-@given(st.integers(3, 120), st.data())
+@given(st.integers(3, 400), st.data())
 @settings(max_examples=150, deadline=None)
 def test_generated_subgroup_is_closed(N, data):
     units = unit_group(N).elements

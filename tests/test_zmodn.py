@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import modcurve
 from modcurve.errors import InputError, NotCoprime, UnknownDelta
 from modcurve.zmodn import (
     crt,
@@ -41,6 +46,13 @@ SUBGROUP_COUNTS = {
     65: (16, 14),
     72: (10, 8),
     95: (9, 7),
+    624: (108, 106),
+    720: (108, 106),
+    625: (8, 6),
+    1250: (8, 6),
+    840: (236, 234),
+    1000: (24, 22),
+    2003: (8, 6),
 }
 
 # Known element sets, keyed by canonical label (order ascending, ties by
@@ -113,7 +125,7 @@ def test_subgroup_counts(N):
     assert len(inters) == intermediate
 
 
-@pytest.mark.parametrize("N", [13, 21, 24, 35, 40, 56, 63, 65])
+@pytest.mark.parametrize("N", [13, 21, 24, 35, 40, 56, 63, 65, 120, 168])
 def test_enumeration_matches_brute_force(N):
     subs = subgroups_containing_minus1(N)
     assert {s.elements for s in subs} == brute_force_subgroups(N)
@@ -209,6 +221,8 @@ def test_order_mod_and_crt_and_sqrt():
     assert order_mod(2, 13) == 12
     assert order_mod(3, 121) == 5
     assert crt(2, 3, 3, 5) % 15 == 8
+    with pytest.raises(InputError):
+        crt(1, 6, 1, 4)
     s = sqrt_mod(2, 7)
     assert s is not None and s * s % 7 == 2
     assert sqrt_mod(3, 5) is None
@@ -219,3 +233,25 @@ def test_order_mod_and_crt_and_sqrt():
             s = sqrt_mod(a, m)
             if s is not None:
                 assert s * s % m == a % m
+
+
+def test_invariants_survive_optimized_mode():
+    # Under ``python -O`` a bare assert vanishes; the postconditions of
+    # UnitGroup and DeltaSubgroup must still raise.
+    code = (
+        "from modcurve.errors import InvariantError\n"
+        "from modcurve.zmodn import DeltaSubgroup, UnitGroup\n"
+        "for make in (lambda: DeltaSubgroup(13, (12, 1), 'x'),\n"
+        "             lambda: DeltaSubgroup(13, (1, 3, 9), 'x'),\n"
+        "             lambda: UnitGroup(13, ())):\n"
+        "    try:\n"
+        "        make()\n"
+        "    except InvariantError:\n"
+        "        continue\n"
+        "    raise SystemExit('no InvariantError')\n"
+    )
+    src = str(Path(modcurve.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
