@@ -25,17 +25,31 @@ results are certified by an explicit list of elimination rules:
 * ``curated-verdict`` -- literature results for three low-genus curves out
   of reach of the counting rules.
 
-Counting fixed points of an automorphism is done by two independent routes:
-a lift analysis over the fixed points of the induced Atkin-Lehner involution
-on X_0(N) (:func:`lift_fixed_points`), and a direct search for elliptic
-elements in the coset of the automorphism acting on the coset space
-(:func:`coset_fixed_points`).  The two must agree; tests cross-check them.
+Counting fixed points of an automorphism of determinant m is done by two
+independent routes, which must agree; tests cross-check them:
+
+* route A, :func:`lift_fixed_points`, works above the fixed points z_j of
+  the induced Atkin-Lehner involution W_m on X_0(N).  A point of the fibre
+  over z_j, named by a diamond representative G, is fixed when
+  w * G * adj(s) * adj(W_j) * adj(G) is m times an element of
+  Gamma_Delta(N) for some s in the stabiliser of z_j.
+* route B, :func:`coset_fixed_points`, works on the coset space.  Coset
+  U_x holds a fixed point when U_x * E * adj(U_x) * adj(w) is m times an
+  element of Gamma_Delta(N) for an elliptic element E of determinant m;
+  the elements E are enumerated by trace and binary quadratic form.
+
+Both test all rows at once with int64 numpy arithmetic modulo m*N, which
+decides membership exactly (see ``_mul_mod``); m*N must stay below 2^31.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
+
+import numpy as np
 
 from .atkinlehner import (
     NormalizerElement,
@@ -50,12 +64,19 @@ from .congruence import (
     coset_action,
     cusp_table,
     genus,
-    is_member,
     transversal,
 )
-from .errors import InputError, InvariantError, ParityViolation
+from .errors import (
+    CoverMismatch,
+    DeterminantMismatch,
+    FieldDegreeMismatch,
+    InputError,
+    InvariantError,
+    MembershipViolation,
+    ParityViolation,
+)
 from .facts import FactBook
-from .matrices import IDENTITY, Mat2
+from .matrices import Mat2
 from .qforms import FixedPointSet, QForm, fixed_points_X0, reduced_classes
 from .zmodn import (
     DeltaSubgroup,
@@ -155,8 +176,77 @@ def generic_atkin_lehner(N: int, d: int) -> Mat2:
     alpha = pow(d, -1, m)
     beta = (alpha * d - 1) // m
     w = Mat2(alpha * d, beta, N, d)
-    assert w.det == d
+    if w.det != d:
+        raise DeterminantMismatch(f"{w} should have determinant {d}")
     return w
+
+
+# --------------------------------------------------------------------------
+# matrix arithmetic modulo M = m*N, shared by both fixed-point routes
+#
+# Both routes ask whether an integer matrix P, a product of factors whose
+# determinants multiply to m^2, equals m*gamma with gamma in Gamma_Delta(N).
+# That holds exactly when every entry of P is divisible by m, P.c/m = 0
+# (mod N) and P.a/m mod N lies in Delta (det gamma = 1 follows from the
+# determinants of the factors), and all three conditions can be read off
+# P mod M = m*N.  Entries stay at most M in absolute value and M < 2^31,
+# so a sum of two products fits in an int64.
+
+#: Moduli m*N at or above this bound are refused.
+MODULUS_LIMIT = 2**31
+
+
+def _modulus(m: int, N: int) -> int:
+    """The modulus m*N of a fixed-point count, refused when too large."""
+    M = m * N
+    if M >= MODULUS_LIMIT:
+        raise InputError(
+            f"det*N = {m}*{N} is too large for the fixed-point count "
+            f"(limit 2^31)"
+        )
+    return M
+
+
+def _mul_mod(x, y, M: int):
+    """The product of two matrices given as (a, b, c, d) tuples of ints or
+    int64 arrays with entries of absolute value at most M, reduced into
+    [0, M)."""
+    a1, b1, c1, d1 = x
+    a2, b2, c2, d2 = y
+    return (
+        (a1 * a2 + b1 * c2) % M,
+        (a1 * b2 + b1 * d2) % M,
+        (c1 * a2 + d1 * c2) % M,
+        (c1 * b2 + d1 * d2) % M,
+    )
+
+
+def _adj(x):
+    """Adjugate of an (a, b, c, d) tuple; it keeps the entries' bound."""
+    a, b, c, d = x
+    return (d, -b, -c, a)
+
+
+def _residues(w: Mat2, M: int) -> tuple[int, int, int, int]:
+    return tuple(e % M for e in w.entries())
+
+
+@lru_cache(maxsize=None)
+def _delta_mask(delta: DeltaSubgroup) -> np.ndarray:
+    """Boolean mask of Delta inside Z/NZ."""
+    mask = np.zeros(delta.N, dtype=bool)
+    mask[list(delta.elements)] = True
+    return mask
+
+
+def _scaled_members(p, m: int, delta: DeltaSubgroup) -> np.ndarray:
+    """Mask of the rows of ``p`` (residues mod m*N) that equal m*gamma with
+    gamma in Gamma_Delta(N)."""
+    a, b, c, d = p
+    return (
+        (c == 0) & (a % m == 0) & (b % m == 0) & (d % m == 0)
+        & _delta_mask(delta)[a // m]
+    )
 
 
 # --------------------------------------------------------------------------
@@ -187,7 +277,8 @@ class LiftReport:
         return self.fixed_elliptic + self.fixed_cuspidal
 
 
-def _fibre_reps(N: int, delta: DeltaSubgroup, extra_class: int | None) -> tuple[int, ...]:
+@lru_cache(maxsize=None)
+def _fibre_reps(N: int, delta: DeltaSubgroup, extra_class: int | None) -> np.ndarray:
     """Coset representatives of ``<Delta, extra_class>`` inside the units.
 
     These index the fibre of X_Delta(N) -> X_0(N) over a point whose
@@ -195,9 +286,19 @@ def _fibre_reps(N: int, delta: DeltaSubgroup, extra_class: int | None) -> tuple[
     """
     gens = set(delta.elements)
     if extra_class is not None:
-        gens.add(extra_class % N)
-    sub = delta_from_elements(N, gens)
-    return sub.coset_reps()
+        gens.add(extra_class)
+    return np.array(delta_from_elements(N, gens).coset_reps(), dtype=np.int64)
+
+
+@lru_cache(maxsize=None)
+def _diamond_columns(N: int) -> tuple[np.ndarray, ...]:
+    """Entries (a, b, c, d) of the diamond matrices [a] as four columns
+    indexed by a mod N (zero at non-units); every entry lies in [0, N]."""
+    cols = np.zeros((4, N), dtype=np.int64)
+    for a in range(1, N):
+        if math.gcd(a, N) == 1:
+            cols[:, a] = diamond_matrix(a, N).entries()
+    return tuple(cols)
 
 
 def lift_fixed_points(
@@ -215,6 +316,10 @@ def lift_fixed_points(
     representatives modulo the stabiliser of z_j, and a fibre point is fixed
     exactly when a twisted conjugate of the candidate falls back into
     Gamma_Delta(N), allowing a correction by the stabiliser of z_j.
+
+    The conjugates w * G * adj(s) * adj(W_j) * adj(G), for every base point
+    j, correction s and fibre representative G, are evaluated modulo d*N in
+    one pass; per (j, G) the first correction that hits gives the witness.
     """
     delta = _resolve(N, delta)
     w = candidate.matrix if isinstance(candidate, NormalizerElement) else candidate
@@ -224,40 +329,63 @@ def lift_fixed_points(
         raise InputError(
             f"candidate determinant {w.det} does not match the operator W_{d}"
         )
+    M = _modulus(d, N)
+    w_res = _residues(w, M)
     if base.points:
-        q = w * base.points[0].matrix.adjugate()
-        if not (q.divisible_by(d) and q.divided_by(d).c % N == 0):
+        q = _mul_mod(w_res, _adj(_residues(base.points[0].matrix, M)), M)
+        if not (all(e % d == 0 for e in q) and q[2] == 0):
             raise InputError(
                 f"candidate {w} does not lie above the Atkin-Lehner operator W_{d}"
             )
 
-    witnesses: list[tuple[int, int, int]] = []
+    # One (j, s) pair per base point and correction, with the scalar
+    # factor adj(s) * adj(W_j), and one row per pair and fibre representative.
+    pair_j: list[int] = []
+    pair_x: list[tuple[int, int, int, int]] = []
+    row_pair: list[int] = []
+    row_rep: list[np.ndarray] = []
+    row_pos: list[int] = []
     for j, point in enumerate(base.points):
+        if point.matrix.det != d:
+            raise DeterminantMismatch(f"base point matrix {point.matrix} at W_{d}")
         primitive = QForm(
             point.form.p // point.ell,
             point.form.q // point.ell,
             point.form.r // point.ell,
         )
         stab = _stabilizer_generator(primitive)
-        extra = stab.a % N if stab is not None else None
-        corrections = [IDENTITY]
+        corrections = [(1, 0, 0, 1)]
+        extra = None
         if stab is not None:
-            corrections.append(stab)
+            if stab.det != 1:
+                raise DeterminantMismatch(f"stabiliser {stab} of {primitive}")
+            s1 = _residues(stab, M)
+            corrections.append(s1)
             if primitive.disc == -3:
-                corrections.append(stab * stab)
-        wj_adj = point.matrix.adjugate()
-        for rep in _fibre_reps(N, delta, extra):
-            g_mat = diamond_matrix(rep, N)
-            g_adj = g_mat.adjugate()
-            for s in corrections:
-                m = w * g_mat * s.adjugate() * wj_adj * g_adj
-                if not m.divisible_by(d):
-                    continue
-                gamma = m.divided_by(d)
-                assert gamma.det == 1
-                if is_member(gamma, N, delta):
-                    witnesses.append((j, rep, _signed(gamma.a, N)))
-                    break
+                corrections.append(_mul_mod(s1, s1, M))
+            extra = stab.a % N
+        reps = _fibre_reps(N, delta, extra)
+        wj_adj = _adj(_residues(point.matrix, M))
+        for s in corrections:
+            row_pair.extend([len(pair_j)] * len(reps))
+            row_rep.append(reps)
+            row_pos.extend(range(len(reps)))
+            pair_j.append(j)
+            pair_x.append(_mul_mod(_adj(s), wj_adj, M))
+
+    witnesses: list[tuple[int, int, int]] = []
+    if pair_j:
+        rows = np.array(row_pair, dtype=np.int64)
+        rep = np.concatenate(row_rep)
+        g = tuple(col[rep] for col in _diamond_columns(N))
+        x = tuple(col[rows] for col in np.array(pair_x, dtype=np.int64).T)
+        p = _mul_mod(_mul_mod(_mul_mod(w_res, g, M), x, M), _adj(g), M)
+        first: dict[tuple[int, int], int] = {}
+        for r in np.flatnonzero(_scaled_members(p, d, delta)).tolist():
+            first.setdefault((pair_j[row_pair[r]], row_pos[r]), r)
+        for key in sorted(first):
+            r = first[key]
+            witnesses.append((key[0], int(rep[r]), _signed(int(p[0][r]) // d, N)))
 
     cuspidal = cuspidal_fixed_count(N, delta, w)
     return LiftReport(
@@ -275,6 +403,12 @@ def lift_fixed_points(
 # fixed points, route B: elliptic elements in the coset, orbit by orbit
 
 
+@lru_cache(maxsize=None)
+def _transversal_columns(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
+    """The coset transversal as four int64 columns (a, b, c, d)."""
+    return tuple(np.array([u.entries() for u in transversal(N, delta)], dtype=np.int64).T)
+
+
 def coset_fixed_points(N: int, delta, w: Mat2) -> int:
     """Number of non-cuspidal fixed points of the automorphism induced by
     ``w`` on X_Delta(N), found directly on the coset space.
@@ -285,16 +419,18 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> int:
     enumerated by trace and by the primitive binary quadratic form of their
     fixed point; matches are grouped by form and counted up to the action of
     the stabiliser of the form's root, which identifies coset positions
-    representing one and the same point.
+    representing one and the same point.  Each element is tested against
+    all cosets at once, modulo det(w)*N.
     """
     delta = _resolve(N, delta)
     m = w.det
     if m <= 0:
         raise InputError("automorphism matrix must have positive determinant")
+    M = _modulus(m, N)
     act = coset_action(N, delta)
-    trans = transversal(N, delta)
-    adjoints = [u.adjugate() for u in trans]
-    adj_w = w.adjugate()
+    trans = tuple(col % M for col in _transversal_columns(N, delta))
+    # adj(U_x) * adj(w) does not depend on the elliptic element
+    tail = _mul_mod(_adj(trans), _adj(_residues(w, M)), M)
 
     traces = {0}
     for c in (1, 2, 3):
@@ -320,14 +456,14 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> int:
                     u * form.p,
                     (t + u * form.q) // 2,
                 )
-                assert elem.det == m and elem.trace == t
-                for x in range(act.degree):
-                    p = trans[x] * elem * adjoints[x] * adj_w
-                    if not p.divisible_by(m):
-                        continue
-                    gamma = p.divided_by(m)
-                    if gamma.det == 1 and is_member(gamma, N, delta):
-                        matches.setdefault(form, set()).add(x)
+                if elem.det != m or elem.trace != t:
+                    raise DeterminantMismatch(
+                        f"elliptic element {elem} should have det {m}, trace {t}"
+                    )
+                p = _mul_mod(_mul_mod(trans, _residues(elem, M), M), tail, M)
+                hits = np.flatnonzero(_scaled_members(p, m, delta))
+                if hits.size:
+                    matches.setdefault(form, set()).update(hits.tolist())
 
     count = 0
     for form, positions in matches.items():
@@ -644,7 +780,8 @@ class Classifier:
         offset = 1
         if hat is not None:
             q = ref * hat.matrix.adjugate()
-            assert q.divisible_by(d)
+            if not q.divisible_by(d):
+                raise MembershipViolation(f"{ref} and {hat.matrix} lie above different W_{d}")
             offset = q.divided_by(d).a % N
         return ref, base, offset, hat is not None
 
@@ -706,8 +843,11 @@ class Classifier:
             total = elliptic + cuspidal
             involution_quotient_genus(g, total)  # parity invariant
             if total == 2 * g - 2:
-                if kind == "atkin-lehner" and mat.det == N:
-                    assert fricke_field_degree(delta) == 1 or g <= 5
+                if kind == "atkin-lehner" and mat.det == N and g > 5:
+                    if fricke_field_degree(delta) != 1:
+                        raise FieldDegreeMismatch(
+                            f"bielliptic {name} on genus {g} is not defined over Q"
+                        )
                 witness = Witness(name, mat, kind, elliptic, cuspidal)
                 biell.append(witness)
                 evidence.append(Evidence(
@@ -771,7 +911,11 @@ class Classifier:
                 if not set(image.elements) <= set(sub.elements):
                     continue
                 deg, rem = divmod(deg_self, coset_action(M, sub).degree)
-                assert rem == 0
+                if rem:
+                    raise CoverMismatch(
+                        f"index of {curve_name(M, sub.label)} does not divide "
+                        f"that of {curve_name(N, delta.label)}"
+                    )
                 out.append((M, sub.label, deg, deg == 2))
         return out
 
@@ -897,7 +1041,10 @@ class Classifier:
                 continue
             image = table0.act_matrix(w, proj[i])
             fibre = [j for j, pj in enumerate(proj) if pj == image]
-            assert fibre
+            if not fibre:
+                raise CoverMismatch(
+                    f"no cusp of {curve_name(N, delta.label)} above a cusp of X_0({N})"
+                )
             if all(not table.classes[j].is_rational for j in fibre):
                 rep = cls.rep
                 return (

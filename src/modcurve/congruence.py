@@ -17,7 +17,15 @@ from functools import lru_cache
 import numpy as np
 
 from ._kernels import canonical_pair_table
-from .errors import CuspCountMismatch, NonIntegralGenus
+from .errors import (
+    CuspCountMismatch,
+    DeterminantMismatch,
+    FieldDegreeMismatch,
+    InputError,
+    MembershipViolation,
+    NonIntegralGenus,
+    NotUnimodular,
+)
 from .matrices import IDENTITY, Mat2, S_MAT, T_MAT
 from .zmodn import DeltaSubgroup, unit_group
 
@@ -79,7 +87,8 @@ class CosetAction:
         tab = _pair_tables(self.N, self.delta)
         key = int(tab.canon[(c % self.N) * self.N + d % self.N])
         pos = tab.position.get(key)
-        assert pos is not None, f"pair ({c},{d}) is not unimodular mod {self.N}"
+        if pos is None:
+            raise NotUnimodular(f"pair ({c},{d}) is not unimodular mod {self.N}")
         return pos
 
     def act(self, pos: int, m: Mat2) -> int:
@@ -107,7 +116,8 @@ def _pair_tables(N: int, delta: DeltaSubgroup) -> _PairTables:
 @lru_cache(maxsize=None)
 def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     """The coset action of SL2(Z) on Gamma_Delta(N)\\SL2(Z)."""
-    assert delta.N == N
+    if delta.N != N:
+        raise InputError(f"subgroup has level {delta.N}, expected {N}")
     tab = _pair_tables(N, delta)
     reps = sorted(tab.position, key=tab.position.get)
     cosets = tuple((r // N, r % N) for r in reps)
@@ -172,7 +182,8 @@ def lift_to_coprime(c: int, d: int, N: int) -> tuple[int, int]:
     """
     c %= N
     d %= N
-    assert math.gcd(math.gcd(c, d), N) == 1
+    if math.gcd(math.gcd(c, d), N) != 1:
+        raise NotUnimodular(f"gcd({c}, {d}, {N}) != 1")
     if math.gcd(c, d) == 1:
         return c, d
     if c == 0:
@@ -217,7 +228,8 @@ def transversal(N: int, delta: DeltaSubgroup) -> tuple[Mat2, ...]:
     mats = []
     for c, d in act.cosets:
         m = _bottom_row_to_matrix(c, d, N)
-        assert m.det == 1
+        if m.det != 1:
+            raise DeterminantMismatch(f"transversal matrix {m} for ({c},{d}) mod {N}")
         mats.append(m)
     return tuple(mats)
 
@@ -228,7 +240,7 @@ def _sign_normal(m: Mat2) -> Mat2:
             return m
         if x < 0:
             return -m
-    raise AssertionError("zero matrix")
+    raise DeterminantMismatch("the zero matrix has no sign normal form")
 
 
 @lru_cache(maxsize=None)
@@ -245,8 +257,13 @@ def schreier_generators(N: int, delta: DeltaSubgroup) -> tuple[Mat2, ...]:
     for k in range(act.degree):
         for g, sigma in ((S_MAT, act.sigma_S), (T_MAT, act.sigma_T)):
             m = reps[k] * g * reps[sigma[k]].adjugate()
-            assert m.det == 1
-            assert is_member(m, N, delta), (N, delta.label, k, str(m))
+            if m.det != 1:
+                raise DeterminantMismatch(f"Schreier generator {m} at N={N}")
+            if not is_member(m, N, delta):
+                raise MembershipViolation(
+                    f"Schreier generator {m} not in Gamma_Delta({N}), "
+                    f"delta={delta.label}, coset {k}"
+                )
             m = _sign_normal(m)
             if m != IDENTITY:
                 out.setdefault(m.entries(), m)
@@ -290,20 +307,24 @@ class CuspClass:
         return self.galois_orbit_size == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CuspTable:
-    """Cusp classes plus a pair -> class lookup and matrix actions."""
+    """Cusp classes plus a pair -> class lookup and matrix actions.
+
+    ``labels[x*N + y]`` is the class index of the cusp +-(x; y), and -1 for
+    pairs with gcd(x, y, N) != 1.
+    """
 
     N: int
     delta: DeltaSubgroup
     classes: tuple[CuspClass, ...]
-    _lookup: dict[tuple[int, int], int]
+    labels: np.ndarray
 
     def class_of(self, x: int, y: int) -> int:
         """Class index of the cusp +-(x; y); requires gcd(x, y, N) = 1."""
-        key = (x % self.N, y % self.N)
-        idx = self._lookup.get(key)
-        assert idx is not None, f"({x};{y}) is not a cusp pair mod {self.N}"
+        idx = int(self.labels[(x % self.N) * self.N + y % self.N])
+        if idx < 0:
+            raise NotUnimodular(f"({x};{y}) is not a cusp pair mod {self.N}")
         return idx
 
     def act_matrix(self, m: Mat2, class_index: int) -> int:
@@ -312,75 +333,77 @@ class CuspTable:
         x1, y1 = lift_to_coprime(x, y, self.N)
         X, Y = m.apply_to_column(x1, y1)
         g = math.gcd(X, Y)
-        assert g > 0
+        if g == 0:
+            raise InputError(f"{m} is singular")
         return self.class_of(X // g, Y // g)
-
-
-def _cusp_orbit(N: int, delta: DeltaSubgroup, x: int, y: int) -> set[tuple[int, int]]:
-    """Orbit of (x; y) under Gamma_Delta(N) acting mod N.
-
-    The reduction of Gamma_Delta(N) mod N is the full group of matrices
-    [[a, b], [0, a^{-1}]] with a in Delta and b arbitrary, so the orbit is
-    {(a*(x + b*y), a^{-1}*y) : a in Delta, b mod N} (signs included via
-    -1 in Delta).
-    """
-    out: set[tuple[int, int]] = set()
-    for a in delta.elements:
-        ainv = pow(a, -1, N)
-        ay = ainv * y % N
-        for b in range(N):
-            out.add((a * (x + b * y) % N, ay))
-    return out
 
 
 @lru_cache(maxsize=None)
 def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
-    """All cusps of the curve, with widths cross-checked against sigma_T."""
+    """All cusps of the curve, with widths cross-checked against sigma_T.
+
+    The reduction of Gamma_Delta(N) mod N is the group of matrices
+    [[a, b], [0, a^-1]] with a in Delta and b arbitrary, so the cusp of
+    (x; y) is the orbit {(a*(x + b*y), a^-1*y) : a in Delta, b mod N}
+    (signs included via -1 in Delta).  Pairs are labelled orbit by orbit in
+    increasing order of x*N + y, so each orbit starts at its least pair,
+    which is the class representative.
+    """
     act = coset_action(N, delta)
-    lookup: dict[tuple[int, int], int] = {}
-    orbits: list[set[tuple[int, int]]] = []
-    for x in range(N):
-        for y in range(N):
-            if math.gcd(math.gcd(x, y), N) != 1 or (x, y) in lookup:
-                continue
-            orb = _cusp_orbit(N, delta, x, y)
-            idx = len(orbits)
-            orbits.append(orb)
-            for p in orb:
-                lookup[p] = idx
+    idx = np.arange(N * N, dtype=np.int64)
+    unlabelled = np.gcd(np.gcd(idx // N, idx % N), N) == 1
+    labels = np.full(N * N, -1, dtype=np.int64)
+    a = np.array(delta.elements, dtype=np.int64)[:, None]
+    a_inv = np.array([pow(e, -1, N) for e in delta.elements], dtype=np.int64)[:, None]
+    b = np.arange(N, dtype=np.int64)
+    reps: list[tuple[int, int]] = []
+    start = 0
+    while True:
+        start += int(np.argmax(unlabelled[start:]))
+        if not unlabelled[start]:
+            break
+        x, y = divmod(start, N)
+        orbit = (a * ((x + b * y) % N) % N) * N + a_inv * y % N
+        labels[orbit] = len(reps)
+        unlabelled[orbit] = False
+        reps.append((x, y))
+    labels.flags.writeable = False  # shared by every caller through the cache
 
     cycles = _cycles(act.sigma_T)
-    if len(cycles) != len(orbits):
+    if len(cycles) != len(reps):
         raise CuspCountMismatch(
-            f"{len(orbits)} cusp orbits vs {len(cycles)} T-cycles for "
+            f"{len(reps)} cusp orbits vs {len(cycles)} T-cycles for "
             f"N={N}, delta={delta.label}"
         )
-    reps = transversal(N, delta)
+    trans = transversal(N, delta)
     widths: dict[int, int] = {}
     for cyc in cycles:
-        u = reps[cyc[0]]
-        idx = lookup[(u.a % N, u.c % N)]
-        if idx in widths:
+        u = trans[cyc[0]]
+        k = int(labels[(u.a % N) * N + u.c % N])
+        if k in widths:
             raise CuspCountMismatch(
                 f"two T-cycles map to one cusp for N={N}, delta={delta.label}"
             )
-        widths[idx] = len(cyc)
+        widths[k] = len(cyc)
 
-    units = unit_group(N)
-    classes = []
-    for idx, orb in enumerate(orbits):
-        x, y = min(orb)
-        gal = len({lookup[(s * x % N, y)] for s in units.elements})
-        classes.append(
-            CuspClass(
-                N=N,
-                rep=(x, y),
-                denominator=math.gcd(y, N) if y % N else N,
-                width=widths[idx],
-                galois_orbit_size=gal,
-            )
+    # Galois orbit of a cusp: the classes of (s*x; y) for the units s.
+    units = np.array(unit_group(N).elements, dtype=np.int64)
+    rx = np.array([x for x, _ in reps], dtype=np.int64)[:, None]
+    ry = np.array([y for _, y in reps], dtype=np.int64)[:, None]
+    images = np.sort(labels[(rx * units % N) * N + ry], axis=1)
+    galois = 1 + np.count_nonzero(np.diff(images, axis=1), axis=1)
+
+    classes = tuple(
+        CuspClass(
+            N=N,
+            rep=(x, y),
+            denominator=math.gcd(y, N) if y % N else N,
+            width=widths[k],
+            galois_orbit_size=int(galois[k]),
         )
-    return CuspTable(N, delta, tuple(classes), lookup)
+        for k, (x, y) in enumerate(reps)
+    )
+    return CuspTable(N, delta, classes, labels)
 
 
 def cusps(N: int, delta: DeltaSubgroup) -> tuple[CuspClass, ...]:
@@ -402,11 +425,11 @@ def cusp_field(N: int, delta: DeltaSubgroup, cusp: CuspClass) -> FieldDescriptor
         nd = N // d
         delta_d = sorted({a % d for a in delta.elements if a % nd == 1 % nd})
         phi_d = unit_group(d).order if d > 1 else 1
-        assert phi_d % len(delta_d) == 0
-        assert phi_d // len(delta_d) == degree, (
-            f"cusp field degree mismatch at N={N}, delta={delta.label}, "
-            f"cusp={cusp.rep}: orbit {degree} vs index {phi_d // len(delta_d)}"
-        )
+        if phi_d % len(delta_d) or phi_d // len(delta_d) != degree:
+            raise FieldDegreeMismatch(
+                f"cusp field degree mismatch at N={N}, delta={delta.label}, "
+                f"cusp={cusp.rep}: orbit {degree} vs index {phi_d}/{len(delta_d)}"
+            )
         if degree == 1:
             return FieldDescriptor(1, "Q")
         if len(delta_d) == 1:

@@ -52,6 +52,10 @@ class NotNormalizing(InputError):
     """A candidate matrix does not normalize the congruence subgroup."""
 
 
+class NotUnimodular(InputError):
+    """A pair mod N was required to satisfy gcd(x, y, N) = 1 but does not."""
+
+
 # ---------------------------------------------------------------------------
 # invariant errors
 
@@ -66,6 +70,22 @@ class CuspCountMismatch(InvariantError):
 
 class ParityViolation(InvariantError):
     """A fixed-point count violated the parity forced by Riemann-Hurwitz."""
+
+
+class DeterminantMismatch(InvariantError):
+    """A matrix built to have a given determinant or trace does not."""
+
+
+class MembershipViolation(InvariantError):
+    """A matrix that must lie in Gamma_Delta(N) (or a fixed coset of it) does not."""
+
+
+class FieldDegreeMismatch(InvariantError):
+    """Two routes to the degree of a field of definition disagree."""
+
+
+class CoverMismatch(InvariantError):
+    """A covering map has a non-integral degree or an empty cusp fibre."""
 
 
 class MalformedSubgroup(InvariantError):

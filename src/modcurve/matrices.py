@@ -1,8 +1,10 @@
 """Exact 2x2 integer matrices.
 
-All matrix arithmetic in this package uses arbitrary-precision Python ints:
-powers of normalizer elements overflow 64-bit words long before the order
-search cap is reached, so numpy dtypes are deliberately avoided here.
+``Mat2`` uses arbitrary-precision Python ints: powers of normalizer
+elements overflow 64-bit words long before the order search cap is
+reached, so it avoids numpy dtypes.  The fixed-point counting routes of
+``classify`` are the one place with int64 matrix arithmetic, and only on
+residues modulo m*N < 2^31, where a sum of two products cannot overflow.
 """
 
 from __future__ import annotations

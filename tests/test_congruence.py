@@ -248,3 +248,38 @@ def test_schreier_generators_rebuild_relations(N, label):
         # members stabilize the identity coset
         start = act.position(0 % N, 1 % N)
         assert act.act(start, g) == start
+
+
+# --------------------------------------------------------------------------
+# checks that must hold under python -O
+
+
+def test_checks_survive_optimized_mode(run_optimized):
+    # Caller mistakes raise InputError, and a cusp whose Galois orbit size
+    # disagrees with the index of Delta^(d) fails the cusp-field cross-check
+    # with an InvariantError, even when bare asserts are compiled away.
+    code = (
+        "from modcurve.classify import coset_fixed_points\n"
+        "from modcurve.congruence import (CuspClass, coset_action, cusp_field,\n"
+        "                                 cusp_table, lift_to_coprime)\n"
+        "from modcurve.errors import InputError, InvariantError\n"
+        "from modcurve.matrices import Mat2\n"
+        "from modcurve.zmodn import delta_by_label\n"
+        "delta = delta_by_label(21, 'D1')\n"
+        "cusp = CuspClass(21, (1, 0), 21, 1, 12 // len(delta.elements) + 1)\n"
+        "cases = [\n"
+        "    (InputError, lambda: lift_to_coprime(2, 4, 6)),\n"
+        "    (InputError, lambda: cusp_table(21, delta).class_of(3, 0)),\n"
+        "    (InputError, lambda: coset_action(21, delta).position(7, 14)),\n"
+        "    (InputError, lambda: coset_fixed_points(13, '0', Mat2(2**31, 0, 0, 1))),\n"
+        "    (InvariantError, lambda: cusp_field(21, delta, cusp)),\n"
+        "]\n"
+        "for error, call in cases:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except error:\n"
+        "        continue\n"
+        "    raise SystemExit(f'no {error.__name__}')\n"
+    )
+    proc = run_optimized(code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

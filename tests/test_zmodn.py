@@ -3,14 +3,9 @@
 from __future__ import annotations
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import modcurve
 from modcurve.errors import InputError, NotCoprime, UnknownDelta
 from modcurve.zmodn import (
     crt,
@@ -235,7 +230,7 @@ def test_order_mod_and_crt_and_sqrt():
                 assert s * s % m == a % m
 
 
-def test_invariants_survive_optimized_mode():
+def test_invariants_survive_optimized_mode(run_optimized):
     # Under ``python -O`` a bare assert vanishes; the postconditions of
     # UnitGroup and DeltaSubgroup must still raise.
     code = (
@@ -250,8 +245,5 @@ def test_invariants_survive_optimized_mode():
         "        continue\n"
         "    raise SystemExit('no InvariantError')\n"
     )
-    src = str(Path(modcurve.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = run_optimized(code)
     assert proc.returncode == 0, proc.stdout + proc.stderr
