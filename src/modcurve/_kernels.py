@@ -1,87 +1,38 @@
-"""Hot kernels for coset enumeration: pair-canonicalization tables.
+"""The pair-canonicalization table behind the coset enumeration.
 
-The only numerically heavy step in the package is canonicalizing all N*N
-bottom-row pairs (c, d) under Delta-scaling.  Two interchangeable
-implementations are provided:
-
-* a numba ``@njit`` kernel (used when numba is importable), and
-* a pure-numpy fallback.
-
-Selection is controlled by the environment variable ``MODCURVE_KERNELS``
-with values ``auto`` (default: numba if available), ``numba`` or ``numpy``,
-or programmatically via the ``backend`` argument.  Both paths return
-identical tables; ``benchmarks/bench_kernels.py`` compares their speed.
+Canonicalizing all N*N bottom-row pairs (c, d) under Delta-scaling is done
+with numpy, one vectorised pass per element of Delta.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - depends on environment
-    HAS_NUMBA = False
 
 __all__ = ["HAS_NUMBA", "resolve_backend", "canonical_pair_table"]
 
-_VALID = ("auto", "numba", "numpy")
+# HAS_NUMBA and resolve_backend() stay only because the benchmark harness
+# (perfbench/child.py, perfbench/spans.py) reports them; there is one
+# backend.
+HAS_NUMBA = False
 
 
-def resolve_backend(explicit: str | None = None) -> str:
-    """Resolve the kernel backend name ("numba" or "numpy")."""
-    choice = explicit or os.environ.get("MODCURVE_KERNELS", "auto")
-    if choice not in _VALID:
-        raise ValueError(f"MODCURVE_KERNELS must be one of {_VALID}, got {choice!r}")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
+def resolve_backend() -> str:
+    """The name of the kernel backend, always "numpy"."""
+    return "numpy"
 
 
-def _canonical_table_numpy(N: int, delta: np.ndarray) -> np.ndarray:
-    idx = np.arange(N * N, dtype=np.int64)
-    c = idx // N
-    d = idx % N
-    best = np.full(N * N, N * N, dtype=np.int64)
-    for a in delta:
-        cand = (a * c % N) * N + a * d % N
-        np.minimum(best, cand, out=best)
-    return best
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _canonical_table_numba(N, delta, out):  # pragma: no cover - compiled
-        for c in range(N):
-            for d in range(N):
-                best = N * N
-                for k in range(delta.shape[0]):
-                    a = delta[k]
-                    v = (a * c % N) * N + a * d % N
-                    if v < best:
-                        best = v
-                out[c * N + d] = best
-
-
-def canonical_pair_table(
-    N: int, delta_elements: tuple[int, ...], backend: str | None = None
-) -> np.ndarray:
+def canonical_pair_table(N: int, delta_elements: tuple[int, ...]) -> np.ndarray:
     """For every pair index c*N+d, the least index in its Delta-scaling orbit.
 
     The orbit of (c, d) is {(a*c mod N, a*d mod N) : a in Delta}; pairs are
     ordered by the flat index c*N+d.  The table covers *all* pairs; callers
     restrict to gcd(c, d, N) == 1 as needed.
     """
-    delta = np.asarray(delta_elements, dtype=np.int64)
-    which = resolve_backend(backend)
-    if which == "numba":
-        out = np.empty(N * N, dtype=np.int64)
-        _canonical_table_numba(N, delta, out)
-        return out
-    return _canonical_table_numpy(N, delta)
+    idx = np.arange(N * N, dtype=np.int64)
+    c = idx // N
+    d = idx % N
+    best = np.full(N * N, N * N, dtype=np.int64)
+    for a in delta_elements:
+        cand = (a * c % N) * N + a * d % N
+        np.minimum(best, cand, out=best)
+    return best

@@ -5,6 +5,11 @@ acts on X_0(N); it lifts to an intermediate curve exactly when the unit
 automorphism t_d (CRT-mix of a mod N/d with a^{-1} mod d) preserves Delta.
 The concrete lift hat_W_d is built from a solution of a quadratic congruence
 and normalizes Gamma_Delta(N); diamonds [a] always do.
+
+Whether an arbitrary integer matrix normalizes Gamma_Delta(N) is decided on
+|Delta| + 2 elements: T = [[1,1],[0,1]], [[1,0],[N,1]] and the diamonds [a]
+for a in Delta, which generate Gamma_Delta(N) modulo m*N (m the
+determinant); see :func:`normalizes`.
 """
 
 from __future__ import annotations
@@ -12,9 +17,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .congruence import is_member, schreier_generators
-from .errors import DoesNotDescend, InputError, NotCoprime, NotNormalizing, UNBOUNDED
-from .matrices import Mat2
+from .congruence import is_member
+from .errors import (
+    DeterminantMismatch,
+    DoesNotDescend,
+    InputError,
+    NotCoprime,
+    NotNormalizing,
+    UNBOUNDED,
+)
+from .matrices import Mat2, T_MAT
 from .zmodn import DeltaSubgroup, crt, delta_from_elements, unit_group
 
 __all__ = [
@@ -50,8 +62,10 @@ class NormalizerElement:
     N: int
 
     def __post_init__(self) -> None:
-        assert self.matrix.det >= 1
-        assert self.kind in ("diamond", "atkin-lehner", "explicit")
+        if self.matrix.det < 1:
+            raise NotNormalizing(f"{self.matrix} has determinant {self.matrix.det} < 1")
+        if self.kind not in ("diamond", "atkin-lehner", "explicit"):
+            raise InputError(f"unknown normalizer kind {self.kind!r}")
 
     @property
     def det(self) -> int:
@@ -67,7 +81,8 @@ def diamond_matrix(a: int, N: int) -> Mat2:
     d = pow(a, -1, N)
     b = (a * d - 1) // N
     m = Mat2(a, b, N, d)
-    assert m.det == 1
+    if m.det != 1:
+        raise DeterminantMismatch(f"diamond matrix {m} should have determinant 1")
     return m
 
 
@@ -134,7 +149,8 @@ def hat_W(d: int, delta: DeltaSubgroup) -> NormalizerElement | None:
             if (-d * x0 * x0 - 1) % M == 0 if M > 1 else x0 == 0:
                 y0 = (-d * x0 * x0 - 1) // M
                 w = Mat2(d * x0, y0, N, -d * x0)
-                assert w.det == d
+                if w.det != d:
+                    raise DeterminantMismatch(f"{w} should have determinant {d}")
                 return NormalizerElement(w, "atkin-lehner", f"W^_{d}", N)
         return None
     for t in (0, 1, -1):
@@ -142,7 +158,10 @@ def hat_W(d: int, delta: DeltaSubgroup) -> NormalizerElement | None:
             if (d * x0 * (t - x0) - 1) % M == 0:
                 y0 = (d * d * x0 * (t - x0) - d) // N
                 w = Mat2(d * x0, y0, N, d * (t - x0))
-                assert w.det == d and w.trace == d * t
+                if w.det != d or w.trace != d * t:
+                    raise DeterminantMismatch(
+                        f"{w} should have determinant {d} and trace {d * t}"
+                    )
                 return NormalizerElement(w, "atkin-lehner", f"W^_{d}", N)
     return None
 
@@ -154,15 +173,38 @@ def hat_W(d: int, delta: DeltaSubgroup) -> NormalizerElement | None:
 def normalizes(matrix: Mat2, delta: DeltaSubgroup) -> bool:
     """True when matrix * Gamma_Delta(N) * matrix^{-1} = Gamma_Delta(N).
 
-    Checked on Schreier generators; one-sided containment suffices because
-    conjugation preserves the index in SL2(Z).
+    With w the matrix, m = det(w) >= 1 and adj the adjugate, w normalizes
+    exactly when w*g*adj(w) is divisible by m with quotient in
+    Gamma_Delta(N) for every g in {T, [[1,0],[N,1]]} and every diamond [a],
+    a in Delta.  Proof:
+
+    1. The gamma in SL2(Z) that pass this test form the group
+       SL2(Z) intersected with w^-1 Gamma_Delta(N) w.  It contains
+       Gamma(m*N): for gamma = 1 + m*N*X the quotient is 1 + N*w*X*adj(w).
+       So the test depends only on gamma mod m*N.
+    2. Modulo M = m*N those |Delta| + 2 elements generate the image of
+       Gamma_Delta(N).  Take gamma = [[a, b], [c, d]] in that image.
+       Right-multiplying by a power of [[1,0],[N,1]] makes a a unit mod M:
+       for each prime p | M not dividing N, at most one residue of the
+       exponent mod p fails.  Then gamma = L * diag(a, a^-1) * U, where L
+       is lower unitriangular with lower-left entry c/a = 0 (mod N), so a
+       power of [[1,0],[N,1]], and U is a power of T.  The diamond [a mod N]
+       leaves diag(a, a^-1) * [a]^-1 in the image of Gamma_1(N).  By the
+       same factorisation that image is generated by T, [[1,0],[N,1]] and
+       the diag(u, u^-1) with u = 1 (mod N), and these lie in
+       <T, [[1,0],[N,1]]> because [[u,1],[u-1,1]] = T * [[1,0],[u-1,1]].
+    3. One-sided containment suffices because conjugation preserves the
+       index in SL2(Z).
     """
     N = delta.N
     m = matrix.det
     if m < 1:
         return False
-    for gen in schreier_generators(N, delta):
-        conj = matrix * gen * matrix.adjugate()
+    adj = matrix.adjugate()
+    generators = [T_MAT, Mat2(1, 0, N, 1)]
+    generators += [diamond_matrix(a, N) for a in delta.elements]
+    for gen in generators:
+        conj = matrix * gen * adj
         if not conj.divisible_by(m):
             return False
         if not is_member(conj.divided_by(m), N, delta):

@@ -432,7 +432,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvariantError, AssertionError) as exc:
+    except InvariantError as exc:
         print(f"internal invariant breach: {exc!r}", file=sys.stderr)
         return 3
     return 0

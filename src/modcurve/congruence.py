@@ -1,4 +1,4 @@
-"""Coset actions, genus, Schreier generators and cusps of Gamma_Delta(N).
+"""Coset actions, genus, transversals and cusps of Gamma_Delta(N).
 
 Gamma_Delta(N) is the group of integer matrices [[a, b], [c, d]] of
 determinant 1 with c = 0 (mod N) and (a mod N) in Delta, where Delta is a
@@ -22,11 +22,10 @@ from .errors import (
     DeterminantMismatch,
     FieldDegreeMismatch,
     InputError,
-    MembershipViolation,
     NonIntegralGenus,
     NotUnimodular,
 )
-from .matrices import IDENTITY, Mat2, S_MAT, T_MAT
+from .matrices import IDENTITY, Mat2
 from .zmodn import DeltaSubgroup, unit_group
 
 __all__ = [
@@ -38,7 +37,6 @@ __all__ = [
     "is_member",
     "genus",
     "transversal",
-    "schreier_generators",
     "cusps",
     "cusp_table",
     "cusp_field",
@@ -172,7 +170,7 @@ def genus(N: int, delta: DeltaSubgroup) -> int:
 
 
 # ---------------------------------------------------------------------------
-# transversal and Schreier generators
+# transversal
 
 
 def lift_to_coprime(c: int, d: int, N: int) -> tuple[int, int]:
@@ -232,42 +230,6 @@ def transversal(N: int, delta: DeltaSubgroup) -> tuple[Mat2, ...]:
             raise DeterminantMismatch(f"transversal matrix {m} for ({c},{d}) mod {N}")
         mats.append(m)
     return tuple(mats)
-
-
-def _sign_normal(m: Mat2) -> Mat2:
-    for x in m.entries():
-        if x > 0:
-            return m
-        if x < 0:
-            return -m
-    raise DeterminantMismatch("the zero matrix has no sign normal form")
-
-
-@lru_cache(maxsize=None)
-def schreier_generators(N: int, delta: DeltaSubgroup) -> tuple[Mat2, ...]:
-    """Schreier generators of Gamma_Delta(N) from the coset transversal.
-
-    For each coset representative U and each generator g in {S, T}, the
-    element U * g * V^-1 (V the representative of the image coset) lies in
-    Gamma_Delta(N); the nontrivial ones generate the group.
-    """
-    act = coset_action(N, delta)
-    reps = transversal(N, delta)
-    out: dict[tuple[int, int, int, int], Mat2] = {}
-    for k in range(act.degree):
-        for g, sigma in ((S_MAT, act.sigma_S), (T_MAT, act.sigma_T)):
-            m = reps[k] * g * reps[sigma[k]].adjugate()
-            if m.det != 1:
-                raise DeterminantMismatch(f"Schreier generator {m} at N={N}")
-            if not is_member(m, N, delta):
-                raise MembershipViolation(
-                    f"Schreier generator {m} not in Gamma_Delta({N}), "
-                    f"delta={delta.label}, coset {k}"
-                )
-            m = _sign_normal(m)
-            if m != IDENTITY:
-                out.setdefault(m.entries(), m)
-    return tuple(out.values())
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,10 @@ class NotUnimodular(InputError):
     """A pair mod N was required to satisfy gcd(x, y, N) = 1 but does not."""
 
 
+class NotDivisible(InputError):
+    """A matrix was divided by a scalar that does not divide every entry."""
+
+
 # ---------------------------------------------------------------------------
 # invariant errors
 
@@ -86,6 +90,10 @@ class FieldDegreeMismatch(InvariantError):
 
 class CoverMismatch(InvariantError):
     """A covering map has a non-integral degree or an empty cusp fibre."""
+
+
+class FormMismatch(InvariantError):
+    """A reduced or representative quadratic form breaks its defining conditions."""
 
 
 class MalformedSubgroup(InvariantError):

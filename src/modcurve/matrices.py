@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import NotDivisible
+
 __all__ = ["Mat2", "IDENTITY", "S_MAT", "T_MAT"]
 
 
@@ -46,21 +48,12 @@ class Mat2:
         """The adjugate [[d, -b], [-c, a]]; self * adjugate == det * I."""
         return Mat2(self.d, -self.b, -self.c, self.a)
 
-    def __pow__(self, k: int) -> "Mat2":
-        assert k >= 0
-        out, base = IDENTITY, self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def divisible_by(self, s: int) -> bool:
         return all(x % s == 0 for x in (self.a, self.b, self.c, self.d))
 
     def divided_by(self, s: int) -> "Mat2":
-        assert self.divisible_by(s), (self, s)
+        if not self.divisible_by(s):
+            raise NotDivisible(f"{s} does not divide every entry of {self}")
         return Mat2(self.a // s, self.b // s, self.c // s, self.d // s)
 
     def entries(self) -> tuple[int, int, int, int]:

@@ -22,7 +22,14 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import BadDiscriminant, InputError, NotPositiveDefinite, SearchExhausted
+from .errors import (
+    BadDiscriminant,
+    DeterminantMismatch,
+    FormMismatch,
+    InputError,
+    NotPositiveDefinite,
+    SearchExhausted,
+)
 from .matrices import IDENTITY, Mat2
 
 __all__ = [
@@ -108,7 +115,8 @@ def reduce_form(f: QForm) -> tuple[QForm, Mat2]:
         else:
             break
     out = QForm(p, q, r)
-    assert out.is_reduced and f.apply(g) == out
+    if not out.is_reduced or f.apply(g) != out:
+        raise FormMismatch(f"reducing {f} by {g} gave {out}")
     return out, g
 
 
@@ -229,7 +237,8 @@ def gkz_decompose(D: int, N: int, beta: int) -> tuple[GKZClass, ...]:
 
 
 def _divisors(n: int) -> list[int]:
-    assert n > 0
+    if n < 1:
+        raise InputError(f"_divisors needs n >= 1, got {n}")
     small, large = [], []
     for d in range(1, math.isqrt(n) + 1):
         if n % d == 0:
@@ -337,9 +346,11 @@ def _matrix_from_form(f: QForm, trace: int, d: int, N: int) -> Mat2:
     For trace t: W = [[(t-q)/2, -r], [p, (t+q)/2]]; requires q = t (mod 2)
     and N | p.
     """
-    assert (f.q - trace) % 2 == 0 and f.p % N == 0
+    if (f.q - trace) % 2 or f.p % N:
+        raise FormMismatch(f"{f} needs q = {trace} (mod 2) and {N} | p")
     w = Mat2((trace - f.q) // 2, -f.r, f.p, (trace + f.q) // 2)
-    assert w.det == d and w.trace == trace
+    if w.det != d or w.trace != trace:
+        raise DeterminantMismatch(f"{w} should have determinant {d}, trace {trace}")
     return w
 
 
@@ -362,7 +373,8 @@ def fixed_points_X0(N: int, d: int) -> FixedPointSet:
                 continue  # content-2 layer; counted once in the trace-3 family
             prim = class_representative(cls)
             total = prim.scaled(cls.ell)
-            assert total.q % (2 * N) == beta % (2 * N)
+            if total.q % (2 * N) != beta % (2 * N):
+                raise FormMismatch(f"{total} should have q = {beta} (mod {2 * N})")
             w = _matrix_from_form(total, trace, d, N)
             points.append(FixedPoint(total, w, cls.D, cls.ell, cls))
     return FixedPointSet(N, d, tuple(points))

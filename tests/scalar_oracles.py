@@ -1,19 +1,25 @@
-"""Scalar reference versions of the fixed-point counters and the cusp table.
+"""Scalar reference versions of the fixed-point counters, the cusp table
+and the normalizer test.
 
-These are the per-coset ``Mat2`` loops that the package replaced with int64
-arithmetic modulo m*N.  They use exact Python integers throughout and serve
-only as oracles: the tests require the package to agree with them exactly.
+The fixed-point counters and the cusp table are the per-coset ``Mat2``
+loops that the package replaced with int64 arithmetic modulo m*N; the
+normalizer test conjugates every Schreier generator of Gamma_Delta(N),
+where the package tests |Delta| + 2 generators modulo m*N.  They use exact
+Python integers throughout and serve only as oracles: the tests require
+the package to agree with them exactly.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from math import isqrt
 
 from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import _signed, _stabilizer_generator
 from modcurve.congruence import _cycles, coset_action, is_member, transversal
-from modcurve.matrices import IDENTITY, Mat2
+from modcurve.errors import DeterminantMismatch, MembershipViolation
+from modcurve.matrices import IDENTITY, S_MAT, T_MAT, Mat2
 from modcurve.qforms import FixedPointSet, QForm, reduced_classes
 from modcurve.zmodn import DeltaSubgroup, delta_from_elements, unit_group
 
@@ -150,3 +156,66 @@ def cusp_classes(N: int, delta: DeltaSubgroup):
         gal = len({lookup[(s * x % N, y)] for s in units})
         classes.append(((x, y), widths[idx], gal))
     return classes, lookup
+
+
+def _sign_normal(m: Mat2) -> Mat2:
+    for x in m.entries():
+        if x > 0:
+            return m
+        if x < 0:
+            return -m
+    raise DeterminantMismatch("the zero matrix has no sign normal form")
+
+
+@lru_cache(maxsize=None)
+def schreier_generators(N: int, delta: DeltaSubgroup) -> tuple[Mat2, ...]:
+    """Schreier generators of Gamma_Delta(N) from the coset transversal.
+
+    For each coset representative U and each generator g in {S, T}, the
+    element U * g * V^-1 (V the representative of the image coset) lies in
+    Gamma_Delta(N); the nontrivial ones generate the group.
+    """
+    act = coset_action(N, delta)
+    reps = transversal(N, delta)
+    out: dict[tuple[int, int, int, int], Mat2] = {}
+    for k in range(act.degree):
+        for g, sigma in ((S_MAT, act.sigma_S), (T_MAT, act.sigma_T)):
+            m = reps[k] * g * reps[sigma[k]].adjugate()
+            if m.det != 1:
+                raise DeterminantMismatch(f"Schreier generator {m} at N={N}")
+            if not is_member(m, N, delta):
+                raise MembershipViolation(
+                    f"Schreier generator {m} not in Gamma_Delta({N}), "
+                    f"delta={delta.label}, coset {k}"
+                )
+            m = _sign_normal(m)
+            if m != IDENTITY:
+                out.setdefault(m.entries(), m)
+    return tuple(out.values())
+
+
+def normalizes(matrix: Mat2, delta: DeltaSubgroup) -> bool:
+    """True when matrix * Gamma_Delta(N) * matrix^{-1} = Gamma_Delta(N).
+
+    Checked on Schreier generators; one-sided containment suffices because
+    conjugation preserves the index in SL2(Z).  The product
+    matrix * gen * adj(matrix) is written out entry by entry, which keeps
+    the sweep over every generator affordable; its determinant is m^2, so
+    a quotient by m has determinant 1 and membership reduces to the
+    congruences on its left column.
+    """
+    N = delta.N
+    m = matrix.det
+    if m < 1:
+        return False
+    a, b, c, d = matrix.entries()
+    for gen in schreier_generators(N, delta):
+        ga, gb, gc, gd = gen.entries()
+        p, q = a * ga + b * gc, a * gb + b * gd
+        r, s = c * ga + d * gc, c * gb + d * gd
+        ca, cb, cc, cd = p * d - q * c, q * a - p * b, r * d - s * c, s * a - r * b
+        if ca % m or cb % m or cc % m or cd % m:
+            return False
+        if (cc // m) % N or (ca // m) % N not in delta:
+            return False
+    return True

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from modcurve.atkinlehner import (
@@ -18,10 +20,13 @@ from modcurve.atkinlehner import (
     t_image,
     t_map,
 )
+from modcurve.classify import generic_atkin_lehner
 from modcurve.congruence import is_member
 from modcurve.errors import DoesNotDescend, InputError, NotNormalizing
+from modcurve.facts import default_facts_path, load_facts
 from modcurve.matrices import Mat2
 from modcurve.zmodn import delta_by_label, hall_divisors, subgroups_containing_minus1
+import scalar_oracles
 
 
 # --------------------------------------------------------------------------
@@ -168,6 +173,49 @@ def test_hat_W_matrix_shape():
 
 
 # --------------------------------------------------------------------------
+# the generator criterion of normalizes against the Schreier-generator oracle
+
+
+def _normalizer_candidates(N, delta, extras):
+    """Diamonds, Atkin-Lehner matrices with a diamond twist, the
+    [[1,0],[N/2,1]] shape, the listed involutions of X_0(N) and three
+    matrices that normalize no Gamma_Delta(N)."""
+    twist = diamond_matrix(next(a for a in range(2, N) if math.gcd(a, N) == 1), N)
+    out = [diamond_matrix(b, N) for b in delta.coset_reps()]
+    for d in hall_divisors(N):
+        w = generic_atkin_lehner(N, d)
+        out += [w, twist * w]
+    if N % 2 == 0:
+        out.append(Mat2(1, 0, N // 2, 1))
+    out += extras
+    out += [Mat2(2, 1, 0, 1), Mat2(1, 0, 0, 2), Mat2(0, -1, 1, 0)]
+    return out
+
+
+def test_normalizes_matches_schreier_oracle():
+    facts = load_facts(default_facts_path())
+    outcomes = {True: 0, False: 0}
+    for N in range(3, 61):
+        listed = facts.get(f"x0.extra-involutions.{N}")
+        extras = list(listed.as_matrices()) if listed is not None else []
+        for delta in subgroups_containing_minus1(N):
+            for m in _normalizer_candidates(N, delta, extras):
+                got = normalizes(m, delta)
+                assert got == scalar_oracles.normalizes(m, delta), (N, delta.label, m)
+                outcomes[got] += 1
+    # past the sweep: the listed involutions at 63, and the Atkin-Lehner
+    # matrices at 65, the least level where some W_d does not descend
+    later = [(63, m) for m in facts["x0.extra-involutions.63"].as_matrices()]
+    later += [(65, generic_atkin_lehner(65, d)) for d in hall_divisors(65)]
+    for N, m in later:
+        for delta in subgroups_containing_minus1(N):
+            got = normalizes(m, delta)
+            assert got == scalar_oracles.normalizes(m, delta), (N, delta.label, m)
+            outcomes[got] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0, outcomes
+
+
+# --------------------------------------------------------------------------
 # orders of induced automorphisms
 
 
@@ -220,6 +268,30 @@ def test_normalizer_element_wrapper():
     assert el.matrix == m
     with pytest.raises(NotNormalizing):
         normalizer_element(Mat2(2, 0, 0, 1), delta_by_label(21, "D1"))
+
+
+def test_input_checks_survive_optimized_mode(run_optimized):
+    # A normalizer element of determinant 0 or of unknown kind, and a
+    # division by a non-divisor, are caller mistakes, refused with
+    # InputError even under python -O.
+    code = (
+        "from modcurve.atkinlehner import NormalizerElement\n"
+        "from modcurve.errors import InputError\n"
+        "from modcurve.matrices import Mat2\n"
+        "cases = [\n"
+        "    lambda: NormalizerElement(Mat2(1, 0, 0, 0), 'diamond', 'x', 5),\n"
+        "    lambda: NormalizerElement(Mat2(1, 0, 0, 1), 'other', 'x', 5),\n"
+        "    lambda: Mat2(2, 0, 0, 2).divided_by(3),\n"
+        "]\n"
+        "for call in cases:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InputError:\n"
+        "        continue\n"
+        "    raise SystemExit('no InputError')\n"
+    )
+    proc = run_optimized(code)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # --------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from modcurve.congruence import (
     cusps,
     genus,
     is_member,
-    schreier_generators,
     transversal,
 )
 from modcurve.matrices import Mat2
 from modcurve.zmodn import delta_by_label, subgroups_containing_minus1
+from scalar_oracles import schreier_generators
 
 S_MAT = Mat2(0, -1, 1, 0)
 T_MAT = Mat2(1, 1, 0, 1)

@@ -11,12 +11,7 @@ from hypothesis import strategies as st
 
 from modcurve.atkinlehner import automorphism_order, descends, hat_W
 from modcurve.classify import involution_quotient_genus, lift_fixed_points
-from modcurve.congruence import (
-    coset_action,
-    cusps,
-    is_member,
-    schreier_generators,
-)
+from modcurve.congruence import coset_action, cusps, is_member
 from modcurve.matrices import IDENTITY, Mat2
 from modcurve.qforms import QForm, reduce_form, reduced_classes
 from modcurve.zmodn import (
@@ -29,6 +24,7 @@ from modcurve.zmodn import (
     subgroups_containing_minus1,
     unit_group,
 )
+from scalar_oracles import schreier_generators
 
 S_MAT = Mat2(0, -1, 1, 0)
 
