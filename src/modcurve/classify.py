@@ -60,12 +60,7 @@ from .atkinlehner import (
     hat_W,
     normalizes,
 )
-from .congruence import (
-    coset_action,
-    cusp_table,
-    genus,
-    transversal,
-)
+from .congruence import _modulus, coset_action, cusp_table, genus, transversal
 from .errors import (
     CoverMismatch,
     DeterminantMismatch,
@@ -189,23 +184,8 @@ def generic_atkin_lehner(N: int, d: int) -> Mat2:
 # That holds exactly when every entry of P is divisible by m, P.c/m = 0
 # (mod N) and P.a/m mod N lies in Delta (det gamma = 1 follows from the
 # determinants of the factors), and all three conditions can be read off
-# P mod M = m*N.  Entries stay at most M in absolute value and M < 2^31,
-# so a sum of two products fits in an int64.
-
-#: Moduli m*N at or above this bound are refused.
-MODULUS_LIMIT = 2**31
-
-
-def _modulus(m: int, N: int) -> int:
-    """The modulus m*N of a fixed-point count, refused when too large."""
-    M = m * N
-    if M >= MODULUS_LIMIT:
-        raise InputError(
-            f"det*N = {m}*{N} is too large for the fixed-point count "
-            f"(limit 2^31)"
-        )
-    return M
-
+# P mod M = m*N.  Entries stay at most M in absolute value and M is below
+# congruence.MODULUS_LIMIT = 2^31, so a sum of two products fits in an int64.
 
 def _mul_mod(x, y, M: int):
     """The product of two matrices given as (a, b, c, d) tuples of ints or
@@ -403,12 +383,6 @@ def lift_fixed_points(
 # fixed points, route B: elliptic elements in the coset, orbit by orbit
 
 
-@lru_cache(maxsize=None)
-def _transversal_columns(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
-    """The coset transversal as four int64 columns (a, b, c, d)."""
-    return tuple(np.array([u.entries() for u in transversal(N, delta)], dtype=np.int64).T)
-
-
 def coset_fixed_points(N: int, delta, w: Mat2) -> int:
     """Number of non-cuspidal fixed points of the automorphism induced by
     ``w`` on X_Delta(N), found directly on the coset space.
@@ -428,7 +402,7 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> int:
         raise InputError("automorphism matrix must have positive determinant")
     M = _modulus(m, N)
     act = coset_action(N, delta)
-    trans = tuple(col % M for col in _transversal_columns(N, delta))
+    trans = tuple(col % M for col in transversal(N, delta))
     # adj(U_x) * adj(w) does not depend on the elliptic element
     tail = _mul_mod(_adj(trans), _adj(_residues(w, M)), M)
 
@@ -490,12 +464,8 @@ def cuspidal_fixed_count(N: int, delta, w: Mat2 | NormalizerElement) -> int:
     induced by the normalising matrix ``w``."""
     delta = _resolve(N, delta)
     mat = w.matrix if isinstance(w, NormalizerElement) else w
-    table = cusp_table(N, delta)
-    return sum(
-        1
-        for idx in range(len(table.classes))
-        if table.act_matrix(mat, idx) == idx
-    )
+    images = cusp_table(N, delta).images(mat)
+    return int(np.count_nonzero(images == np.arange(len(images))))
 
 
 # --------------------------------------------------------------------------
@@ -619,14 +589,13 @@ class Classifier:
         """Coarse type of X_0(N) from the complete literature lists, or
         ``None`` when X_0(N) is neither subhyperelliptic nor bielliptic.
         Used only to delimit the survey scope."""
-        book = self.facts
         for key, label in (
             ("x0.rational", "rational"),
             ("x0.elliptic", "elliptic"),
             ("x0.hyperelliptic", "hyperelliptic"),
             ("x0.bielliptic", "bielliptic"),
         ):
-            fact = book._table[key]  # scope delimitation bypasses the switch
+            fact = self.facts.read_past_switch(key)
             if N in fact.as_levels():
                 return label
         return None
@@ -812,7 +781,7 @@ class Classifier:
         # certified by its own fixed-point count, so the list is read past
         # the on/off switch and is not recorded as a fact used.
         extras = [Mat2(1, 0, N // 2, 1)] if N % 4 == 0 else []
-        listed = self.facts._table.get(f"x0.extra-involutions.{N}")
+        listed = self.facts.read_past_switch(f"x0.extra-involutions.{N}")
         if listed is not None:
             extras.extend(listed.as_matrices())
         for mat in extras:
@@ -1036,10 +1005,11 @@ class Classifier:
         table = cusp_table(N, delta)
         table0 = cusp_table(N, _full(N))
         proj = [table0.class_of(*cls.rep) for cls in table.classes]
+        images = table0.images(w)
         for i, cls in enumerate(table.classes):
             if not cls.is_rational:
                 continue
-            image = table0.act_matrix(w, proj[i])
+            image = images[proj[i]]
             fibre = [j for j, pj in enumerate(proj) if pj == image]
             if not fibre:
                 raise CoverMismatch(
@@ -1070,8 +1040,7 @@ class Classifier:
         cands, tags = self._x0_candidates(N)
         if cands is None:
             return None
-        full = _full(N)
-        deg = coset_action(N, delta).degree // coset_action(N, full).degree
+        deg = delta.index
         # The witness search counted every diamond involution and found none
         # with 2g-2 fixed points, or the eliminations would not be reached.
         details = ["no diamond involution attains 2g-2 fixed points"]

@@ -6,6 +6,10 @@ subgroup of (Z/NZ)* containing -1.  Right cosets in SL2(Z) are in bijection
 with bottom-row pairs (c, d) in (Z/NZ)^2 with gcd(c, d, N) = 1, taken up to
 scaling by Delta; the canonical coset name is the lexicographically least
 scaled pair.
+
+The coset space is kept in one int64 form: tables over the pair indices
+c*N + d map every pair to its coset and to its cusp class, and the cosets,
+sigma_S, sigma_T and the transversal are int64 arrays read from them.
 """
 
 from __future__ import annotations
@@ -25,10 +29,12 @@ from .errors import (
     NonIntegralGenus,
     NotUnimodular,
 )
-from .matrices import IDENTITY, Mat2
+from .matrices import Mat2
 from .zmodn import DeltaSubgroup, unit_group
 
 __all__ = [
+    "LEVEL_LIMIT",
+    "MODULUS_LIMIT",
     "CosetAction",
     "CuspClass",
     "CuspTable",
@@ -58,23 +64,50 @@ def is_member(m: Mat2, N: int, delta: DeltaSubgroup) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# size limits
+
+#: Levels above this bound are refused: the coset and cusp tables hold N^2
+#: int64 entries, and building them for Delta = {+-1} at N = 1021 peaks at
+#: 102 MB (tracemalloc).
+LEVEL_LIMIT = 1024
+
+#: Moduli m*N at or above this bound are refused, so that a sum of two
+#: products of residues modulo m*N fits in an int64.
+MODULUS_LIMIT = 2**31
+
+
+def _modulus(m: int, N: int) -> int:
+    """The modulus m*N of a fixed-point count, refused when too large."""
+    M = m * N
+    if M >= MODULUS_LIMIT:
+        raise InputError(
+            f"det*N = {m}*{N} is too large for the fixed-point count "
+            f"(limit 2^31)"
+        )
+    return M
+
+
+# ---------------------------------------------------------------------------
 # coset action
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CosetAction:
     """Right action of SL2(Z) on the cosets of Gamma_Delta(N).
 
-    ``cosets`` lists canonical bottom-row pairs; ``sigma_S`` and ``sigma_T``
-    are the permutations induced by the generators S = [[0,-1],[1,0]] and
-    T = [[1,1],[0,1]] (as position -> position maps).
+    ``positions[c*N + d]`` is the coset of the bottom-row pair (c, d), and
+    -1 for pairs with gcd(c, d, N) != 1; ``cosets`` holds the canonical
+    pair (c, d) of each coset as a row; ``sigma_S`` and ``sigma_T`` are the
+    permutations induced by S = [[0,-1],[1,0]] and T = [[1,1],[0,1]].  All
+    four are read-only int64 arrays.
     """
 
     N: int
     delta: DeltaSubgroup
-    cosets: tuple[tuple[int, int], ...]
-    sigma_S: tuple[int, ...]
-    sigma_T: tuple[int, ...]
+    positions: np.ndarray
+    cosets: np.ndarray
+    sigma_S: np.ndarray
+    sigma_T: np.ndarray
 
     @property
     def degree(self) -> int:
@@ -82,59 +115,50 @@ class CosetAction:
 
     def position(self, c: int, d: int) -> int:
         """Coset position of the bottom-row pair (c, d)."""
-        tab = _pair_tables(self.N, self.delta)
-        key = int(tab.canon[(c % self.N) * self.N + d % self.N])
-        pos = tab.position.get(key)
-        if pos is None:
+        pos = int(self.positions[(c % self.N) * self.N + d % self.N])
+        if pos < 0:
             raise NotUnimodular(f"pair ({c},{d}) is not unimodular mod {self.N}")
         return pos
 
     def act(self, pos: int, m: Mat2) -> int:
         """Position of coset ``pos`` right-multiplied by the matrix m."""
-        c, d = self.cosets[pos]
+        c, d = self.cosets[pos].tolist()
         return self.position(c * m.a + d * m.c, c * m.b + d * m.d)
 
 
-@dataclass(frozen=True)
-class _PairTables:
-    canon: np.ndarray
-    position: dict[int, int]
-
-
-@lru_cache(maxsize=None)
-def _pair_tables(N: int, delta: DeltaSubgroup) -> _PairTables:
-    canon = canonical_pair_table(N, delta.elements)
-    idx = np.arange(N * N, dtype=np.int64)
-    ok = np.gcd(np.gcd(idx // N, idx % N), N) == 1
-    reps = np.unique(canon[ok])
-    position = {int(v): k for k, v in enumerate(reps)}
-    return _PairTables(canon, position)
+def _read_only(*arrays: np.ndarray) -> None:
+    # the arrays are shared by every caller through the caches
+    for arr in arrays:
+        arr.flags.writeable = False
 
 
 @lru_cache(maxsize=None)
 def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
-    """The coset action of SL2(Z) on Gamma_Delta(N)\\SL2(Z)."""
+    """The coset action of SL2(Z) on Gamma_Delta(N)\\SL2(Z).
+
+    Cosets are numbered in increasing order of their canonical pair index
+    c*N + d.  Levels above ``LEVEL_LIMIT`` are refused with ``InputError``.
+    """
     if delta.N != N:
         raise InputError(f"subgroup has level {delta.N}, expected {N}")
-    tab = _pair_tables(N, delta)
-    reps = sorted(tab.position, key=tab.position.get)
-    cosets = tuple((r // N, r % N) for r in reps)
-    canon = tab.canon
-
-    def perm(fc, fd) -> tuple[int, ...]:
-        out = []
-        for c, d in cosets:
-            key = int(canon[(fc(c, d) % N) * N + fd(c, d) % N])
-            out.append(tab.position[key])
-        return tuple(out)
-
+    if N > LEVEL_LIMIT:
+        raise InputError(f"level {N} is too large for the coset tables (limit {LEVEL_LIMIT})")
+    canon = canonical_pair_table(N, delta.elements)
+    idx = np.arange(N * N, dtype=np.int64)
+    unimodular = np.gcd(np.gcd(idx // N, idx % N), N) == 1
+    keys, inverse = np.unique(canon[unimodular], return_inverse=True)
+    positions = np.full(N * N, -1, dtype=np.int64)
+    positions[unimodular] = inverse.ravel()
+    c, d = keys // N, keys % N
     # Right action on row vectors: (c, d) * S = (d, -c), (c, d) * T = (c, c+d).
-    sigma_S = perm(lambda c, d: d, lambda c, d: -c)
-    sigma_T = perm(lambda c, d: c, lambda c, d: c + d)
-    return CosetAction(N, delta, cosets, sigma_S, sigma_T)
+    sigma_S = positions[d * N + (-c) % N]
+    sigma_T = positions[c * N + (c + d) % N]
+    cosets = np.stack((c, d), axis=1)
+    _read_only(positions, cosets, sigma_S, sigma_T)
+    return CosetAction(N, delta, positions, cosets, sigma_S, sigma_T)
 
 
-def _cycles(perm: tuple[int, ...]) -> list[list[int]]:
+def _cycles(perm: list[int]) -> list[list[int]]:
     seen = [False] * len(perm)
     out: list[list[int]] = []
     for start in range(len(perm)):
@@ -160,9 +184,10 @@ def genus(N: int, delta: DeltaSubgroup) -> int:
     """
     act = coset_action(N, delta)
     mu = act.degree
-    e2 = sum(1 for k, img in enumerate(act.sigma_S) if img == k)
-    e3 = sum(1 for k in range(mu) if act.sigma_T[act.sigma_S[k]] == k)
-    einf = len(_cycles(act.sigma_T))
+    k = np.arange(mu)
+    e2 = int(np.count_nonzero(act.sigma_S == k))
+    e3 = int(np.count_nonzero(act.sigma_T[act.sigma_S] == k))
+    einf = len(_cycles(act.sigma_T.tolist()))
     num = 12 + mu - 3 * e2 - 4 * e3 - 6 * einf
     if num % 12:
         raise NonIntegralGenus(f"12g = {num} for N={N}, delta={delta.label}")
@@ -173,63 +198,56 @@ def genus(N: int, delta: DeltaSubgroup) -> int:
 # transversal
 
 
-def lift_to_coprime(c: int, d: int, N: int) -> tuple[int, int]:
+def lift_to_coprime(c, d, N: int):
     """Integers (c', d') = (c, d) mod N with gcd(c', d') = 1.
 
-    Requires gcd(c, d, N) = 1.
+    ``c`` and ``d`` are ints or int64 arrays of one shape, with
+    gcd(c, d, N) = 1 throughout.  With c, d reduced mod N, a non-coprime
+    pair becomes (N, d) when c = 0 and (c, d + k*N) for the least k >= 1
+    otherwise.
     """
-    c %= N
-    d %= N
-    if math.gcd(math.gcd(c, d), N) != 1:
-        raise NotUnimodular(f"gcd({c}, {d}, {N}) != 1")
-    if math.gcd(c, d) == 1:
-        return c, d
-    if c == 0:
-        return N, d
-    if d == 0:
-        return c, N
-    k = 0
-    while math.gcd(c, d + k * N) != 1:
-        k += 1
-    return c, d + k * N
-
-
-def _bottom_row_to_matrix(c: int, d: int, N: int) -> Mat2:
-    """An SL2(Z) matrix whose bottom row is = (c, d) mod N."""
-    if (c % N, d % N) == (0, 1 % N):
-        return IDENTITY
-    c1, d1 = lift_to_coprime(c, d, N)
-    # Bezout: u*d1 + v*c1 = 1 gives [[u, -v], [c1, d1]] in SL2(Z).
-    u, v = _bezout(d1, c1)
-    return Mat2(u, -v, c1, d1)
-
-
-def _bezout(x: int, y: int) -> tuple[int, int]:
-    """(u, v) with u*x + v*y = gcd(x, y)."""
-    old_r, r = x, y
-    old_u, u = 1, 0
-    old_v, v = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_u, u = u, old_u - q * u
-        old_v, v = v, old_v - q * v
-    if old_r < 0:
-        old_u, old_v = -old_u, -old_v
-    return old_u, old_v
+    c = np.asarray(c, dtype=np.int64) % N
+    d = np.asarray(d, dtype=np.int64) % N
+    if np.any(np.gcd(np.gcd(c, d), N) != 1):
+        raise NotUnimodular(f"some pair (c, d) has gcd(c, d, {N}) != 1")
+    c = np.where((c == 0) & (d != 1), N, c)
+    shared = np.gcd(c, d) != 1
+    while shared.any():
+        d = np.where(shared, d + N, d)
+        shared = np.gcd(c, d) != 1
+    if c.ndim == 0:
+        return int(c), int(d)
+    return c, d
 
 
 @lru_cache(maxsize=None)
-def transversal(N: int, delta: DeltaSubgroup) -> tuple[Mat2, ...]:
-    """One SL2(Z) representative per coset, the identity for coset (0, 1)."""
+def transversal(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
+    """One SL2(Z) representative [[a, b], [c, d]] per coset, as four
+    read-only int64 columns (a, b, c, d) indexed by coset position.
+
+    The bottom row is the coprime lift (c, d) of the coset's canonical pair,
+    and the top row (u, -v) solves u*d + v*c = 1 with the u of the extended
+    Euclidean algorithm, run on all cosets at once; coset (0, 1) gets the
+    identity.
+    """
     act = coset_action(N, delta)
-    mats = []
-    for c, d in act.cosets:
-        m = _bottom_row_to_matrix(c, d, N)
-        if m.det != 1:
-            raise DeterminantMismatch(f"transversal matrix {m} for ({c},{d}) mod {N}")
-        mats.append(m)
-    return tuple(mats)
+    c, d = lift_to_coprime(act.cosets[:, 0], act.cosets[:, 1], N)
+    # extended Euclid on (d, c), stepped in the columns whose remainder is
+    # not yet 0; it keeps u*d = r (mod c) and ends with u*d = 1 (mod c)
+    r0, r1 = d.copy(), c.copy()
+    u0, u1 = np.ones_like(d), np.zeros_like(d)
+    live = np.flatnonzero(c)
+    while live.size:
+        q = r0[live] // r1[live]
+        r0[live], r1[live] = r1[live], r0[live] - q * r1[live]
+        u0[live], u1[live] = u1[live], u0[live] - q * u1[live]
+        live = live[r1[live] != 0]
+    a = u0
+    b = (a * d - 1) // np.where(c == 0, 1, c)  # only (0, 1) has c = 0
+    if np.any(a * d - b * c != 1):
+        raise DeterminantMismatch(f"a transversal matrix mod {N} has det != 1")
+    _read_only(a, b, c, d)
+    return a, b, c, d
 
 
 # ---------------------------------------------------------------------------
@@ -271,16 +289,18 @@ class CuspClass:
 
 @dataclass(frozen=True, eq=False)
 class CuspTable:
-    """Cusp classes plus a pair -> class lookup and matrix actions.
+    """Cusp classes plus a pair -> class lookup and the action of matrices.
 
     ``labels[x*N + y]`` is the class index of the cusp +-(x; y), and -1 for
-    pairs with gcd(x, y, N) != 1.
+    pairs with gcd(x, y, N) != 1; ``lifts`` holds coprime integer lifts
+    (x, y) of the class representatives, as two int64 columns.
     """
 
     N: int
     delta: DeltaSubgroup
     classes: tuple[CuspClass, ...]
     labels: np.ndarray
+    lifts: tuple[np.ndarray, np.ndarray]
 
     def class_of(self, x: int, y: int) -> int:
         """Class index of the cusp +-(x; y); requires gcd(x, y, N) = 1."""
@@ -289,15 +309,20 @@ class CuspTable:
             raise NotUnimodular(f"({x};{y}) is not a cusp pair mod {self.N}")
         return idx
 
-    def act_matrix(self, m: Mat2, class_index: int) -> int:
-        """Image class of a cusp under an integer matrix of nonzero det."""
-        x, y = self.classes[class_index].rep
-        x1, y1 = lift_to_coprime(x, y, self.N)
-        X, Y = m.apply_to_column(x1, y1)
-        g = math.gcd(X, Y)
-        if g == 0:
-            raise InputError(f"{m} is singular")
-        return self.class_of(X // g, Y // g)
+    def images(self, w: Mat2) -> np.ndarray:
+        """Image class of every cusp class under the integer matrix w of
+        nonzero determinant m: the class of (X; Y)/gcd(X, Y), where (X; Y) is
+        w times the coprime lift of the class representative.  The gcd
+        divides m, so all of it is computed modulo |m|*N in int64."""
+        if w.det == 0:
+            raise InputError(f"{w} is singular")
+        M = _modulus(abs(w.det), self.N)
+        x, y = (v % M for v in self.lifts)
+        a, b, c, d = (e % M for e in w.entries())
+        X = (a * x + b * y) % M
+        Y = (c * x + d * y) % M
+        g = np.gcd(np.gcd(X, Y), M)
+        return self.labels[(X // g % self.N) * self.N + Y // g % self.N]
 
 
 @lru_cache(maxsize=None)
@@ -309,11 +334,11 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
     (x; y) is the orbit {(a*(x + b*y), a^-1*y) : a in Delta, b mod N}
     (signs included via -1 in Delta).  Pairs are labelled orbit by orbit in
     increasing order of x*N + y, so each orbit starts at its least pair,
-    which is the class representative.
+    which is the class representative.  Levels above ``LEVEL_LIMIT`` are
+    refused by ``coset_action`` before anything is allocated.
     """
     act = coset_action(N, delta)
-    idx = np.arange(N * N, dtype=np.int64)
-    unlabelled = np.gcd(np.gcd(idx // N, idx % N), N) == 1
+    unlabelled = act.positions >= 0
     labels = np.full(N * N, -1, dtype=np.int64)
     a = np.array(delta.elements, dtype=np.int64)[:, None]
     a_inv = np.array([pow(e, -1, N) for e in delta.elements], dtype=np.int64)[:, None]
@@ -329,30 +354,27 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
         labels[orbit] = len(reps)
         unlabelled[orbit] = False
         reps.append((x, y))
-    labels.flags.writeable = False  # shared by every caller through the cache
 
-    cycles = _cycles(act.sigma_T)
+    cycles = _cycles(act.sigma_T.tolist())
     if len(cycles) != len(reps):
         raise CuspCountMismatch(
             f"{len(reps)} cusp orbits vs {len(cycles)} T-cycles for "
             f"N={N}, delta={delta.label}"
         )
-    trans = transversal(N, delta)
-    widths: dict[int, int] = {}
-    for cyc in cycles:
-        u = trans[cyc[0]]
-        k = int(labels[(u.a % N) * N + u.c % N])
-        if k in widths:
-            raise CuspCountMismatch(
-                f"two T-cycles map to one cusp for N={N}, delta={delta.label}"
-            )
-        widths[k] = len(cyc)
+    # the T-cycle through coset U is the cusp U(infinity) = (U.a; U.c)
+    top, _, bottom, _ = transversal(N, delta)
+    first = [cyc[0] for cyc in cycles]
+    cusp_of_cycle = labels[(top[first] % N) * N + bottom[first] % N]
+    if np.unique(cusp_of_cycle).size != len(cycles):
+        raise CuspCountMismatch(
+            f"two T-cycles map to one cusp for N={N}, delta={delta.label}"
+        )
+    widths = dict(zip(cusp_of_cycle.tolist(), map(len, cycles)))
 
     # Galois orbit of a cusp: the classes of (s*x; y) for the units s.
     units = np.array(unit_group(N).elements, dtype=np.int64)
-    rx = np.array([x for x, _ in reps], dtype=np.int64)[:, None]
-    ry = np.array([y for _, y in reps], dtype=np.int64)[:, None]
-    images = np.sort(labels[(rx * units % N) * N + ry], axis=1)
+    rx, ry = np.array(reps, dtype=np.int64).T
+    images = np.sort(labels[(rx[:, None] * units % N) * N + ry[:, None]], axis=1)
     galois = 1 + np.count_nonzero(np.diff(images, axis=1), axis=1)
 
     classes = tuple(
@@ -365,7 +387,9 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
         )
         for k, (x, y) in enumerate(reps)
     )
-    return CuspTable(N, delta, classes, labels)
+    lifts = lift_to_coprime(rx, ry, N)
+    _read_only(labels, *lifts)
+    return CuspTable(N, delta, classes, labels, lifts)
 
 
 def cusps(N: int, delta: DeltaSubgroup) -> tuple[CuspClass, ...]:

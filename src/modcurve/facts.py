@@ -93,7 +93,7 @@ def load_facts(path: str | Path) -> dict[str, Fact]:
 class FactBook:
     """Lookup service for curated facts.
 
-    When ``enabled`` is False every lookup returns ``None``, so callers fall
+    When ``enabled`` is False every :meth:`get` returns ``None``, so callers fall
     back to whatever they can derive themselves.  Lookups of keys absent from
     an enabled book raise ``KeyError``: the shipped data file is expected to
     be complete, and a typo should fail loudly.
@@ -113,8 +113,12 @@ class FactBook:
         involution lists) may be absent and then return ``None``; any other
         missing key is a data bug and raises ``KeyError``.
         """
-        if not self.enabled:
-            return None
+        return self.read_past_switch(key) if self.enabled else None
+
+    def read_past_switch(self, key: str) -> Fact | None:
+        """The fact for ``key`` even when the book is disabled, for reads no
+        verdict rests on: the census scope, and candidates that a fixed-point
+        count certifies.  Missing keys behave as in :meth:`get`."""
         fact = self._table.get(key)
         if fact is None:
             if key.startswith(_OPTIONAL_PREFIXES):

@@ -2,9 +2,9 @@
 
 ``Mat2`` uses arbitrary-precision Python ints: powers of normalizer
 elements overflow 64-bit words long before the order search cap is
-reached, so it avoids numpy dtypes.  The fixed-point counting routes of
-``classify`` are the one place with int64 matrix arithmetic, and only on
-residues modulo m*N < 2^31, where a sum of two products cannot overflow.
+reached, so it avoids numpy dtypes.  The coset tables of ``congruence``
+and the fixed-point routes of ``classify`` use int64 arithmetic instead,
+on residues modulo m*N < 2^31, where a sum of two products cannot overflow.
 """
 
 from __future__ import annotations
@@ -58,10 +58,6 @@ class Mat2:
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)
-
-    def apply_to_column(self, x: int, y: int) -> tuple[int, int]:
-        """Left action on the column vector (x; y)."""
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"

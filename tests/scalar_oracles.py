@@ -1,6 +1,9 @@
-"""Scalar reference versions of the fixed-point counters, the cusp table
-and the normalizer test.
+"""Scalar reference versions of the coset space, the fixed-point counters,
+the cusp table and the normalizer test.
 
+The coset space (canonical pairs, positions, sigma_S and sigma_T, the
+transversal and the action of matrices on cusps) is built pair by pair
+with Python dicts and ``Mat2``, where the package indexes int64 tables.
 The fixed-point counters and the cusp table are the per-coset ``Mat2``
 loops that the package replaced with int64 arithmetic modulo m*N; the
 normalizer test conjugates every Schreier generator of Gamma_Delta(N),
@@ -17,11 +20,116 @@ from math import isqrt
 
 from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import _signed, _stabilizer_generator
-from modcurve.congruence import _cycles, coset_action, is_member, transversal
+from modcurve.congruence import _cycles, is_member
 from modcurve.errors import DeterminantMismatch, MembershipViolation
 from modcurve.matrices import IDENTITY, S_MAT, T_MAT, Mat2
 from modcurve.qforms import FixedPointSet, QForm, reduced_classes
 from modcurve.zmodn import DeltaSubgroup, delta_from_elements, unit_group
+
+
+# ---------------------------------------------------------------------------
+# the coset space
+
+
+@lru_cache(maxsize=4)
+def coset_space(N: int, delta: DeltaSubgroup):
+    """``(cosets, position)``: the canonical pair of every coset in increasing
+    order, and the coset position of every pair with gcd(c, d, N) = 1.  A
+    coset is a Delta-scaling orbit of pairs; its canonical pair is the least."""
+    least: dict[tuple[int, int], tuple[int, int]] = {}
+    for c in range(N):
+        for d in range(N):
+            if math.gcd(math.gcd(c, d), N) != 1 or (c, d) in least:
+                continue
+            orbit = {(a * c % N, a * d % N) for a in delta.elements}
+            rep = min(orbit)
+            for pair in orbit:
+                least[pair] = rep
+    cosets = sorted(set(least.values()))
+    index = {pair: k for k, pair in enumerate(cosets)}
+    return tuple(cosets), {pair: index[rep] for pair, rep in least.items()}
+
+
+def position(N: int, delta: DeltaSubgroup, c: int, d: int) -> int:
+    return coset_space(N, delta)[1][(c % N, d % N)]
+
+
+def act(N: int, delta: DeltaSubgroup, pos: int, m: Mat2) -> int:
+    """Position of coset ``pos`` right-multiplied by the matrix m."""
+    c, d = coset_space(N, delta)[0][pos]
+    return position(N, delta, c * m.a + d * m.c, c * m.b + d * m.d)
+
+
+def sigmas(N: int, delta: DeltaSubgroup) -> tuple[list[int], list[int]]:
+    """The permutations of the cosets induced by S and by T."""
+    cosets = coset_space(N, delta)[0]
+    sigma_S = [position(N, delta, d, -c) for c, d in cosets]
+    sigma_T = [position(N, delta, c, c + d) for c, d in cosets]
+    return sigma_S, sigma_T
+
+
+def lift_to_coprime(c: int, d: int, N: int) -> tuple[int, int]:
+    """Integers (c', d') = (c, d) mod N with gcd(c', d') = 1."""
+    c %= N
+    d %= N
+    if math.gcd(math.gcd(c, d), N) != 1:
+        raise ValueError(f"gcd({c}, {d}, {N}) != 1")
+    if math.gcd(c, d) == 1:
+        return c, d
+    if c == 0:
+        return N, d
+    if d == 0:
+        return c, N
+    k = 0
+    while math.gcd(c, d + k * N) != 1:
+        k += 1
+    return c, d + k * N
+
+
+def _bezout(x: int, y: int) -> tuple[int, int]:
+    """(u, v) with u*x + v*y = gcd(x, y)."""
+    old_r, r = x, y
+    old_u, u = 1, 0
+    old_v, v = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_u, u = u, old_u - q * u
+        old_v, v = v, old_v - q * v
+    if old_r < 0:
+        old_u, old_v = -old_u, -old_v
+    return old_u, old_v
+
+
+def _bottom_row_to_matrix(c: int, d: int, N: int) -> Mat2:
+    """An SL2(Z) matrix whose bottom row is = (c, d) mod N."""
+    if (c % N, d % N) == (0, 1 % N):
+        return IDENTITY
+    c1, d1 = lift_to_coprime(c, d, N)
+    # Bezout: u*d1 + v*c1 = 1 gives [[u, -v], [c1, d1]] in SL2(Z).
+    u, v = _bezout(d1, c1)
+    return Mat2(u, -v, c1, d1)
+
+
+def transversal(N: int, delta: DeltaSubgroup) -> tuple[Mat2, ...]:
+    """One SL2(Z) representative per coset, the identity for coset (0, 1)."""
+    return tuple(_bottom_row_to_matrix(c, d, N) for c, d in coset_space(N, delta)[0])
+
+
+def cusp_images(N: int, delta: DeltaSubgroup, m: Mat2) -> list[int]:
+    """Image class of every cusp class under an integer matrix of nonzero det."""
+    classes, lookup = cusp_classes(N, delta)
+    out = []
+    for (x, y), _, _ in classes:
+        x1, y1 = lift_to_coprime(x, y, N)
+        X, Y = m.a * x1 + m.b * y1, m.c * x1 + m.d * y1
+        g = math.gcd(X, Y)
+        out.append(lookup[(X // g % N, Y // g % N)])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# fixed points and cusps
 
 
 def lift_witnesses(
@@ -63,7 +171,6 @@ def lift_witnesses(
 def coset_elliptic_count(N: int, delta: DeltaSubgroup, w: Mat2) -> int:
     """Route B: non-cuspidal fixed points of ``w`` on the coset space."""
     m = w.det
-    act = coset_action(N, delta)
     trans = transversal(N, delta)
     adjoints = [u.adjugate() for u in trans]
     adj_w = w.adjugate()
@@ -92,7 +199,7 @@ def coset_elliptic_count(N: int, delta: DeltaSubgroup, w: Mat2) -> int:
                     u * form.p,
                     (t + u * form.q) // 2,
                 )
-                for x in range(act.degree):
+                for x in range(len(trans)):
                     p = trans[x] * elem * adjoints[x] * adj_w
                     if not p.divisible_by(m):
                         continue
@@ -114,7 +221,7 @@ def coset_elliptic_count(N: int, delta: DeltaSubgroup, w: Mat2) -> int:
             y = x
             while True:
                 seen.add(y)
-                y = act.act(y, stab)
+                y = act(N, delta, y, stab)
                 if y == x:
                     break
     return count
@@ -131,6 +238,7 @@ def cusp_orbit(N: int, delta: DeltaSubgroup, x: int, y: int) -> set[tuple[int, i
     return out
 
 
+@lru_cache(maxsize=4)
 def cusp_classes(N: int, delta: DeltaSubgroup):
     """``(classes, lookup)``: one ``(rep, width, galois_orbit_size)`` per cusp,
     in order of the least pair, and the class index of every cusp pair."""
@@ -146,7 +254,7 @@ def cusp_classes(N: int, delta: DeltaSubgroup):
             orbits.append(orb)
     reps = transversal(N, delta)
     widths = {}
-    for cyc in _cycles(coset_action(N, delta).sigma_T):
+    for cyc in _cycles(sigmas(N, delta)[1]):
         u = reps[cyc[0]]
         widths[lookup[(u.a % N, u.c % N)]] = len(cyc)
     units = unit_group(N).elements
@@ -175,11 +283,11 @@ def schreier_generators(N: int, delta: DeltaSubgroup) -> tuple[Mat2, ...]:
     element U * g * V^-1 (V the representative of the image coset) lies in
     Gamma_Delta(N); the nontrivial ones generate the group.
     """
-    act = coset_action(N, delta)
     reps = transversal(N, delta)
+    moves = tuple(zip((S_MAT, T_MAT), sigmas(N, delta)))
     out: dict[tuple[int, int, int, int], Mat2] = {}
-    for k in range(act.degree):
-        for g, sigma in ((S_MAT, act.sigma_S), (T_MAT, act.sigma_T)):
+    for k in range(len(reps)):
+        for g, sigma in moves:
             m = reps[k] * g * reps[sigma[k]].adjugate()
             if m.det != 1:
                 raise DeterminantMismatch(f"Schreier generator {m} at N={N}")

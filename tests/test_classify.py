@@ -339,6 +339,17 @@ def test_extra_witness_matrices_come_from_the_fact_file(tmp_path):
     assert names == {"[[1,0],[20,1]]"}
 
 
+def test_disabled_book_reads_past_the_switch():
+    book = FactBook(enabled=False)
+    assert book.get("x0.bielliptic") is None
+    fact = book.read_past_switch("x0.bielliptic")
+    assert fact.key == "x0.bielliptic"
+    assert {22, 60, 131} <= set(fact.as_levels())
+    assert book.read_past_switch("x0.extra-involutions.41") is None
+    with pytest.raises(KeyError):
+        book.read_past_switch("x0.bielliptc")
+
+
 # --------------------------------------------------------------------------
 # the negative control at 64
 

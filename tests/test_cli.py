@@ -10,6 +10,7 @@ import pytest
 
 from modcurve import __version__
 from modcurve.cli import CSV_COLUMNS, build_parser, main
+from modcurve.congruence import LEVEL_LIMIT
 
 
 def run(capsys, *argv):
@@ -187,6 +188,15 @@ def test_exit_code_small_level(capsys):
     code, _, err = run(capsys, "subgroups", "2")
     assert code == 2
     assert err
+
+
+def test_exit_code_level_past_the_bound(capsys):
+    N = LEVEL_LIMIT + 1
+    for argv in (("curve", str(N), "--delta", f"1,{N - 1}"),
+                 ("fixed-points", str(N), str(N), "--delta", f"1,{N - 1}")):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "too large" in err
 
 
 def test_exit_code_non_hall_divisor(capsys):

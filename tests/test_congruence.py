@@ -6,6 +6,8 @@ import math
 
 import pytest
 
+import scalar_oracles as oracle
+from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import generic_atkin_lehner
 from modcurve.congruence import (
     coset_action,
@@ -16,9 +18,13 @@ from modcurve.congruence import (
     is_member,
     transversal,
 )
+from modcurve.errors import InputError
 from modcurve.matrices import Mat2
-from modcurve.zmodn import delta_by_label, subgroups_containing_minus1
-from scalar_oracles import schreier_generators
+from modcurve.zmodn import (
+    delta_by_label,
+    hall_divisors,
+    subgroups_containing_minus1,
+)
 
 S_MAT = Mat2(0, -1, 1, 0)
 T_MAT = Mat2(1, 1, 0, 1)
@@ -200,29 +206,41 @@ def test_cusp_matrix_action():
     delta = delta_by_label(N, "D1")
     table = cusp_table(N, delta)
     # T is a member, so it fixes every cusp class
-    for i in range(len(table.classes)):
-        assert table.act_matrix(T_MAT, i) == i
+    assert table.images(T_MAT).tolist() == list(range(len(table.classes)))
     # the level-determinant operator swaps the cusps 0 and infinity,
     # and (normalizing the group) permutes the classes
-    w = generic_atkin_lehner(N, N)
+    image = table.images(generic_atkin_lehner(N, N))
     inf_class = table.class_of(1, 0)
     zero_class = table.class_of(0, 1)
-    assert table.act_matrix(w, inf_class) == zero_class
-    assert table.act_matrix(w, zero_class) == inf_class
-    image = {table.act_matrix(w, i) for i in range(len(table.classes))}
-    assert image == set(range(len(table.classes)))
+    assert image[inf_class] == zero_class
+    assert image[zero_class] == inf_class
+    assert sorted(image.tolist()) == list(range(len(table.classes)))
+
+
+def test_cusp_images_refuse_singular_and_oversized_matrices():
+    table = cusp_table(21, delta_by_label(21, "D1"))
+    with pytest.raises(InputError):
+        table.images(Mat2(1, 2, 2, 4))
+    with pytest.raises(InputError):
+        table.images(Mat2(2**31, 0, 0, 1))
 
 
 # --------------------------------------------------------------------------
 # transversal and Schreier generators
 
 
+def _transversal_matrices(N, delta):
+    return [Mat2(*row) for row in zip(*(col.tolist() for col in transversal(N, delta)))]
+
+
 @pytest.mark.parametrize("N,label", [(21, "D1"), (34, "D2"), (40, "D6"), (49, "D1")])
 def test_transversal_hits_every_coset(N, label):
     delta = delta_by_label(N, label)
     act = coset_action(N, delta)
-    reps = transversal(N, delta)
+    reps = _transversal_matrices(N, delta)
     assert len(reps) == act.degree
+    assert all(m.det == 1 for m in reps)
+    assert reps[act.position(0, 1)] == Mat2(1, 0, 0, 1)
     positions = {act.position(m.c % N, m.d % N) for m in reps}
     assert positions == set(range(act.degree))
 
@@ -231,8 +249,8 @@ def test_transversal_hits_every_coset(N, label):
 def test_schreier_generators_rebuild_relations(N, label):
     delta = delta_by_label(N, label)
     act = coset_action(N, delta)
-    reps = transversal(N, delta)
-    gens = schreier_generators(N, delta)
+    reps = _transversal_matrices(N, delta)
+    gens = oracle.schreier_generators(N, delta)
     gen_set = {g.entries() for g in gens} | {(1, 0, 0, 1)}
     gen_set |= {(-a, -b, -c, -d) for (a, b, c, d) in gen_set}
     pos = [act.position(m.c % N, m.d % N) for m in reps]
@@ -248,6 +266,51 @@ def test_schreier_generators_rebuild_relations(N, label):
         # members stabilize the identity coset
         start = act.position(0 % N, 1 % N)
         assert act.act(start, g) == start
+
+
+# --------------------------------------------------------------------------
+# the int64 coset space against its scalar oracles
+
+#: Tier-1 compares every subgroup up to this level; beyond it, up to 256,
+#: the comparison is a slow sweep (``pytest -m slow``).
+ORACLE_LEVEL = 60
+
+
+def _cusp_test_matrices(N, delta):
+    """Normalising matrices of every kind the classifier applies to cusps,
+    plus matrices that do not normalise and one of negative determinant."""
+    yield T_MAT
+    yield S_MAT
+    for b in delta.coset_reps():
+        yield diamond_matrix(b, N)
+    for d in hall_divisors(N):
+        if d > 1:
+            yield generic_atkin_lehner(N, d)
+    yield Mat2(1, 0, N // 2, 1)
+    yield Mat2(2, 1, 0, 1)
+    yield Mat2(1, 0, 0, 2)
+    yield Mat2(0, 1, 1, 0)
+
+
+@pytest.mark.parametrize("N", [
+    N if N <= ORACLE_LEVEL else pytest.param(N, marks=pytest.mark.slow)
+    for N in range(3, 257)
+])
+def test_coset_space_matches_scalar_oracles(N):
+    for delta in subgroups_containing_minus1(N):
+        act = coset_action(N, delta)
+        cosets, position = oracle.coset_space(N, delta)
+        assert [tuple(p) for p in act.cosets.tolist()] == list(cosets)
+        expected = [position.get((k // N, k % N), -1) for k in range(N * N)]
+        assert act.positions.tolist() == expected
+        sigma_S, sigma_T = oracle.sigmas(N, delta)
+        assert act.sigma_S.tolist() == sigma_S
+        assert act.sigma_T.tolist() == sigma_T
+        columns = [col.tolist() for col in transversal(N, delta)]
+        assert list(zip(*columns)) == [m.entries() for m in oracle.transversal(N, delta)]
+        table = cusp_table(N, delta)
+        for m in _cusp_test_matrices(N, delta):
+            assert table.images(m).tolist() == oracle.cusp_images(N, delta, m), str(m)
 
 
 # --------------------------------------------------------------------------

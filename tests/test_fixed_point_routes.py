@@ -1,5 +1,5 @@
 """The int64 fixed-point routes and cusp table against their scalar oracles,
-the two routes against each other, and the modulus guard."""
+the two routes against each other, and the modulus and level guards."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import pytest
 
 from modcurve.atkinlehner import automorphism_order, descends, diamond_matrix
 from modcurve.classify import coset_fixed_points, lift_fixed_points
-from modcurve.congruence import cusp_table
+from modcurve.congruence import LEVEL_LIMIT, coset_action, cusp_table, genus, transversal
 from modcurve.errors import InputError
 from modcurve.matrices import Mat2
 from modcurve.qforms import FixedPointSet, fixed_points_X0
@@ -117,3 +117,10 @@ def test_lift_route_refuses_modulus_past_int32():
     base = FixedPointSet(N, N, ())
     peak = _peak_bytes(lambda: lift_fixed_points(N, delta, Mat2(0, -1, N, 0), base))
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("build", [coset_action, cusp_table, genus, transversal])
+def test_coset_tables_refuse_levels_past_the_bound(build):
+    N = LEVEL_LIMIT + 1
+    delta = DeltaSubgroup(N, (1, N - 1), "1")
+    assert _peak_bytes(lambda: build(N, delta)) < 1 << 20
