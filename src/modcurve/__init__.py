@@ -55,7 +55,6 @@ from .qforms import (
     reduce_form,
 )
 from .atkinlehner import (
-    NormalizerElement,
     automorphism_order,
     descends,
     diamond_matrix,
@@ -112,7 +111,6 @@ __all__ = [
     "FixedPointSet",
     "fixed_points_X0",
     # Atkin-Lehner machinery
-    "NormalizerElement",
     "diamond_matrix",
     "descends",
     "hat_W",

@@ -15,7 +15,6 @@ determinant); see :func:`normalizes`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .congruence import is_member
 from .errors import (
@@ -23,22 +22,18 @@ from .errors import (
     DoesNotDescend,
     InputError,
     NotCoprime,
-    NotNormalizing,
     UNBOUNDED,
 )
 from .matrices import Mat2, T_MAT
 from .zmodn import DeltaSubgroup, crt, delta_from_elements, unit_group
 
 __all__ = [
-    "NormalizerElement",
-    "diamond",
     "diamond_matrix",
     "t_map",
     "t_image",
     "descends",
     "hat_W",
     "normalizes",
-    "normalizer_element",
     "automorphism_order",
     "fricke_field_degree",
     "ORDER_CAP",
@@ -46,30 +41,6 @@ __all__ = [
 
 #: automorphism_order gives up past this power and returns UNBOUNDED.
 ORDER_CAP = 24
-
-
-@dataclass(frozen=True)
-class NormalizerElement:
-    """An integer matrix normalizing Gamma_Delta(N), with provenance.
-
-    ``kind`` is one of "diamond", "atkin-lehner", "explicit"; ``name`` is a
-    short human-readable description such as "[3]", "W^_7" or "[3]W^_7".
-    """
-
-    matrix: Mat2
-    kind: str
-    name: str
-    N: int
-
-    def __post_init__(self) -> None:
-        if self.matrix.det < 1:
-            raise NotNormalizing(f"{self.matrix} has determinant {self.matrix.det} < 1")
-        if self.kind not in ("diamond", "atkin-lehner", "explicit"):
-            raise InputError(f"unknown normalizer kind {self.kind!r}")
-
-    @property
-    def det(self) -> int:
-        return self.matrix.det
 
 
 def diamond_matrix(a: int, N: int) -> Mat2:
@@ -84,15 +55,6 @@ def diamond_matrix(a: int, N: int) -> Mat2:
     if m.det != 1:
         raise DeterminantMismatch(f"diamond matrix {m} should have determinant 1")
     return m
-
-
-def diamond(a: int, N: int) -> NormalizerElement:
-    """The diamond operator [a] as a normalizer element.
-
-    Diamonds lie in Gamma_0(N), which normalizes Gamma_Delta(N), so no
-    verification is needed.
-    """
-    return NormalizerElement(diamond_matrix(a, N), "diamond", f"[{a % N}]", N)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +86,7 @@ def descends(d: int, delta: DeltaSubgroup) -> bool:
 # Atkin-Lehner lifts
 
 
-def hat_W(d: int, delta: DeltaSubgroup) -> NormalizerElement | None:
+def hat_W(d: int, delta: DeltaSubgroup) -> Mat2 | None:
     """The preferred Atkin-Lehner lift hat_W_d on the (N, Delta) curve.
 
     Raises :class:`DoesNotDescend` when t_d does not preserve Delta.  When
@@ -151,7 +113,7 @@ def hat_W(d: int, delta: DeltaSubgroup) -> NormalizerElement | None:
                 w = Mat2(d * x0, y0, N, -d * x0)
                 if w.det != d:
                     raise DeterminantMismatch(f"{w} should have determinant {d}")
-                return NormalizerElement(w, "atkin-lehner", f"W^_{d}", N)
+                return w
         return None
     for t in (0, 1, -1):
         for x0 in range(M):
@@ -162,7 +124,7 @@ def hat_W(d: int, delta: DeltaSubgroup) -> NormalizerElement | None:
                     raise DeterminantMismatch(
                         f"{w} should have determinant {d} and trace {d * t}"
                     )
-                return NormalizerElement(w, "atkin-lehner", f"W^_{d}", N)
+                return w
     return None
 
 
@@ -212,33 +174,21 @@ def normalizes(matrix: Mat2, delta: DeltaSubgroup) -> bool:
     return True
 
 
-def normalizer_element(
-    matrix: Mat2, delta: DeltaSubgroup, kind: str = "explicit", name: str | None = None
-) -> NormalizerElement:
-    """Wrap and verify an explicit candidate matrix; raises NotNormalizing."""
-    if not normalizes(matrix, delta):
-        raise NotNormalizing(
-            f"{matrix} does not normalize Gamma_Delta({delta.N}), Delta={delta.label}"
-        )
-    return NormalizerElement(matrix, kind, name or str(matrix), delta.N)
-
-
-def automorphism_order(w: NormalizerElement | Mat2, delta: DeltaSubgroup):
+def automorphism_order(w: Mat2, delta: DeltaSubgroup):
     """Order of the automorphism induced by w, or UNBOUNDED past the cap.
 
     w^k induces the identity exactly when w^k is a scalar multiple of a
     member of Gamma_Delta(N): det(w^k) = s^2, s | w^k entrywise, and
     w^k / s passes membership.
     """
-    mat = w.matrix if isinstance(w, NormalizerElement) else w
     N = delta.N
-    power = mat
+    power = w
     for k in range(1, ORDER_CAP + 1):
         det = power.det
         s = math.isqrt(det)
         if s * s == det and power.divisible_by(s) and is_member(power.divided_by(s), N, delta):
             return k
-        power = power * mat
+        power = power * w
     return UNBOUNDED
 
 

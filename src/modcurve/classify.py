@@ -3,8 +3,14 @@
 This module decides, for each intermediate curve X_Delta(N), whether the
 curve is rational, elliptic, hyperelliptic, bielliptic, or none of these,
 and what that means for its set of quadratic points.  Positive results are
-certified by explicit involutions together with fixed-point counts; negative
-results are certified by an explicit list of elimination rules:
+certified by explicit involutions together with fixed-point counts, or by
+
+* ``accola-genus4`` -- a genus-4 curve with an unramified cyclic degree-3
+  cover of a genus-2 diamond quotient is bielliptic (Accola).  This covers
+  the curve whose bielliptic involution is an exceptional automorphism,
+  induced by no normaliser matrix.
+
+Negative results are certified by an explicit list of elimination rules:
 
 * ``unramified-cover`` -- a Galois cover X -> Y (genus of Y at least 2,
   Y neither hyperelliptic nor of genus <= 1) must be totally unramified
@@ -14,12 +20,13 @@ results are certified by an explicit list of elimination rules:
   central).
 * ``castelnuovo`` -- the Castelnuovo-Severi inequality applied to the pair
   (cover of Y, hypothetical bielliptic map).
-* ``cusp-rationality`` / ``count-bound`` / ``lift-conflict`` -- for genus
-  >= 6 a bielliptic involution descends to a hyperelliptic or bielliptic
-  involution of X_0(N) (or lies in the diamond group); each candidate
-  involution of X_0(N) is excluded by a field-of-definition argument, by a
-  rational cusp mapping to non-rational cusps, by a fixed-point count bound,
-  or by inspecting all of its lifts.
+* ``field-of-definition`` / ``cusp-rationality`` / ``count-bound`` /
+  ``lift-conflict`` -- for genus >= 6 a bielliptic involution descends to a
+  hyperelliptic or bielliptic involution of X_0(N) (or lies in the diamond
+  group); each candidate involution of X_0(N) is excluded because its lifts
+  are not defined over Q, by a rational cusp mapping to non-rational cusps,
+  by a fixed-point count bound, or by inspecting all of its lifts.  The rule
+  is named after the last of these arguments that some candidate needed.
 * ``covered-by-non-bielliptic`` -- a Galois cover of a curve already known
   to be neither bielliptic nor subhyperelliptic (again for genus >= 6).
 * ``curated-verdict`` -- literature results for three low-genus curves out
@@ -40,6 +47,9 @@ independent routes, which must agree; tests cross-check them:
 
 Both test all rows at once with int64 numpy arithmetic modulo m*N, which
 decides membership exactly (see ``_mul_mod``); m*N must stay below 2^31.
+The classifier counts every candidate involution through
+``_involution_count``: route A when the fixed points of W_d on X_0(N) are
+given, route B otherwise, and the Riemann-Hurwitz check on the total.
 """
 
 from __future__ import annotations
@@ -52,7 +62,6 @@ from math import isqrt
 import numpy as np
 
 from .atkinlehner import (
-    NormalizerElement,
     automorphism_order,
     descends,
     diamond_matrix,
@@ -87,6 +96,7 @@ __all__ = [
     "Evidence",
     "LiftReport",
     "Witness",
+    "al_reference",
     "castelnuovo_bound",
     "census",
     "classify_curve",
@@ -176,6 +186,31 @@ def generic_atkin_lehner(N: int, d: int) -> Mat2:
     return w
 
 
+def al_reference(N: int, d: int, delta: DeltaSubgroup):
+    """The matrix above W_d that counts start from on X_Delta(N), with its
+    name, the fixed points of W_d on X_0(N) and the hat lift (or None).
+
+    The matrix is the first base fixed-point matrix when W_d has fixed
+    points on X_0(N), else the hat lift when one exists, else
+    :func:`generic_atkin_lehner`.  W_d must descend to X_Delta(N).
+    """
+    base = fixed_points_X0(N, d)
+    hat = hat_W(d, delta)
+    if base.points:
+        return base.points[0].matrix, f"(first fixed-point element above W_{d})", base, hat
+    if hat is not None:
+        return hat, f"W^_{d}", base, hat
+    return generic_atkin_lehner(N, d), f"W_{d}", base, hat
+
+
+def _lifts(w: Mat2, delta: DeltaSubgroup):
+    """The lifts [b] * w over the coset representatives b of Delta, as
+    (b, lift) pairs; b = 1 gives w itself."""
+    N = delta.N
+    for b in delta.coset_reps():
+        yield b, (diamond_matrix(b, N) * w if b != 1 else w)
+
+
 # --------------------------------------------------------------------------
 # matrix arithmetic modulo M = m*N, shared by both fixed-point routes
 #
@@ -246,7 +281,6 @@ class LiftReport:
 
     N: int
     delta_label: str
-    candidate_name: str
     base_count: int
     fixed_elliptic: int
     fixed_cuspidal: int
@@ -281,20 +315,15 @@ def _diamond_columns(N: int) -> tuple[np.ndarray, ...]:
     return tuple(cols)
 
 
-def lift_fixed_points(
-    N: int,
-    delta,
-    candidate: Mat2 | NormalizerElement,
-    base: FixedPointSet,
-) -> LiftReport:
-    """Count fixed points of ``candidate`` on X_Delta(N) above the fixed
-    points of the Atkin-Lehner involution W_d on X_0(N).
+def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport:
+    """Count fixed points of ``w`` on X_Delta(N) above the fixed points of
+    the Atkin-Lehner involution W_d on X_0(N).
 
-    ``candidate`` must normalise Gamma_Delta(N) and lie in the coset
+    ``w`` must normalise Gamma_Delta(N) and lie in the coset
     ``Gamma_0(N) * W_d`` (determinant ``d == base.d``).  Each base fixed
     point z_j contributes one fibre; the fibre is indexed by diamond coset
     representatives modulo the stabiliser of z_j, and a fibre point is fixed
-    exactly when a twisted conjugate of the candidate falls back into
+    exactly when a twisted conjugate of ``w`` falls back into
     Gamma_Delta(N), allowing a correction by the stabiliser of z_j.
 
     The conjugates w * G * adj(s) * adj(W_j) * adj(G), for every base point
@@ -302,8 +331,6 @@ def lift_fixed_points(
     one pass; per (j, G) the first correction that hits gives the witness.
     """
     delta = _resolve(N, delta)
-    w = candidate.matrix if isinstance(candidate, NormalizerElement) else candidate
-    name = candidate.name if isinstance(candidate, NormalizerElement) else str(w)
     d = base.d
     if w.det != d:
         raise InputError(
@@ -371,7 +398,6 @@ def lift_fixed_points(
     return LiftReport(
         N=N,
         delta_label=delta.label,
-        candidate_name=name,
         base_count=base.count,
         fixed_elliptic=len(witnesses),
         fixed_cuspidal=cuspidal,
@@ -459,13 +485,30 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> int:
     return count
 
 
-def cuspidal_fixed_count(N: int, delta, w: Mat2 | NormalizerElement) -> int:
+def cuspidal_fixed_count(N: int, delta, w: Mat2) -> int:
     """Number of cusp classes of X_Delta(N) fixed by the automorphism
     induced by the normalising matrix ``w``."""
     delta = _resolve(N, delta)
-    mat = w.matrix if isinstance(w, NormalizerElement) else w
-    images = cusp_table(N, delta).images(mat)
+    images = cusp_table(N, delta).images(w)
     return int(np.count_nonzero(images == np.arange(len(images))))
+
+
+def _involution_count(
+    N: int, delta: DeltaSubgroup, w: Mat2, g: int, base: FixedPointSet | None = None
+) -> tuple[int, int]:
+    """Elliptic and cuspidal fixed points of the involution induced by ``w``
+    on X_Delta(N) of genus ``g``: by route A above ``base`` when that set of
+    W_d fixed points on X_0(N) is given, by route B otherwise.  The total
+    must pass the Riemann-Hurwitz check of :func:`involution_quotient_genus`.
+    """
+    if base is not None:
+        report = lift_fixed_points(N, delta, w, base)
+        elliptic, cuspidal = report.fixed_elliptic, report.fixed_cuspidal
+    else:
+        elliptic = coset_fixed_points(N, delta, w)
+        cuspidal = cuspidal_fixed_count(N, delta, w)
+    involution_quotient_genus(g, elliptic + cuspidal)
+    return elliptic, cuspidal
 
 
 # --------------------------------------------------------------------------
@@ -536,6 +579,7 @@ class Classifier:
         self.facts = facts if facts is not None else FactBook()
         self._memo: dict[tuple[int, str], ClassificationRecord] = {}
         self._in_progress: set[tuple[int, str]] = set()
+        self._x0_memo: dict[int, tuple] = {}
 
     # -- public entry points ------------------------------------------------
 
@@ -618,10 +662,9 @@ class Classifier:
                 evidence = evidence + (
                     Evidence("genus-two", "every genus-2 curve is hyperelliptic"),
                 )
-            qp, qp_facts, qp_warn = "infinite", (), ()
             return self._record(
                 N, delta, g, "hyperelliptic", bool(biell), biell, hyper,
-                evidence, qp, qp_facts, warnings=qp_warn,
+                evidence, "infinite",
             )
 
         if biell:
@@ -631,7 +674,8 @@ class Classifier:
                 qp, qp_facts, warnings=qp_warn,
             )
 
-        accola = self._accola_genus4(N, delta, g)
+        covers = self._covers(N, delta)
+        accola = self._accola_genus4(N, g, covers)
         if accola is not None:
             warnings.append(
                 "bielliptic witness is an exceptional automorphism, "
@@ -643,7 +687,7 @@ class Classifier:
                 qp, qp_facts, warnings=tuple(warnings) + qp_warn,
             )
 
-        negative = self._eliminations(N, delta, g)
+        negative = self._eliminations(N, delta, g, covers)
         evidence = evidence + negative
         if negative:
             qp, qp_facts, qp_warn = self._quadratic_points_not_bielliptic()
@@ -735,30 +779,10 @@ class Classifier:
 
     # -- witness search -----------------------------------------------------
 
-    def _al_reference(self, N: int, d: int, delta: DeltaSubgroup):
-        """Reference matrix above W_d, its base fixed-point set, and its
-        diamond offset against the normalised hat-lift (when one exists)."""
-        base = fixed_points_X0(N, d)
-        hat = hat_W(d, delta)
-        if base.points:
-            ref = base.points[0].matrix
-        elif hat is not None:
-            ref = hat.matrix
-        else:
-            ref = generic_atkin_lehner(N, d)
-        offset = 1
-        if hat is not None:
-            q = ref * hat.matrix.adjugate()
-            if not q.divisible_by(d):
-                raise MembershipViolation(f"{ref} and {hat.matrix} lie above different W_{d}")
-            offset = q.divided_by(d).a % N
-        return ref, base, offset, hat is not None
-
     def _witness_candidates(self, N: int, delta: DeltaSubgroup):
         """All involution candidates tried on X_Delta(N), with names."""
-        reps = delta.coset_reps()
         out: list[tuple[str, Mat2, str, FixedPointSet | None]] = []
-        for b in reps:
+        for b in delta.coset_reps():
             if b % N == 1 % N:
                 continue
             if (b * b) % N in delta:
@@ -766,10 +790,15 @@ class Classifier:
         for d in hall_divisors(N):
             if d == 1 or not descends(d, delta):
                 continue
-            ref, base, offset, have_hat = self._al_reference(N, d, delta)
-            for b in reps:
-                mat = diamond_matrix(b, N) * ref if b != 1 else ref
-                if have_hat:
+            ref, _, base, hat = al_reference(N, d, delta)
+            if hat is not None:
+                # name each lift by its diamond offset against the hat lift
+                q = ref * hat.adjugate()
+                if not q.divisible_by(d):
+                    raise MembershipViolation(f"{ref} and {hat} lie above different W_{d}")
+                offset = q.divided_by(d).a % N
+            for b, mat in _lifts(ref, delta):
+                if hat is not None:
                     cls = delta.coset_min(b * offset % N)
                     name = f"W^_{d}" if cls == 1 else f"[{cls}]W^_{d}"
                 else:
@@ -787,8 +816,7 @@ class Classifier:
         for mat in extras:
             if not normalizes(mat, delta):
                 continue
-            for b in reps:
-                cand = diamond_matrix(b, N) * mat if b != 1 else mat
+            for b, cand in _lifts(mat, delta):
                 name = str(mat) if b == 1 else f"[{b}]{mat}"
                 out.append((name, cand, "explicit", None))
         return out
@@ -800,60 +828,45 @@ class Classifier:
         hyper: list[Witness] = []
         evidence: list[Evidence] = []
         for name, mat, kind, base in self._witness_candidates(N, delta):
-            order = automorphism_order(mat, delta)
-            if order != 2:
+            if automorphism_order(mat, delta) != 2:
                 continue
-            if kind == "atkin-lehner" and base is not None:
-                report = lift_fixed_points(N, delta, mat, base)
-                elliptic, cuspidal = report.fixed_elliptic, report.fixed_cuspidal
-            else:
-                elliptic = coset_fixed_points(N, delta, mat)
-                cuspidal = cuspidal_fixed_count(N, delta, mat)
+            elliptic, cuspidal = _involution_count(N, delta, mat, g, base)
             total = elliptic + cuspidal
-            involution_quotient_genus(g, total)  # parity invariant
             if total == 2 * g - 2:
                 if kind == "atkin-lehner" and mat.det == N and g > 5:
                     if fricke_field_degree(delta) != 1:
                         raise FieldDegreeMismatch(
                             f"bielliptic {name} on genus {g} is not defined over Q"
                         )
-                witness = Witness(name, mat, kind, elliptic, cuspidal)
-                biell.append(witness)
-                evidence.append(Evidence(
-                    "bielliptic-witness",
-                    f"{name} is an involution with {total} = 2g-2 fixed points",
-                ))
+                found, rule, shape = biell, "bielliptic-witness", "2g-2"
             elif total == 2 * g + 2:
-                witness = Witness(name, mat, kind, elliptic, cuspidal)
-                hyper.append(witness)
-                evidence.append(Evidence(
-                    "hyperelliptic-witness",
-                    f"{name} is an involution with {total} = 2g+2 fixed points",
-                ))
+                found, rule, shape = hyper, "hyperelliptic-witness", "2g+2"
+            else:
+                continue
+            found.append(Witness(name, mat, kind, elliptic, cuspidal))
+            evidence.append(Evidence(
+                rule, f"{name} is an involution with {total} = {shape} fixed points",
+            ))
         return tuple(biell), tuple(hyper), tuple(evidence)
 
     # -- Accola certificates ------------------------------------------------
 
-    def _accola_genus4(self, N: int, delta: DeltaSubgroup, g: int) -> Evidence | None:
+    def _accola_genus4(self, N: int, g: int, covers) -> Evidence | None:
         """Genus-4 curve with an unramified cyclic degree-3 cover of a
         genus-2 curve is bielliptic (Accola); the cover is found among the
-        diamond quotients, so the certificate is machine-checkable."""
+        diamond quotients in ``covers``, so the certificate is
+        machine-checkable."""
         if g != 4:
             return None
-        for sub in subgroups_containing_minus1(N):
-            if len(sub.elements) != 3 * len(delta.elements):
-                continue
-            if not set(delta.elements) <= set(sub.elements):
-                continue
-            gy = genus(N, sub)
-            if gy != 2:
+        for M, label, deg, _ in covers:
+            if M != N or deg != 3 or genus(N, delta_by_label(N, label)) != 2:
                 continue
             # Riemann-Hurwitz: 2*4-2 == 3*(2*2-2) + ram forces ram == 0.
             return Evidence(
                 "accola-genus4",
                 f"unramified cyclic degree-3 cover of genus-2 "
-                f"{curve_name(N, sub.label)}: genus-4 curve is bielliptic",
-                target=(N, sub.label),
+                f"{curve_name(N, label)}: genus-4 curve is bielliptic",
+                target=(N, label),
                 degree=3,
             )
         return None
@@ -914,9 +927,10 @@ class Classifier:
             return True, ("intermediate.hyperelliptic",)
         return False, ()
 
-    def _eliminations(self, N: int, delta: DeltaSubgroup, g: int) -> tuple[Evidence, ...]:
+    def _eliminations(
+        self, N: int, delta: DeltaSubgroup, g: int, covers
+    ) -> tuple[Evidence, ...]:
         out: list[Evidence] = []
-        covers = self._covers(N, delta)
 
         for M, label2, deg, galois in covers:
             target = self.classify(M, label2)
@@ -977,27 +991,33 @@ class Classifier:
     # -- candidate involutions of X_0(N) ------------------------------------
 
     def _x0_candidates(self, N: int):
-        """Hyperelliptic/bielliptic involution candidates on X_0(N) with a
-        completeness guarantee, or ``None`` when facts are disabled."""
+        """Hyperelliptic/bielliptic involution candidates on X_0(N), each
+        with its fixed-point count there, under a completeness guarantee,
+        or ``None`` when facts are disabled; computed once per level."""
+        if N in self._x0_memo:
+            return self._x0_memo[N]
         completeness = self.facts.get("x0.involution-completeness")
         if completeness is None:
             return None, ()
-        g0 = genus(N, _full(N))
-        cands: list[tuple[str, Mat2, str]] = []
+        full = _full(N)
+        g0 = genus(N, full)
+        cands: list[tuple[str, Mat2, str, int]] = []
         for d in hall_divisors(N):
             if d == 1:
                 continue
             w = generic_atkin_lehner(N, d)
-            total = fixed_points_X0(N, d).count + cuspidal_fixed_count(N, "0", w)
+            total = sum(_involution_count(N, full, w, g0, fixed_points_X0(N, d)))
             if total in (2 * g0 - 2, 2 * g0 + 2):
-                cands.append((f"W_{d}", w, "atkin-lehner"))
+                cands.append((f"W_{d}", w, "atkin-lehner", total))
         tags = {"x0.involution-completeness"}
         extra = self.facts.get(f"x0.extra-involutions.{N}")
         if extra is not None:
             tags.add(extra.key)
             for mat in extra.as_matrices():
-                cands.append((str(mat), mat, "explicit"))
-        return cands, tuple(sorted(tags))
+                total = sum(_involution_count(N, full, mat, g0))
+                cands.append((str(mat), mat, "explicit", total))
+        self._x0_memo[N] = cands, tuple(sorted(tags))
+        return self._x0_memo[N]
 
     def _cusp_obstruction(self, N: int, delta: DeltaSubgroup, w: Mat2) -> str | None:
         """A rational cusp whose image cusp on X_0(N) has no rational cusp
@@ -1045,7 +1065,7 @@ class Classifier:
         # with 2g-2 fixed points, or the eliminations would not be reached.
         details = ["no diamond involution attains 2g-2 fixed points"]
         fired: set[str] = set()
-        for name, w, kind in cands:
+        for name, w, kind, total0 in cands:
             reason = None
             if kind == "atkin-lehner" and w.det == N:
                 k = fricke_field_degree(delta)
@@ -1060,37 +1080,23 @@ class Classifier:
                 if cusp is not None:
                     reason = cusp
                     fired.add("cusp")
-            if reason is None:
-                if kind == "atkin-lehner":
-                    total0 = fixed_points_X0(N, w.det).count
-                else:
-                    total0 = coset_fixed_points(N, "0", w)
-                total0 += cuspidal_fixed_count(N, "0", w)
-                if 2 * g - 2 > deg * total0:
-                    reason = (
-                        f"2g-2 = {2 * g - 2} exceeds {deg}*{total0}, the "
-                        f"maximum pulled back from X_0({N})"
-                    )
-                    fired.add("count")
+            if reason is None and 2 * g - 2 > deg * total0:
+                reason = (
+                    f"2g-2 = {2 * g - 2} exceeds {deg}*{total0}, the "
+                    f"maximum pulled back from X_0({N})"
+                )
+                fired.add("count")
             if reason is None:
                 if not normalizes(w, delta):
                     reason = "does not normalize the congruence subgroup, so admits no lift"
                     fired.add("lift")
-                else:
-                    good_lift = False
-                    for b in delta.coset_reps():
-                        lift = diamond_matrix(b, N) * w if b != 1 else w
-                        if automorphism_order(lift, delta) != 2:
-                            continue
-                        total = coset_fixed_points(N, delta, lift)
-                        total += cuspidal_fixed_count(N, delta, lift)
-                        involution_quotient_genus(g, total)
-                        if total == 2 * g - 2:
-                            good_lift = True
-                            break
-                    if not good_lift:
-                        reason = "no lift is an involution with 2g-2 fixed points"
-                        fired.add("lift")
+                elif not any(
+                    automorphism_order(lift, delta) == 2
+                    and sum(_involution_count(N, delta, lift, g)) == 2 * g - 2
+                    for _, lift in _lifts(w, delta)
+                ):
+                    reason = "no lift is an involution with 2g-2 fixed points"
+                    fired.add("lift")
             if reason is None:
                 return None
             details.append(f"{name}: {reason}")

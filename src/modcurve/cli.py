@@ -28,11 +28,12 @@ import sys
 from typing import Any
 
 from . import __version__
-from .atkinlehner import descends, hat_W, normalizes
+from .atkinlehner import descends, normalizes
 from .classify import (
     ClassificationRecord,
     Classifier,
     Witness,
+    al_reference,
     curve_name,
     lift_fixed_points,
 )
@@ -250,15 +251,7 @@ def _lift_payload(N: int, delta: DeltaSubgroup, base: FixedPointSet) -> dict[str
             f"W_{d} does not act on {curve_name(N, delta.label)}: "
             f"its operator does not normalize the congruence subgroup"
         )
-    hat = hat_W(d, delta)
-    if base.points:
-        ref = base.points[0].matrix
-        name = f"(first fixed-point element above W_{d})"
-    elif hat is not None:
-        ref = hat.matrix
-        name = hat.name
-    else:  # pragma: no cover - descends() guarantees a hat lift exists
-        raise InputError(f"no candidate above W_{d} on {curve_name(N, delta.label)}")
+    ref, name, _, _ = al_reference(N, d, delta)
     if not normalizes(ref, delta):
         raise InputError(
             f"candidate {ref} above W_{d} does not normalize the subgroup"

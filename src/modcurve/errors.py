@@ -48,10 +48,6 @@ class BadDiscriminant(InputError):
     """A discriminant must be negative and congruent to 0 or 1 mod 4."""
 
 
-class NotNormalizing(InputError):
-    """A candidate matrix does not normalize the congruence subgroup."""
-
-
 class NotUnimodular(InputError):
     """A pair mod N was required to satisfy gcd(x, y, N) = 1 but does not."""
 

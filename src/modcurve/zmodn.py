@@ -114,13 +114,6 @@ class UnitGroup:
     def __contains__(self, a: int) -> bool:
         return a % self.N in self.elements if self.N > 1 else True
 
-    def inverse(self, a: int) -> int:
-        if self.N == 1:
-            return 0
-        if math.gcd(a, self.N) != 1:
-            raise NotCoprime(f"{a} is not a unit modulo {self.N}")
-        return pow(a, -1, self.N)
-
 
 @lru_cache(maxsize=None)
 def unit_group(N: int) -> UnitGroup:

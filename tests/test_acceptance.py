@@ -77,7 +77,7 @@ def test_03_negative_control_rejects_wrong_candidates():
     base = fixed_points_X0(64, 64)
     hat = hat_W(64, delta)
     assert hat is not None
-    for cand in (hat.matrix, diamond_matrix(3, 64) * hat.matrix):
+    for cand in (hat, diamond_matrix(3, 64) * hat):
         report = lift_fixed_points(64, delta, cand, base)
         assert report.fixed_total == 4
         assert involution_quotient_genus(5, report.fixed_total) != 1
@@ -130,14 +130,14 @@ def test_06_operator_vignettes():
     d2 = delta_by_label(35, "D2")
     w5, w35 = hat_W(5, d2), hat_W(35, d2)
     assert w5 is not None and w35 is not None
-    assert automorphism_order(w5.matrix * w35.matrix, d2) == 8
+    assert automorphism_order(w5 * w35, d2) == 8
     assert automorphism_order(Mat2(11, 2, 55, 11), delta_by_label(55, "D3")) == 4
     d65 = {lab: delta_by_label(65, lab) for lab in ("D1", "D2", "D3")}
     assert t_image(65, 5, d65["D1"]) == d65["D3"]
     assert t_image(65, 5, d65["D3"]) == d65["D1"]
     assert t_image(65, 5, d65["D2"]) == d65["D2"]
     el = hat_W(5, delta_by_label(35, "D3"))
-    assert el is not None and el.matrix == Mat2(10, -3, 35, -10)
+    assert el is not None and el == Mat2(10, -3, 35, -10)
 
 
 def test_07_property_sweeps_within_budget(census_on):

@@ -11,18 +11,16 @@ from modcurve.atkinlehner import (
     UNBOUNDED,
     automorphism_order,
     descends,
-    diamond,
     diamond_matrix,
     fricke_field_degree,
     hat_W,
-    normalizer_element,
     normalizes,
     t_image,
     t_map,
 )
 from modcurve.classify import generic_atkin_lehner
 from modcurve.congruence import is_member
-from modcurve.errors import DoesNotDescend, InputError, NotNormalizing
+from modcurve.errors import DoesNotDescend
 from modcurve.facts import default_facts_path, load_facts
 from modcurve.matrices import Mat2
 from modcurve.zmodn import delta_by_label, hall_divisors, subgroups_containing_minus1
@@ -60,18 +58,11 @@ def test_diamond_respects_subgroup_membership():
     assert normalizes(diamond_matrix(2, N), d1)
 
 
-def test_diamond_element_naming():
-    el = diamond(2, 21)
-    assert el.kind == "diamond"
-    assert el.name == "[2]"
-    assert el.det == 1
-
-
 def test_diamond_induces_identity_iff_in_delta():
     N = 21
     d1 = delta_by_label(N, "D1")
-    assert automorphism_order(diamond(8, N), d1) == 1
-    assert automorphism_order(diamond(2, N), d1) == 3  # 2^3 = 8 in Delta
+    assert automorphism_order(diamond_matrix(8, N), d1) == 1
+    assert automorphism_order(diamond_matrix(2, N), d1) == 3  # 2^3 = 8 in Delta
 
 
 # --------------------------------------------------------------------------
@@ -133,11 +124,9 @@ def test_hat_W_5_at_35():
     delta = delta_by_label(35, "D3")
     el = hat_W(5, delta)
     assert el is not None
-    assert el.kind == "atkin-lehner"
-    assert el.name == "W^_5"
-    assert el.matrix == Mat2(10, -3, 35, -10)
+    assert el == Mat2(10, -3, 35, -10)
     assert el.det == 5
-    assert normalizes(el.matrix, delta)
+    assert normalizes(el, delta)
 
 
 def test_hat_W_descent_without_integral_lift():
@@ -164,10 +153,10 @@ def test_hat_W_matrix_shape():
         el = hat_W(d, delta)
         assert el is not None, (N, label, d)
         assert el.det == d
-        assert el.matrix.c % N == 0
-        assert normalizes(el.matrix, delta)
+        assert el.c % N == 0
+        assert normalizes(el, delta)
         # squares to a diamond, hence to the identity or a small-order map
-        sq = el.matrix * el.matrix
+        sq = el * el
         assert sq.divisible_by(d)
         assert automorphism_order(el, delta) in (1, 2, 3, 4, 6, 8)
 
@@ -224,7 +213,7 @@ def test_automorphism_orders_golden():
     w5 = hat_W(5, d2)
     w35 = hat_W(35, d2)
     assert w5 is not None and w35 is not None
-    assert automorphism_order(w5.matrix * w35.matrix, d2) == 8
+    assert automorphism_order(w5 * w35, d2) == 8
 
     d3 = delta_by_label(55, "D3")
     assert automorphism_order(Mat2(11, 2, 55, 11), d3) == 4
@@ -260,27 +249,13 @@ def test_unbounded_marker_for_parabolic():
     assert automorphism_order(Mat2(1, 1, 0, 1), delta) == 1
 
 
-def test_normalizer_element_wrapper():
-    m = Mat2(6, -1, 21, -3)
-    el = normalizer_element(m, delta_by_label(21, "D1"), name="w")
-    assert el.kind == "explicit"
-    assert el.name == "w"
-    assert el.matrix == m
-    with pytest.raises(NotNormalizing):
-        normalizer_element(Mat2(2, 0, 0, 1), delta_by_label(21, "D1"))
-
-
 def test_input_checks_survive_optimized_mode(run_optimized):
-    # A normalizer element of determinant 0 or of unknown kind, and a
-    # division by a non-divisor, are caller mistakes, refused with
+    # A division by a non-divisor is a caller mistake, refused with
     # InputError even under python -O.
     code = (
-        "from modcurve.atkinlehner import NormalizerElement\n"
         "from modcurve.errors import InputError\n"
         "from modcurve.matrices import Mat2\n"
         "cases = [\n"
-        "    lambda: NormalizerElement(Mat2(1, 0, 0, 0), 'diamond', 'x', 5),\n"
-        "    lambda: NormalizerElement(Mat2(1, 0, 0, 1), 'other', 'x', 5),\n"
         "    lambda: Mat2(2, 0, 0, 2).divided_by(3),\n"
         "]\n"
         "for call in cases:\n"

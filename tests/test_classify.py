@@ -15,6 +15,7 @@ from modcurve.classify import (
     involution_quotient_genus,
     lift_fixed_points,
 )
+from modcurve.congruence import genus
 from modcurve.errors import InputError
 from modcurve.facts import FactBook, default_facts_path
 from modcurve.matrices import Mat2
@@ -350,6 +351,25 @@ def test_disabled_book_reads_past_the_switch():
         book.read_past_switch("x0.bielliptc")
 
 
+def test_curated_x0_lists_agree_with_the_witness_search():
+    # Every level of the curated Bars list gets a bielliptic witness from
+    # the classifier's own search on X_0(N), and every level of Ogg's list a
+    # hyperelliptic one, except 37: its hyperelliptic involution lies
+    # outside the normaliser (Ogg 1974), so only W^_37 is found there.
+    clf = Classifier(FactBook())
+    bielliptic = clf.facts.get("x0.bielliptic").as_levels()
+    hyperelliptic = clf.facts.get("x0.hyperelliptic").as_levels()
+    assert (len(bielliptic), len(hyperelliptic)) == (41, 19)
+    found = {}
+    for N in sorted(set(bielliptic) | set(hyperelliptic)):
+        full = delta_by_label(N, "0")
+        biell, hyper, _ = clf._witness_search(N, full, genus(N, full))
+        found[N] = ([w.name for w in biell], [w.name for w in hyper])
+    assert [N for N in bielliptic if not found[N][0]] == []
+    assert [N for N in hyperelliptic if not found[N][1]] == [37]
+    assert found[37] == (["W^_37"], [])
+
+
 # --------------------------------------------------------------------------
 # the negative control at 64
 
@@ -360,8 +380,8 @@ def test_level_64_candidate_rejection():
     hat = hat_W(64, delta)
     assert hat is not None
     rejected = []
-    for cand, name in ((hat.matrix, "W^_64"),
-                       (diamond_matrix(3, 64) * hat.matrix, "[3]W^_64")):
+    for cand, name in ((hat, "W^_64"),
+                       (diamond_matrix(3, 64) * hat, "[3]W^_64")):
         report = lift_fixed_points(64, delta, cand, base)
         rejected.append((name, report.fixed_total))
         # 4 fixed points on a genus-5 curve quotient to genus 2, not 1

@@ -140,6 +140,23 @@ def test_fixed_points_text(capsys):
     assert "8" in out
 
 
+@pytest.mark.parametrize("N,d,sel", [("14", "2", "0"), ("21", "7", "D1")])
+def test_fixed_points_lift_without_base_points_or_hat_lift(capsys, N, d, sel):
+    # W_d has no fixed points on X_0(N) and no hat lift of the standard
+    # shape, so the lift starts from the generic Atkin-Lehner matrix W_d.
+    code, out, err = run(capsys, "fixed-points", N, d, "--delta", sel)
+    assert code == 0, err
+    assert f"via W_{d}: 0 elliptic + " in out
+    code, out, err = run(capsys, "fixed-points", N, d, "--delta", sel,
+                         "--format", "json")
+    assert code == 0, err
+    lift = json.loads(out)["results"]["lift"]
+    assert lift["candidate"] == f"W_{d}"
+    assert lift["base_count"] == 0
+    assert lift["fixed_elliptic"] == 0
+    assert lift["fibres"] == []
+
+
 # --------------------------------------------------------------------------
 # census
 

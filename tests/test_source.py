@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import modcurve
@@ -19,3 +20,16 @@ def test_no_bare_assert_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+def test_every_exported_name_exists():
+    # Tools that walk ``__all__`` (such as the benchmark's span wrappers)
+    # call getattr on every listed name; a name left behind by a deletion
+    # would break them.
+    missing = []
+    for path in sorted(SRC.glob("*.py")):
+        name = "modcurve" if path.stem == "__init__" else f"modcurve.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                    if not hasattr(module, attr)]
+    assert not missing, missing
