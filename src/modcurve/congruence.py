@@ -68,7 +68,7 @@ def is_member(m: Mat2, N: int, delta: DeltaSubgroup) -> bool:
 
 #: Levels above this bound are refused: the coset and cusp tables hold N^2
 #: int64 entries, and building them for Delta = {+-1} at N = 1021 peaks at
-#: 102 MB (tracemalloc).
+#: 81 MB (tracemalloc; 32 MB for the full Delta at N = 1024).
 LEVEL_LIMIT = 1024
 
 #: Moduli m*N at or above this bound are refused, so that a sum of two
@@ -144,11 +144,14 @@ def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     if N > LEVEL_LIMIT:
         raise InputError(f"level {N} is too large for the coset tables (limit {LEVEL_LIMIT})")
     canon = canonical_pair_table(N, delta.elements)
-    idx = np.arange(N * N, dtype=np.int64)
-    unimodular = np.gcd(np.gcd(idx // N, idx % N), N) == 1
-    keys, inverse = np.unique(canon[unimodular], return_inverse=True)
-    positions = np.full(N * N, -1, dtype=np.int64)
-    positions[unimodular] = inverse.ravel()
+    # the canonical pairs are the fixed points of the table; scaling by a
+    # unit keeps gcd(c, d, N), so a non-unimodular pair has a canonical
+    # pair that is not a key and gets rank -1
+    fixed = np.flatnonzero(canon == np.arange(N * N, dtype=np.int64))
+    keys = fixed[np.gcd(np.gcd(fixed // N, fixed % N), N) == 1]
+    rank = np.full(N * N, -1, dtype=np.int64)
+    rank[keys] = np.arange(keys.size, dtype=np.int64)
+    positions = rank[canon]
     c, d = keys // N, keys % N
     # Right action on row vectors: (c, d) * S = (d, -c), (c, d) * T = (c, c+d).
     sigma_S = positions[d * N + (-c) % N]
@@ -158,19 +161,22 @@ def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     return CosetAction(N, delta, positions, cosets, sigma_S, sigma_T)
 
 
-def _cycles(perm: list[int]) -> list[list[int]]:
-    seen = [False] * len(perm)
-    out: list[list[int]] = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc, k = [], start
-        while not seen[k]:
-            seen[k] = True
-            cyc.append(k)
-            k = perm[k]
-        out.append(cyc)
-    return out
+def _t_cycles(act: CosetAction) -> tuple[np.ndarray, np.ndarray]:
+    """``(starts, widths)``: the least coset of every T-cycle, in increasing
+    order, and the length of each cycle.
+
+    Each coset is labelled by the least coset of its cycle, found by pointer
+    doubling over sigma_T: after j steps a label is the least of the 2^j
+    cosets that follow it, and every cycle length divides N because T^N
+    lies in Gamma_Delta(N).
+    """
+    label = np.arange(act.degree, dtype=np.int64)
+    step = act.sigma_T
+    for _ in range((act.N - 1).bit_length()):  # until 2^j >= N
+        np.minimum(label, label[step], out=label)
+        step = step[step]
+    starts = np.flatnonzero(label == np.arange(act.degree))
+    return starts, np.bincount(label)[starts]
 
 
 @lru_cache(maxsize=None)
@@ -187,7 +193,7 @@ def genus(N: int, delta: DeltaSubgroup) -> int:
     k = np.arange(mu)
     e2 = int(np.count_nonzero(act.sigma_S == k))
     e3 = int(np.count_nonzero(act.sigma_T[act.sigma_S] == k))
-    einf = len(_cycles(act.sigma_T.tolist()))
+    einf = len(_t_cycles(act)[0])
     num = 12 + mu - 3 * e2 - 4 * e3 - 6 * einf
     if num % 12:
         raise NonIntegralGenus(f"12g = {num} for N={N}, delta={delta.label}")
@@ -355,21 +361,20 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
         unlabelled[orbit] = False
         reps.append((x, y))
 
-    cycles = _cycles(act.sigma_T.tolist())
-    if len(cycles) != len(reps):
+    first, cycle_widths = _t_cycles(act)
+    if len(first) != len(reps):
         raise CuspCountMismatch(
-            f"{len(reps)} cusp orbits vs {len(cycles)} T-cycles for "
+            f"{len(reps)} cusp orbits vs {len(first)} T-cycles for "
             f"N={N}, delta={delta.label}"
         )
     # the T-cycle through coset U is the cusp U(infinity) = (U.a; U.c)
     top, _, bottom, _ = transversal(N, delta)
-    first = [cyc[0] for cyc in cycles]
     cusp_of_cycle = labels[(top[first] % N) * N + bottom[first] % N]
-    if np.unique(cusp_of_cycle).size != len(cycles):
+    if np.unique(cusp_of_cycle).size != len(first):
         raise CuspCountMismatch(
             f"two T-cycles map to one cusp for N={N}, delta={delta.label}"
         )
-    widths = dict(zip(cusp_of_cycle.tolist(), map(len, cycles)))
+    widths = dict(zip(cusp_of_cycle.tolist(), cycle_widths.tolist()))
 
     # Galois orbit of a cusp: the classes of (s*x; y) for the units s.
     units = np.array(unit_group(N).elements, dtype=np.int64)

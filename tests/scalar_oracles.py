@@ -7,9 +7,12 @@ with Python dicts and ``Mat2``, where the package indexes int64 tables.
 The fixed-point counters and the cusp table are the per-coset ``Mat2``
 loops that the package replaced with int64 arithmetic modulo m*N; the
 normalizer test conjugates every Schreier generator of Gamma_Delta(N),
-where the package tests |Delta| + 2 generators modulo m*N.  They use exact
-Python integers throughout and serve only as oracles: the tests require
-the package to agree with them exactly.
+where the package tests |Delta| + 2 generators modulo m*N.  The pair
+table makes one numpy pass over all N^2 pairs per element of Delta, and
+``_cycles`` walks a permutation in Python, where the package builds the
+table in one block per divisor of N and labels the T-cycles by pointer
+doubling.  Everything else uses exact Python integers.  They serve only as
+oracles: the tests require the package to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ import math
 from functools import lru_cache
 from math import isqrt
 
+import numpy as np
+
 from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import _signed, _stabilizer_generator
-from modcurve.congruence import _cycles, is_member
+from modcurve.congruence import is_member
 from modcurve.errors import DeterminantMismatch, MembershipViolation
 from modcurve.matrices import IDENTITY, S_MAT, T_MAT, Mat2
 from modcurve.qforms import FixedPointSet, QForm, reduced_classes
@@ -29,6 +34,38 @@ from modcurve.zmodn import DeltaSubgroup, delta_from_elements, unit_group
 
 # ---------------------------------------------------------------------------
 # the coset space
+
+
+def canonical_pair_table(N: int, delta_elements: tuple[int, ...]) -> np.ndarray:
+    """For every pair index c*N+d, the least index in its Delta-scaling orbit.
+
+    The orbit of (c, d) is {(a*c mod N, a*d mod N) : a in Delta}; pairs are
+    ordered by the flat index c*N+d.  The table covers *all* pairs; callers
+    restrict to gcd(c, d, N) == 1 as needed.
+    """
+    idx = np.arange(N * N, dtype=np.int64)
+    c = idx // N
+    d = idx % N
+    best = np.full(N * N, N * N, dtype=np.int64)
+    for a in delta_elements:
+        cand = (a * c % N) * N + a * d % N
+        np.minimum(best, cand, out=best)
+    return best
+
+
+def _cycles(perm: list[int]) -> list[list[int]]:
+    seen = [False] * len(perm)
+    out: list[list[int]] = []
+    for start in range(len(perm)):
+        if seen[start]:
+            continue
+        cyc, k = [], start
+        while not seen[k]:
+            seen[k] = True
+            cyc.append(k)
+            k = perm[k]
+        out.append(cyc)
+    return out
 
 
 @lru_cache(maxsize=4)

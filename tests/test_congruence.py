@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 import scalar_oracles as oracle
+from modcurve._kernels import canonical_pair_table
 from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import generic_atkin_lehner
 from modcurve.congruence import (
+    _t_cycles,
     coset_action,
     cusp_field,
     cusp_table,
@@ -293,6 +296,25 @@ def _cusp_test_matrices(N, delta):
 
 
 @pytest.mark.parametrize("N", [
+    N if N <= ORACLE_LEVEL or N in (256, 330) else pytest.param(N, marks=pytest.mark.slow)
+    for N in [*range(3, 257), 330]
+])
+def test_pair_table_matches_scalar_oracle(N):
+    for delta in subgroups_containing_minus1(N):
+        table = canonical_pair_table(N, delta.elements)
+        expected = oracle.canonical_pair_table(N, delta.elements)
+        assert np.array_equal(table, expected), delta.label
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("subgroup", [_full, _minimal])
+def test_pair_table_matches_scalar_oracle_at_the_level_bound(subgroup):
+    delta = subgroup(1024)
+    table = canonical_pair_table(1024, delta.elements)
+    assert np.array_equal(table, oracle.canonical_pair_table(1024, delta.elements))
+
+
+@pytest.mark.parametrize("N", [
     N if N <= ORACLE_LEVEL else pytest.param(N, marks=pytest.mark.slow)
     for N in range(3, 257)
 ])
@@ -306,6 +328,10 @@ def test_coset_space_matches_scalar_oracles(N):
         sigma_S, sigma_T = oracle.sigmas(N, delta)
         assert act.sigma_S.tolist() == sigma_S
         assert act.sigma_T.tolist() == sigma_T
+        starts, widths = _t_cycles(act)
+        cycles = oracle._cycles(sigma_T)
+        assert starts.tolist() == [cyc[0] for cyc in cycles]
+        assert widths.tolist() == [len(cyc) for cyc in cycles]
         columns = [col.tolist() for col in transversal(N, delta)]
         assert list(zip(*columns)) == [m.entries() for m in oracle.transversal(N, delta)]
         table = cusp_table(N, delta)

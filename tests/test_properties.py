@@ -9,8 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from modcurve.atkinlehner import automorphism_order, descends, hat_W
-from modcurve.classify import involution_quotient_genus, lift_fixed_points
+from modcurve.atkinlehner import descends
 from modcurve.congruence import coset_action, cusps, is_member
 from modcurve.matrices import IDENTITY, Mat2
 from modcurve.qforms import QForm, reduce_form, reduced_classes
@@ -30,36 +29,7 @@ S_MAT = Mat2(0, -1, 1, 0)
 
 
 # --------------------------------------------------------------------------
-# sweep 1: every Atkin-Lehner involution respects the fixed-point parity
-# law r = 2g + 2 (mod 4), via the guarded quotient-genus computation
-
-
-def test_involution_fixed_point_parity_sweep(census_on):
-    checked = 0
-    for rec in census_on:
-        delta = delta_by_label(rec.N, rec.delta_label)
-        for d in hall_divisors(rec.N):
-            if d == 1 or not descends(d, delta):
-                continue
-            el = hat_W(d, delta)
-            if el is None or automorphism_order(el, delta) != 2:
-                continue
-            report = lift_fixed_points(
-                rec.N, delta, el, _base(rec.N, d))
-            quotient = involution_quotient_genus(rec.genus, report.fixed_total)
-            assert 0 <= quotient <= rec.genus
-            checked += 1
-    assert checked > 250
-
-
-def _base(N, d):
-    from modcurve.qforms import fixed_points_X0
-
-    return fixed_points_X0(N, d)
-
-
-# --------------------------------------------------------------------------
-# sweep 2: reduction is a class invariant under unimodular substitutions
+# sweep 1: reduction is a class invariant under unimodular substitutions
 
 
 def test_reduce_invariant_under_random_transforms():
@@ -85,7 +55,7 @@ def test_reduce_invariant_under_random_transforms():
 
 
 # --------------------------------------------------------------------------
-# sweep 3: the analytic cusp count equals the orbit count of T on cosets
+# sweep 2: the analytic cusp count equals the orbit count of T on cosets
 
 
 def test_cusp_count_equals_T_cycle_count(census_on):
@@ -121,7 +91,7 @@ def test_cusp_count_equals_T_cycle_count_boundary_subgroups():
 
 
 # --------------------------------------------------------------------------
-# sweep 4: descent to the quotient is symmetric in d and N/d
+# sweep 3: descent to the quotient is symmetric in d and N/d
 
 
 def test_descends_symmetry_sweep(census_on):
@@ -132,7 +102,7 @@ def test_descends_symmetry_sweep(census_on):
 
 
 # --------------------------------------------------------------------------
-# sweep 5: the coset table is regenerated by an independent breadth-first
+# sweep 4: the coset table is regenerated by an independent breadth-first
 # search on bottom-row pairs, and the Schreier generators are members
 
 
