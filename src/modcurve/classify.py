@@ -136,12 +136,6 @@ def curve_name(N: int, label: str) -> str:
     return f"X_{{{label}}}({N})"
 
 
-def _signed(a: int, N: int) -> int:
-    """Representative of ``a mod N`` in ``(-N/2, N/2]``."""
-    a %= N
-    return a if a <= N // 2 else a - N
-
-
 def _stabilizer_generator(form: QForm) -> Mat2 | None:
     """Generator (mod +-1) of the stabiliser of the root of ``form`` in
     SL_2(Z), for the two discriminants with extra automorphisms."""
@@ -315,43 +309,23 @@ def _diamond_columns(N: int) -> tuple[np.ndarray, ...]:
     return tuple(cols)
 
 
-def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport:
-    """Count fixed points of ``w`` on X_Delta(N) above the fixed points of
-    the Atkin-Lehner involution W_d on X_0(N).
+@lru_cache(maxsize=None)
+def _lift_plan(N: int, delta: DeltaSubgroup, base: FixedPointSet) -> tuple[np.ndarray, ...]:
+    """The w-independent part of route A, for a base set with at least one
+    point: ``(group, base_index, reps, *tail)``, read-only int64 columns.
 
-    ``w`` must normalise Gamma_Delta(N) and lie in the coset
-    ``Gamma_0(N) * W_d`` (determinant ``d == base.d``).  Each base fixed
-    point z_j contributes one fibre; the fibre is indexed by diamond coset
-    representatives modulo the stabiliser of z_j, and a fibre point is fixed
-    exactly when a twisted conjugate of ``w`` falls back into
-    Gamma_Delta(N), allowing a correction by the stabiliser of z_j.
-
-    The conjugates w * G * adj(s) * adj(W_j) * adj(G), for every base point
-    j, correction s and fibre representative G, are evaluated modulo d*N in
-    one pass; per (j, G) the first correction that hits gives the witness.
+    There is one row per base point j, fibre representative G and
+    stabiliser correction s, ordered by (j, G, s): ``group`` numbers the
+    (j, G) pairs, ``base_index`` and ``reps`` give j and G, and the four
+    ``tail`` columns hold G * adj(s) * adj(W_j) * adj(G) modulo d*N.
     """
-    delta = _resolve(N, delta)
     d = base.d
-    if w.det != d:
-        raise InputError(
-            f"candidate determinant {w.det} does not match the operator W_{d}"
-        )
     M = _modulus(d, N)
-    w_res = _residues(w, M)
-    if base.points:
-        q = _mul_mod(w_res, _adj(_residues(base.points[0].matrix, M)), M)
-        if not (all(e % d == 0 for e in q) and q[2] == 0):
-            raise InputError(
-                f"candidate {w} does not lie above the Atkin-Lehner operator W_{d}"
-            )
-
-    # One (j, s) pair per base point and correction, with the scalar
-    # factor adj(s) * adj(W_j), and one row per pair and fibre representative.
-    pair_j: list[int] = []
-    pair_x: list[tuple[int, int, int, int]] = []
-    row_pair: list[int] = []
-    row_rep: list[np.ndarray] = []
-    row_pos: list[int] = []
+    group: list[np.ndarray] = []
+    base_index: list[np.ndarray] = []
+    reps: list[np.ndarray] = []
+    scalars: list[np.ndarray] = []
+    groups = 0
     for j, point in enumerate(base.points):
         if point.matrix.det != d:
             raise DeterminantMismatch(f"base point matrix {point.matrix} at W_{d}")
@@ -371,28 +345,67 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
             if primitive.disc == -3:
                 corrections.append(_mul_mod(s1, s1, M))
             extra = stab.a % N
-        reps = _fibre_reps(N, delta, extra)
+        fibre = _fibre_reps(N, delta, extra)
         wj_adj = _adj(_residues(point.matrix, M))
-        for s in corrections:
-            row_pair.extend([len(pair_j)] * len(reps))
-            row_rep.append(reps)
-            row_pos.extend(range(len(reps)))
-            pair_j.append(j)
-            pair_x.append(_mul_mod(_adj(s), wj_adj, M))
+        x = np.array([_mul_mod(_adj(s), wj_adj, M) for s in corrections], dtype=np.int64)
+        k = len(corrections)
+        group.append(np.repeat(np.arange(groups, groups + fibre.size), k))
+        base_index.append(np.full(fibre.size * k, j, dtype=np.int64))
+        reps.append(np.repeat(fibre, k))
+        scalars.append(np.tile(x, (fibre.size, 1)))
+        groups += fibre.size
+    group, base_index, reps = (np.concatenate(col) for col in (group, base_index, reps))
+    g = tuple(col[reps] for col in _diamond_columns(N))
+    x = tuple(np.concatenate(scalars).T)
+    tail = _mul_mod(_mul_mod(g, x, M), _adj(g), M)
+    plan = (group, base_index, reps, *tail)
+    for column in plan:
+        column.flags.writeable = False
+    return plan
 
-    witnesses: list[tuple[int, int, int]] = []
-    if pair_j:
-        rows = np.array(row_pair, dtype=np.int64)
-        rep = np.concatenate(row_rep)
-        g = tuple(col[rep] for col in _diamond_columns(N))
-        x = tuple(col[rows] for col in np.array(pair_x, dtype=np.int64).T)
-        p = _mul_mod(_mul_mod(_mul_mod(w_res, g, M), x, M), _adj(g), M)
-        first: dict[tuple[int, int], int] = {}
-        for r in np.flatnonzero(_scaled_members(p, d, delta)).tolist():
-            first.setdefault((pair_j[row_pair[r]], row_pos[r]), r)
-        for key in sorted(first):
-            r = first[key]
-            witnesses.append((key[0], int(rep[r]), _signed(int(p[0][r]) // d, N)))
+
+def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport:
+    """Count fixed points of ``w`` on X_Delta(N) above the fixed points of
+    the Atkin-Lehner involution W_d on X_0(N).
+
+    ``w`` must normalise Gamma_Delta(N) and lie in the coset
+    ``Gamma_0(N) * W_d`` (determinant ``d == base.d``).  Each base fixed
+    point z_j contributes one fibre; the fibre is indexed by diamond coset
+    representatives modulo the stabiliser of z_j, and a fibre point is fixed
+    exactly when a twisted conjugate of ``w`` falls back into
+    Gamma_Delta(N), allowing a correction by the stabiliser of z_j.
+
+    The conjugates w * G * adj(s) * adj(W_j) * adj(G), for every base point
+    j, correction s and fibre representative G, are evaluated modulo d*N in
+    one pass, from the w-independent products of ``_lift_plan``; per (j, G)
+    the first correction that hits gives the witness.
+    """
+    delta = _resolve(N, delta)
+    d = base.d
+    if w.det != d:
+        raise InputError(
+            f"candidate determinant {w.det} does not match the operator W_{d}"
+        )
+    M = _modulus(d, N)
+    w_res = _residues(w, M)
+    witnesses: tuple[tuple[int, int, int], ...] = ()
+    if base.points:
+        q = _mul_mod(w_res, _adj(_residues(base.points[0].matrix, M)), M)
+        if not (all(e % d == 0 for e in q) and q[2] == 0):
+            raise InputError(
+                f"candidate {w} does not lie above the Atkin-Lehner operator W_{d}"
+            )
+        group, base_index, reps, *tail = _lift_plan(N, delta, base)
+        p = _mul_mod(w_res, tail, M)
+        hits = np.flatnonzero(_scaled_members(p, d, delta))
+        # the rows of a group are ordered by correction: keep its first hit
+        group = group[hits]
+        first = hits[np.concatenate(([True], group[1:] != group[:-1]))] if hits.size else hits
+        signed = p[0][first] // d % N
+        signed[signed > N // 2] -= N
+        witnesses = tuple(zip(
+            base_index[first].tolist(), reps[first].tolist(), signed.tolist()
+        ))
 
     cuspidal = cuspidal_fixed_count(N, delta, w)
     return LiftReport(
@@ -401,7 +414,7 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
         base_count=base.count,
         fixed_elliptic=len(witnesses),
         fixed_cuspidal=cuspidal,
-        witnesses=tuple(witnesses),
+        witnesses=witnesses,
     )
 
 

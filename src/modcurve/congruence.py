@@ -68,7 +68,7 @@ def is_member(m: Mat2, N: int, delta: DeltaSubgroup) -> bool:
 
 #: Levels above this bound are refused: the coset and cusp tables hold N^2
 #: int64 entries, and building them for Delta = {+-1} at N = 1021 peaks at
-#: 81 MB (tracemalloc; 32 MB for the full Delta at N = 1024).
+#: 80 MB (tracemalloc; 27 MB for the full Delta at N = 1024).
 LEVEL_LIMIT = 1024
 
 #: Moduli m*N at or above this bound are refused, so that a sum of two
@@ -331,6 +331,47 @@ class CuspTable:
         return self.labels[(X // g % self.N) * self.N + Y // g % self.N]
 
 
+def _cusp_labels(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, np.ndarray]:
+    """``(labels, keys)``: the class of every pair index x*N + y (-1 off the
+    cusp pairs) and the least pair index of every class, in increasing order.
+
+    The orbit of (x; y) is {(a*x + k*g, a^-1*y) : a in Delta, k in Z} with
+    g = gcd(y, N), so it is the Delta-orbit of the reduced pair (x mod g; y)
+    under a.(x'; y) = (a*x' mod g; a^-1*y mod N), and its least pair is
+    the least (a*x' mod g)*N + a^-1*y mod N.  The P(N) = sum_y gcd(y, N)
+    reduced pairs are laid out y by y; the scaled pairs are compared in
+    blocks of Delta of at most 2^18 cells.
+    """
+    residues = np.arange(N, dtype=np.int64)
+    g = np.gcd(residues, N)  # gcd(0, N) = N
+    offset = np.cumsum(g) - g
+    ry = np.repeat(residues, g)
+    rg = np.repeat(g, g)
+    rx = np.arange(ry.size, dtype=np.int64) - np.repeat(offset, g)
+    a = np.array(delta.elements, dtype=np.int64)
+    a_inv = np.array([pow(e, -1, N) for e in delta.elements], dtype=np.int64)
+    least = np.full(ry.size, N * N, dtype=np.int64)
+    step = max(1, (1 << 18) // ry.size)
+    for lo in range(0, a.size, step):
+        cand = np.multiply.outer(a[lo:lo + step], rx)
+        cand %= rg
+        cand *= N
+        second = np.multiply.outer(a_inv[lo:lo + step], ry)
+        second %= N
+        cand += second
+        np.minimum(least, cand.min(axis=0), out=least)
+    # the least pair of an orbit is reduced; gcd(x', g) = gcd(x, y, N)
+    own = rx * N + ry
+    cusp_pair = np.gcd(rx, rg) == 1
+    keys = np.sort(own[(least == own) & cusp_pair])
+    rank = np.where(cusp_pair, np.searchsorted(keys, least), -1)
+    # pair (x; y) is the reduced pair offset[y] + x mod g[y]
+    index = np.remainder.outer(residues, g)
+    index += offset
+    labels = rank[index.ravel()]
+    return labels, keys
+
+
 @lru_cache(maxsize=None)
 def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
     """All cusps of the curve, with widths cross-checked against sigma_T.
@@ -338,28 +379,17 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
     The reduction of Gamma_Delta(N) mod N is the group of matrices
     [[a, b], [0, a^-1]] with a in Delta and b arbitrary, so the cusp of
     (x; y) is the orbit {(a*(x + b*y), a^-1*y) : a in Delta, b mod N}
-    (signs included via -1 in Delta).  Pairs are labelled orbit by orbit in
-    increasing order of x*N + y, so each orbit starts at its least pair,
-    which is the class representative.  Levels above ``LEVEL_LIMIT`` are
-    refused by ``coset_action`` before anything is allocated.
+    (signs included via -1 in Delta).  Every orbit is named by its least
+    pair, the class representative, and the classes are numbered in
+    increasing order of x*N + y of their representatives (see
+    ``_cusp_labels``).  The orbit count must equal the number of T-cycles.
+    Levels above ``LEVEL_LIMIT`` are refused by ``coset_action`` before
+    anything is allocated.
     """
     act = coset_action(N, delta)
-    unlabelled = act.positions >= 0
-    labels = np.full(N * N, -1, dtype=np.int64)
-    a = np.array(delta.elements, dtype=np.int64)[:, None]
-    a_inv = np.array([pow(e, -1, N) for e in delta.elements], dtype=np.int64)[:, None]
-    b = np.arange(N, dtype=np.int64)
-    reps: list[tuple[int, int]] = []
-    start = 0
-    while True:
-        start += int(np.argmax(unlabelled[start:]))
-        if not unlabelled[start]:
-            break
-        x, y = divmod(start, N)
-        orbit = (a * ((x + b * y) % N) % N) * N + a_inv * y % N
-        labels[orbit] = len(reps)
-        unlabelled[orbit] = False
-        reps.append((x, y))
+    labels, keys = _cusp_labels(N, delta)
+    rx, ry = keys // N, keys % N
+    reps = list(zip(rx.tolist(), ry.tolist()))
 
     first, cycle_widths = _t_cycles(act)
     if len(first) != len(reps):
@@ -378,7 +408,6 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
 
     # Galois orbit of a cusp: the classes of (s*x; y) for the units s.
     units = np.array(unit_group(N).elements, dtype=np.int64)
-    rx, ry = np.array(reps, dtype=np.int64).T
     images = np.sort(labels[(rx[:, None] * units % N) * N + ry[:, None]], axis=1)
     galois = 1 + np.count_nonzero(np.diff(images, axis=1), axis=1)
 

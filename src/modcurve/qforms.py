@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefinite,
     SearchExhausted,
 )
-from .matrices import IDENTITY, Mat2
+from .matrices import Mat2
 
 __all__ = [
     "QForm",
@@ -103,17 +103,20 @@ def reduce_form(f: QForm) -> tuple[QForm, Mat2]:
     if not f.is_positive_definite:
         raise NotPositiveDefinite(f"{f} is not positive definite")
     p, q, r = f.p, f.q, f.r
-    g = IDENTITY
+    # the transform [[ga, gb], [gc, gd]], multiplied on the right by
+    # [[1, k], [0, 1]] or [[0, -1], [1, 0]] at each step
+    ga, gb, gc, gd = 1, 0, 0, 1
     while True:
         if q <= -p or q > p:
             k = (p - q) // (2 * p)
             p, q, r = p, q + 2 * p * k, p * k * k + q * k + r
-            g = g * Mat2(1, k, 0, 1)
+            gb, gd = ga * k + gb, gc * k + gd
         elif p > r or (p == r and q < 0):
             p, q, r = r, -q, p
-            g = g * Mat2(0, -1, 1, 0)
+            ga, gb, gc, gd = gb, -ga, gd, -gc
         else:
             break
+    g = Mat2(ga, gb, gc, gd)
     out = QForm(p, q, r)
     if not out.is_reduced or f.apply(g) != out:
         raise FormMismatch(f"reducing {f} by {g} gave {out}")
@@ -338,6 +341,11 @@ class FixedPointSet:
     @property
     def count(self) -> int:
         return len(self.points)
+
+    def __hash__(self) -> int:
+        # a cache key of route A (classify._lift_plan), looked up on every
+        # count: hash the size, not every point; equality compares points
+        return hash((self.N, self.d, len(self.points)))
 
 
 def _matrix_from_form(f: QForm, trace: int, d: int, N: int) -> Mat2:

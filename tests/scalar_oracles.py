@@ -11,8 +11,11 @@ where the package tests |Delta| + 2 generators modulo m*N.  The pair
 table makes one numpy pass over all N^2 pairs per element of Delta, and
 ``_cycles`` walks a permutation in Python, where the package builds the
 table in one block per divisor of N and labels the T-cycles by pointer
-doubling.  Everything else uses exact Python integers.  They serve only as
-oracles: the tests require the package to agree with them exactly.
+doubling.  ``cusp_labels`` labels the cusp orbits one at a time, where
+the package finds the least pair of every orbit at once from the reduced
+pairs (x mod gcd(y, N); y).  Everything else uses exact Python
+integers.  They serve only as oracles: the tests require the package to
+agree with them exactly.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from math import isqrt
 import numpy as np
 
 from modcurve.atkinlehner import diamond_matrix
-from modcurve.classify import _signed, _stabilizer_generator
-from modcurve.congruence import is_member
+from modcurve.classify import _stabilizer_generator
+from modcurve.congruence import coset_action, is_member
 from modcurve.errors import DeterminantMismatch, MembershipViolation
 from modcurve.matrices import IDENTITY, S_MAT, T_MAT, Mat2
 from modcurve.qforms import FixedPointSet, QForm, reduced_classes
@@ -169,6 +172,12 @@ def cusp_images(N: int, delta: DeltaSubgroup, m: Mat2) -> list[int]:
 # fixed points and cusps
 
 
+def _signed(a: int, N: int) -> int:
+    """Representative of ``a mod N`` in ``(-N/2, N/2]``."""
+    a %= N
+    return a if a <= N // 2 else a - N
+
+
 def lift_witnesses(
     N: int, delta: DeltaSubgroup, w: Mat2, base: FixedPointSet
 ) -> tuple[tuple[int, int, int], ...]:
@@ -273,6 +282,30 @@ def cusp_orbit(N: int, delta: DeltaSubgroup, x: int, y: int) -> set[tuple[int, i
         for b in range(N):
             out.add((a * (x + b * y) % N, ay))
     return out
+
+
+def cusp_labels(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """``(labels, reps)``: the class of every pair index x*N + y (-1 off the
+    cusp pairs) and the representative of every class, labelled orbit by
+    orbit in increasing order of x*N + y with one numpy orbit per cusp."""
+    act = coset_action(N, delta)
+    unlabelled = act.positions >= 0
+    labels = np.full(N * N, -1, dtype=np.int64)
+    a = np.array(delta.elements, dtype=np.int64)[:, None]
+    a_inv = np.array([pow(e, -1, N) for e in delta.elements], dtype=np.int64)[:, None]
+    b = np.arange(N, dtype=np.int64)
+    reps: list[tuple[int, int]] = []
+    start = 0
+    while True:
+        start += int(np.argmax(unlabelled[start:]))
+        if not unlabelled[start]:
+            break
+        x, y = divmod(start, N)
+        orbit = (a * ((x + b * y) % N) % N) * N + a_inv * y % N
+        labels[orbit] = len(reps)
+        unlabelled[orbit] = False
+        reps.append((x, y))
+    return labels, reps
 
 
 @lru_cache(maxsize=4)

@@ -314,6 +314,29 @@ def test_pair_table_matches_scalar_oracle_at_the_level_bound(subgroup):
     assert np.array_equal(table, oracle.canonical_pair_table(1024, delta.elements))
 
 
+def _check_cusp_labels(N, delta):
+    table = cusp_table(N, delta)
+    labels, reps = oracle.cusp_labels(N, delta)
+    assert np.array_equal(table.labels, labels), delta.label
+    assert [c.rep for c in table.classes] == reps, delta.label
+
+
+@pytest.mark.parametrize("N", [
+    N if N <= ORACLE_LEVEL or N in (256, 330) else pytest.param(N, marks=pytest.mark.slow)
+    for N in [*range(3, 257), 330]
+])
+def test_cusp_labels_match_scalar_oracle(N):
+    for delta in subgroups_containing_minus1(N):
+        _check_cusp_labels(N, delta)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("N", [1021, 1024])
+@pytest.mark.parametrize("subgroup", [_full, _minimal])
+def test_cusp_labels_match_scalar_oracle_at_the_level_bound(N, subgroup):
+    _check_cusp_labels(N, subgroup(N))
+
+
 @pytest.mark.parametrize("N", [
     N if N <= ORACLE_LEVEL else pytest.param(N, marks=pytest.mark.slow)
     for N in range(3, 257)

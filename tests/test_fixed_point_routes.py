@@ -1,5 +1,6 @@
 """The int64 fixed-point routes and cusp table against their scalar oracles,
-the two routes against each other, and the modulus and level guards."""
+the two routes against each other, diamond involutions against
+Riemann-Hurwitz, and the modulus and level guards."""
 
 from __future__ import annotations
 
@@ -8,7 +9,13 @@ import tracemalloc
 import pytest
 
 from modcurve.atkinlehner import automorphism_order, descends, diamond_matrix
-from modcurve.classify import coset_fixed_points, lift_fixed_points
+from modcurve.classify import (
+    _lift_plan,
+    _lifts,
+    coset_fixed_points,
+    cuspidal_fixed_count,
+    lift_fixed_points,
+)
 from modcurve.congruence import LEVEL_LIMIT, coset_action, cusp_table, genus, transversal
 from modcurve.errors import InputError
 from modcurve.matrices import Mat2
@@ -16,6 +23,7 @@ from modcurve.qforms import FixedPointSet, fixed_points_X0
 from modcurve.zmodn import (
     DeltaSubgroup,
     delta_by_label,
+    delta_from_elements,
     hall_divisors,
     subgroups_containing_minus1,
 )
@@ -81,17 +89,58 @@ def test_routes_and_cusps_match_scalar_oracles_on_census_curves(N, label):
     _check_against_oracles(N, delta_by_label(N, label))
 
 
+def _compare_routes(N, delta) -> tuple[int, int]:
+    """Count every involutive lift [b] * W_d by route A and by route B, and
+    every diamond involution [b] by route B plus its fixed cusps and by
+    Riemann-Hurwitz for the double cover X_Delta(N) -> X_<Delta, b>(N);
+    returns how many lifts and diamonds were compared."""
+    lifts = 0
+    for lift, base in _atkin_lehner_lifts(N, delta):
+        if automorphism_order(lift, delta) != 2:
+            continue
+        lifts += 1
+        lifted = lift_fixed_points(N, delta, lift, base).fixed_elliptic
+        assert lifted == coset_fixed_points(N, delta, lift), (N, delta.label, str(lift))
+    diamonds = 0
+    g = genus(N, delta)
+    for b in delta.coset_reps():
+        if b == 1 or b * b % N not in delta:
+            continue
+        diamonds += 1
+        m = diamond_matrix(b, N)
+        fixed = coset_fixed_points(N, delta, m) + cuspidal_fixed_count(N, delta, m)
+        quotient = delta_from_elements(N, {*delta.elements, b})
+        assert fixed == 2 * g + 2 - 4 * genus(N, quotient), (N, delta.label, b)
+    return lifts, diamonds
+
+
 def test_lift_route_agrees_with_coset_route():
-    involutions = 0
-    for N in SMALL_LEVELS:
-        for delta in subgroups_containing_minus1(N):
-            for lift, base in _atkin_lehner_lifts(N, delta):
-                if automorphism_order(lift, delta) != 2:
-                    continue
-                involutions += 1
-                lifted = lift_fixed_points(N, delta, lift, base).fixed_elliptic
-                assert lifted == coset_fixed_points(N, delta, lift), (N, delta.label, str(lift))
-    assert involutions == 1530
+    compared = [_compare_routes(N, delta)
+                for N in SMALL_LEVELS for delta in subgroups_containing_minus1(N)]
+    assert [sum(col) for col in zip(*compared)] == [1530, 132]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("N", range(SMALL_LEVELS.stop, 257))
+def test_lift_route_agrees_with_coset_route_beyond_tier_one(N):
+    for delta in subgroups_containing_minus1(N):
+        _compare_routes(N, delta)
+
+
+def test_lift_reports_do_not_depend_on_the_call_order():
+    # Route A caches its w-independent products per base set; the lifts of
+    # W_3 on X_1(21) include fixed points found only at a stabiliser
+    # correction, and each order builds the plan from a different lift.
+    N, delta = 21, delta_by_label(21, "1")
+    base = fixed_points_X0(N, 3)
+    lifts = list(_lifts(base.points[0].matrix, delta))
+    reports = []
+    for order in (lifts, lifts[::-1]):
+        _lift_plan.cache_clear()
+        reports.append({b: lift_fixed_points(N, delta, w, base) for b, w in order})
+    assert reports[0] == reports[1]
+    assert sum(r.fixed_elliptic for r in reports[0].values()) == 24
+    assert not any(column.flags.writeable for column in _lift_plan(N, delta, base))
 
 
 def _peak_bytes(fn) -> int:
