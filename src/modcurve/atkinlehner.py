@@ -25,6 +25,7 @@ from .errors import (
     UNBOUNDED,
 )
 from .matrices import Mat2, T_MAT
+from .qforms import _require_hall
 from .zmodn import DeltaSubgroup, crt, delta_from_elements, unit_group
 
 __all__ = [
@@ -101,8 +102,7 @@ def hat_W(d: int, delta: DeltaSubgroup) -> Mat2 | None:
       (mod N/d), giving [[d*x0, y0], [N, d*(t-x0)]].
     """
     N = delta.N
-    if d < 2 or N % d or math.gcd(d, N // d) != 1:
-        raise InputError(f"d={d} is not a Hall divisor >= 2 of N={N}")
+    _require_hall(N, d)
     if not descends(d, delta):
         raise DoesNotDescend(f"W_{d} does not descend to (N={N}, {delta.label})")
     M = N // d

@@ -33,23 +33,28 @@ Negative results are certified by an explicit list of elimination rules:
   of reach of the counting rules.
 
 Counting fixed points of an automorphism of determinant m is done by two
-independent routes, which must agree; tests cross-check them:
+independent routes, which must agree; tests cross-check them.  Each
+evaluation counts every lift [b] * w of one operator, b over
+``delta.coset_reps()``:
 
 * route A, :func:`lift_fixed_points`, works above the fixed points z_j of
   the induced Atkin-Lehner involution W_m on X_0(N).  A point of the fibre
-  over z_j, named by a diamond representative G, is fixed when
-  w * G * adj(s) * adj(W_j) * adj(G) is m times an element of
+  over z_j, named by a diamond representative G, is fixed by [b] * w when
+  [b] * w * G * adj(s) * adj(W_j) * adj(G) is m times an element of
   Gamma_Delta(N) for some s in the stabiliser of z_j.
 * route B, :func:`coset_fixed_points`, works on the coset space.  Coset
-  U_x holds a fixed point when U_x * E * adj(U_x) * adj(w) is m times an
-  element of Gamma_Delta(N) for an elliptic element E of determinant m;
-  the elements E are enumerated by trace and binary quadratic form.
+  U_x holds a fixed point of [b] * w when U_x * E * adj(U_x) * adj(w) *
+  adj([b]) is m times an element of Gamma_Delta(N) for an elliptic element
+  E of determinant m, enumerated by trace and binary quadratic form.
 
-Both test all rows at once with int64 numpy arithmetic modulo m*N, which
-decides membership exactly (see ``_mul_mod``); m*N must stay below 2^31.
-The classifier counts every candidate involution through
-``_involution_count``: route A when the fixed points of W_d on X_0(N) are
-given, route B otherwise, and the Riemann-Hurwitz check on the total.
+As [b] lies in Gamma_0(N), which normalises Gamma_Delta(N), each product
+P without [b] is tested for P = m * gamma with gamma in Gamma_0(N); the
+coset of gamma's upper-left class then names the lift, b^-1 * Delta in
+route A and b * Delta in route B.  All rows are tested at once modulo m*N
+in int64 (see ``_mul_mod``); m*N must stay below 2^31.  The classifier
+counts every operator through ``_involution_counts``: route A when the
+fixed points of W_d on X_0(N) are given, route B otherwise, and the
+Riemann-Hurwitz check on every lift that is an involution.
 """
 
 from __future__ import annotations
@@ -80,7 +85,7 @@ from .errors import (
     ParityViolation,
 )
 from .facts import FactBook
-from .matrices import Mat2
+from .matrices import IDENTITY, Mat2
 from .qforms import FixedPointSet, QForm, fixed_points_X0, reduced_classes
 from .zmodn import (
     DeltaSubgroup,
@@ -197,24 +202,15 @@ def al_reference(N: int, d: int, delta: DeltaSubgroup):
     return generic_atkin_lehner(N, d), f"W_{d}", base, hat
 
 
-def _lifts(w: Mat2, delta: DeltaSubgroup):
-    """The lifts [b] * w over the coset representatives b of Delta, as
-    (b, lift) pairs; b = 1 gives w itself."""
-    N = delta.N
-    for b in delta.coset_reps():
-        yield b, (diamond_matrix(b, N) * w if b != 1 else w)
-
-
 # --------------------------------------------------------------------------
 # matrix arithmetic modulo M = m*N, shared by both fixed-point routes
 #
 # Both routes ask whether an integer matrix P, a product of factors whose
-# determinants multiply to m^2, equals m*gamma with gamma in Gamma_Delta(N).
-# That holds exactly when every entry of P is divisible by m, P.c/m = 0
-# (mod N) and P.a/m mod N lies in Delta (det gamma = 1 follows from the
-# determinants of the factors), and all three conditions can be read off
-# P mod M = m*N.  Entries stay at most M in absolute value and M is below
-# congruence.MODULUS_LIMIT = 2^31, so a sum of two products fits in an int64.
+# determinants multiply to m^2, equals m*gamma with gamma in Gamma_0(N), and
+# which class mod N gamma's corner holds.  That can be read off P mod M = m*N:
+# m divides every entry, P.c/m = 0 (mod N), and det gamma = 1 follows from
+# the factors.  Entries stay at most M < congruence.MODULUS_LIMIT = 2^31 in
+# absolute value, so a sum of two products fits in an int64.
 
 def _mul_mod(x, y, M: int):
     """The product of two matrices given as (a, b, c, d) tuples of ints or
@@ -241,21 +237,23 @@ def _residues(w: Mat2, M: int) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=None)
-def _delta_mask(delta: DeltaSubgroup) -> np.ndarray:
-    """Boolean mask of Delta inside Z/NZ."""
-    mask = np.zeros(delta.N, dtype=bool)
-    mask[list(delta.elements)] = True
-    return mask
+def _coset_index(delta: DeltaSubgroup) -> np.ndarray:
+    """Position in ``delta.coset_reps()`` of the coset a*Delta of every
+    residue a mod N, and -1 at the non-units; read-only."""
+    index = np.full(delta.N, -1, dtype=np.int64)
+    for k, b in enumerate(delta.coset_reps()):
+        index[[b * h % delta.N for h in delta.elements]] = k
+    index.flags.writeable = False
+    return index
 
 
-def _scaled_members(p, m: int, delta: DeltaSubgroup) -> np.ndarray:
-    """Mask of the rows of ``p`` (residues mod m*N) that equal m*gamma with
-    gamma in Gamma_Delta(N)."""
+def _scaled_cosets(p, m: int, delta: DeltaSubgroup, corner: int) -> np.ndarray:
+    """For each row of ``p`` (residues mod m*N) that equals m*gamma with
+    gamma in Gamma_0(N), the coset index (see ``_coset_index``) of gamma's
+    entry ``corner`` (0 for the upper-left, 3 for the lower-right), else -1."""
     a, b, c, d = p
-    return (
-        (c == 0) & (a % m == 0) & (b % m == 0) & (d % m == 0)
-        & _delta_mask(delta)[a // m]
-    )
+    scaled = (c == 0) & (a % m == 0) & (b % m == 0) & (d % m == 0)
+    return np.where(scaled, _coset_index(delta)[p[corner] // m], -1)
 
 
 # --------------------------------------------------------------------------
@@ -271,6 +269,9 @@ class LiftReport:
     triple per fixed point: the index of the base fixed point, the diamond
     representative of the fibre point, and the upper-left class (mod N,
     signed) of the group element realising the fixed-point equation.
+    ``elliptic_by_lift`` counts the non-cuspidal fixed points of every lift
+    [b] * w, b over ``delta.coset_reps()``; entry 0 is w itself, which the
+    other fields describe.
     """
 
     N: int
@@ -279,6 +280,7 @@ class LiftReport:
     fixed_elliptic: int
     fixed_cuspidal: int
     witnesses: tuple[tuple[int, int, int], ...]
+    elliptic_by_lift: tuple[int, ...]
 
     @property
     def fixed_total(self) -> int:
@@ -309,64 +311,9 @@ def _diamond_columns(N: int) -> tuple[np.ndarray, ...]:
     return tuple(cols)
 
 
-@lru_cache(maxsize=None)
-def _lift_plan(N: int, delta: DeltaSubgroup, base: FixedPointSet) -> tuple[np.ndarray, ...]:
-    """The w-independent part of route A, for a base set with at least one
-    point: ``(group, base_index, reps, *tail)``, read-only int64 columns.
-
-    There is one row per base point j, fibre representative G and
-    stabiliser correction s, ordered by (j, G, s): ``group`` numbers the
-    (j, G) pairs, ``base_index`` and ``reps`` give j and G, and the four
-    ``tail`` columns hold G * adj(s) * adj(W_j) * adj(G) modulo d*N.
-    """
-    d = base.d
-    M = _modulus(d, N)
-    group: list[np.ndarray] = []
-    base_index: list[np.ndarray] = []
-    reps: list[np.ndarray] = []
-    scalars: list[np.ndarray] = []
-    groups = 0
-    for j, point in enumerate(base.points):
-        if point.matrix.det != d:
-            raise DeterminantMismatch(f"base point matrix {point.matrix} at W_{d}")
-        primitive = QForm(
-            point.form.p // point.ell,
-            point.form.q // point.ell,
-            point.form.r // point.ell,
-        )
-        stab = _stabilizer_generator(primitive)
-        corrections = [(1, 0, 0, 1)]
-        extra = None
-        if stab is not None:
-            if stab.det != 1:
-                raise DeterminantMismatch(f"stabiliser {stab} of {primitive}")
-            s1 = _residues(stab, M)
-            corrections.append(s1)
-            if primitive.disc == -3:
-                corrections.append(_mul_mod(s1, s1, M))
-            extra = stab.a % N
-        fibre = _fibre_reps(N, delta, extra)
-        wj_adj = _adj(_residues(point.matrix, M))
-        x = np.array([_mul_mod(_adj(s), wj_adj, M) for s in corrections], dtype=np.int64)
-        k = len(corrections)
-        group.append(np.repeat(np.arange(groups, groups + fibre.size), k))
-        base_index.append(np.full(fibre.size * k, j, dtype=np.int64))
-        reps.append(np.repeat(fibre, k))
-        scalars.append(np.tile(x, (fibre.size, 1)))
-        groups += fibre.size
-    group, base_index, reps = (np.concatenate(col) for col in (group, base_index, reps))
-    g = tuple(col[reps] for col in _diamond_columns(N))
-    x = tuple(np.concatenate(scalars).T)
-    tail = _mul_mod(_mul_mod(g, x, M), _adj(g), M)
-    plan = (group, base_index, reps, *tail)
-    for column in plan:
-        column.flags.writeable = False
-    return plan
-
-
 def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport:
-    """Count fixed points of ``w`` on X_Delta(N) above the fixed points of
-    the Atkin-Lehner involution W_d on X_0(N).
+    """Count fixed points of ``w`` and of every lift [b] * w on X_Delta(N)
+    above the fixed points of the Atkin-Lehner involution W_d on X_0(N).
 
     ``w`` must normalise Gamma_Delta(N) and lie in the coset
     ``Gamma_0(N) * W_d`` (determinant ``d == base.d``).  Each base fixed
@@ -375,10 +322,13 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
     exactly when a twisted conjugate of ``w`` falls back into
     Gamma_Delta(N), allowing a correction by the stabiliser of z_j.
 
-    The conjugates w * G * adj(s) * adj(W_j) * adj(G), for every base point
-    j, correction s and fibre representative G, are evaluated modulo d*N in
-    one pass, from the w-independent products of ``_lift_plan``; per (j, G)
-    the first correction that hits gives the witness.
+    There is one row per base point j, correction s and fibre
+    representative G, ordered by (j, s, G), and the conjugates
+    P = w * G * adj(s) * adj(W_j) * adj(G) of all rows are evaluated modulo
+    d*N in one pass.  When P = d*gamma with gamma in Gamma_0(N), the row
+    fixes the lift [b] * w whose b * Delta holds the lower-right class
+    a^-1 of gamma.  The witnesses are those of w: per (j, G) the first
+    correction that hits.
     """
     delta = _resolve(N, delta)
     d = base.d
@@ -389,22 +339,55 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
     M = _modulus(d, N)
     w_res = _residues(w, M)
     witnesses: tuple[tuple[int, int, int], ...] = ()
+    by_lift = np.zeros(delta.index, dtype=np.int64)
     if base.points:
         q = _mul_mod(w_res, _adj(_residues(base.points[0].matrix, M)), M)
         if not (all(e % d == 0 for e in q) and q[2] == 0):
             raise InputError(
                 f"candidate {w} does not lie above the Atkin-Lehner operator W_{d}"
             )
-        group, base_index, reps, *tail = _lift_plan(N, delta, base)
-        p = _mul_mod(w_res, tail, M)
-        hits = np.flatnonzero(_scaled_members(p, d, delta))
-        # the rows of a group are ordered by correction: keep its first hit
-        group = group[hits]
-        first = hits[np.concatenate(([True], group[1:] != group[:-1]))] if hits.size else hits
+        blocks = []  # (j, fibre, adj(s) * adj(W_j)) per base point and correction
+        for j, point in enumerate(base.points):
+            if point.matrix.det != d:
+                raise DeterminantMismatch(f"base point matrix {point.matrix} at W_{d}")
+            primitive = QForm(
+                point.form.p // point.ell,
+                point.form.q // point.ell,
+                point.form.r // point.ell,
+            )
+            stab = _stabilizer_generator(primitive)
+            corrections = [(1, 0, 0, 1)]
+            extra = None
+            if stab is not None:
+                if stab.det != 1:
+                    raise DeterminantMismatch(f"stabiliser {stab} of {primitive}")
+                s1 = _residues(stab, M)
+                corrections.append(s1)
+                if primitive.disc == -3:
+                    corrections.append(_mul_mod(s1, s1, M))
+                extra = stab.a % N
+            fibre = _fibre_reps(N, delta, extra)
+            wj_adj = _adj(_residues(point.matrix, M))
+            blocks.extend((j, fibre, _mul_mod(_adj(s), wj_adj, M)) for s in corrections)
+        js, fibres, xs = zip(*blocks)
+        sizes = [fibre.size for fibre in fibres]
+        # key = j*N + G names the fibre point of a row
+        key = np.repeat(np.array(js, dtype=np.int64) * N, sizes) + np.concatenate(fibres)
+        g = tuple(col[key % N] for col in _diamond_columns(N))
+        x = tuple(np.repeat(np.array(xs, dtype=np.int64), sizes, axis=0).T)
+        p = _mul_mod(w_res, _mul_mod(_mul_mod(g, x, M), _adj(g), M), M)
+        lift = _scaled_cosets(p, d, delta, 3)
+        hits = np.flatnonzero(lift >= 0)
+        # a fibre point is fixed by a lift when one of its rows hits for that
+        # lift; w's witness is its first row (least s) that hits for w
+        fixed = np.unique(key[hits] * delta.index + lift[hits])
+        by_lift = np.bincount(fixed % delta.index, minlength=delta.index)
+        own = hits[lift[hits] == 0]
+        first = own[np.unique(key[own], return_index=True)[1]]
         signed = p[0][first] // d % N
         signed[signed > N // 2] -= N
         witnesses = tuple(zip(
-            base_index[first].tolist(), reps[first].tolist(), signed.tolist()
+            (key[first] // N).tolist(), (key[first] % N).tolist(), signed.tolist()
         ))
 
     cuspidal = cuspidal_fixed_count(N, delta, w)
@@ -415,25 +398,30 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
         fixed_elliptic=len(witnesses),
         fixed_cuspidal=cuspidal,
         witnesses=witnesses,
+        elliptic_by_lift=tuple(by_lift.tolist()),
     )
 
 
 # --------------------------------------------------------------------------
-# fixed points, route B: elliptic elements in the coset, orbit by orbit
+# fixed points, route B: elliptic elements on the coset space
 
 
-def coset_fixed_points(N: int, delta, w: Mat2) -> int:
-    """Number of non-cuspidal fixed points of the automorphism induced by
-    ``w`` on X_Delta(N), found directly on the coset space.
+def coset_fixed_points(N: int, delta, w: Mat2) -> tuple[int, ...]:
+    """Numbers of non-cuspidal fixed points on X_Delta(N) of the
+    automorphisms induced by the lifts [b] * w, b over ``delta.coset_reps()``
+    (entry 0 is w itself), found directly on the coset space.
 
-    A point U_x(z) is fixed exactly when some integral elliptic element of
-    determinant ``det(w)`` fixing z lands in ``+-Gamma_Delta(N) * w`` after
-    conjugation by the coset transversal matrix U_x.  Elliptic elements are
-    enumerated by trace and by the primitive binary quadratic form of their
-    fixed point; matches are grouped by form and counted up to the action of
-    the stabiliser of the form's root, which identifies coset positions
-    representing one and the same point.  Each element is tested against
-    all cosets at once, modulo det(w)*N.
+    A point U_x(z) is fixed by [b] * w exactly when some integral elliptic
+    element E of determinant ``det(w)`` fixing z lands in
+    ``+-Gamma_Delta(N) * [b] * w`` after conjugation by the coset
+    transversal matrix U_x: when U_x * E * adj(U_x) * adj(w) is det(w) times
+    an element of Gamma_0(N) whose upper-left class lies in b * Delta.
+    Elliptic elements are enumerated by trace and by the primitive binary
+    quadratic form of their fixed point, and each is tested against all
+    cosets at once, modulo det(w)*N.  A point is named by its form and its
+    coset position, taken least in its orbit under the stabiliser of the
+    form's root (S at discriminant -4, S*T at -3): the positions of one
+    orbit represent one and the same point.
     """
     delta = _resolve(N, delta)
     m = w.det
@@ -444,6 +432,9 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> int:
     trans = tuple(col % M for col in transversal(N, delta))
     # adj(U_x) * adj(w) does not depend on the elliptic element
     tail = _mul_mod(_adj(trans), _adj(_residues(w, M)), M)
+    positions, st = np.arange(act.degree), act.sigma_T[act.sigma_S]
+    least = {-4: np.minimum(positions, act.sigma_S),
+             -3: np.minimum(np.minimum(positions, st), st[st])}
 
     traces = {0}
     for c in (1, 2, 3):
@@ -451,7 +442,8 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> int:
         if s * s == c * m and s * s < 4 * m:
             traces.add(s)
 
-    matches: dict[QForm, set[int]] = {}
+    forms: dict[QForm, int] = {}
+    points = [np.zeros(0, dtype=np.int64)]
     for t in sorted(traces):
         v = 4 * m - t * t
         for u in range(1, isqrt(v) + 1):
@@ -474,28 +466,14 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> int:
                         f"elliptic element {elem} should have det {m}, trace {t}"
                     )
                 p = _mul_mod(_mul_mod(trans, _residues(elem, M), M), tail, M)
-                hits = np.flatnonzero(_scaled_members(p, m, delta))
+                lift = _scaled_cosets(p, m, delta, 0)
+                hits = np.flatnonzero(lift >= 0)
                 if hits.size:
-                    matches.setdefault(form, set()).update(hits.tolist())
-
-    count = 0
-    for form, positions in matches.items():
-        stab = _stabilizer_generator(form)
-        if stab is None:
-            count += len(positions)
-            continue
-        seen: set[int] = set()
-        for x in sorted(positions):
-            if x in seen:
-                continue
-            count += 1
-            y = x
-            while True:
-                seen.add(y)
-                y = act.act(y, stab)
-                if y == x:
-                    break
-    return count
+                    named = least.get(form.disc, positions)[hits]
+                    key = forms.setdefault(form, len(forms)) * act.degree + named
+                    points.append(key * delta.index + lift[hits])
+    fixed = np.unique(np.concatenate(points))
+    return tuple(np.bincount(fixed % delta.index, minlength=delta.index).tolist())
 
 
 def cuspidal_fixed_count(N: int, delta, w: Mat2) -> int:
@@ -506,22 +484,31 @@ def cuspidal_fixed_count(N: int, delta, w: Mat2) -> int:
     return int(np.count_nonzero(images == np.arange(len(images))))
 
 
-def _involution_count(
+def _involution_counts(
     N: int, delta: DeltaSubgroup, w: Mat2, g: int, base: FixedPointSet | None = None
-) -> tuple[int, int]:
-    """Elliptic and cuspidal fixed points of the involution induced by ``w``
-    on X_Delta(N) of genus ``g``: by route A above ``base`` when that set of
-    W_d fixed points on X_0(N) is given, by route B otherwise.  The total
-    must pass the Riemann-Hurwitz check of :func:`involution_quotient_genus`.
+) -> list[tuple[int, Mat2, int, int]]:
+    """``(k, lift, elliptic, cuspidal)`` for every lift = [b] * w of order 2
+    on X_Delta(N) of genus ``g``, b the k-th of ``delta.coset_reps()``.
+
+    The operator is evaluated once, and only if some lift has order 2: by
+    route A above ``base`` when that set of W_d fixed points on X_0(N) is
+    given, by route B otherwise.  Each total must pass the Riemann-Hurwitz
+    check of :func:`involution_quotient_genus`.
     """
+    lifts = [diamond_matrix(b, N) * w if b != 1 else w for b in delta.coset_reps()]
+    involutions = [k for k, lift in enumerate(lifts) if automorphism_order(lift, delta) == 2]
+    if not involutions:
+        return []
     if base is not None:
-        report = lift_fixed_points(N, delta, w, base)
-        elliptic, cuspidal = report.fixed_elliptic, report.fixed_cuspidal
+        elliptic = lift_fixed_points(N, delta, w, base).elliptic_by_lift
     else:
         elliptic = coset_fixed_points(N, delta, w)
-        cuspidal = cuspidal_fixed_count(N, delta, w)
-    involution_quotient_genus(g, elliptic + cuspidal)
-    return elliptic, cuspidal
+    out = []
+    for k in involutions:
+        cuspidal = cuspidal_fixed_count(N, delta, lifts[k])
+        involution_quotient_genus(g, elliptic[k] + cuspidal)
+        out.append((k, lifts[k], elliptic[k], cuspidal))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -793,30 +780,28 @@ class Classifier:
     # -- witness search -----------------------------------------------------
 
     def _witness_candidates(self, N: int, delta: DeltaSubgroup):
-        """All involution candidates tried on X_Delta(N), with names."""
-        out: list[tuple[str, Mat2, str, FixedPointSet | None]] = []
-        for b in delta.coset_reps():
-            if b % N == 1 % N:
-                continue
-            if (b * b) % N in delta:
-                out.append((f"[{b}]", diamond_matrix(b, N), "diamond", None))
+        """Every operator whose lifts [b] * w are tried on X_Delta(N), as
+        ``(kind, w, base, names)``: ``base`` is the set of W_d fixed points
+        on X_0(N) for Atkin-Lehner operators (else None) and ``names`` names
+        the lifts, b over ``delta.coset_reps()``.  The diamonds [b] are the
+        lifts of the identity."""
+        reps = delta.coset_reps()
+        yield "diamond", IDENTITY, None, tuple(f"[{b}]" for b in reps)
         for d in hall_divisors(N):
             if d == 1 or not descends(d, delta):
                 continue
             ref, _, base, hat = al_reference(N, d, delta)
-            if hat is not None:
+            if hat is None:
+                names = tuple(f"[{b}]W_{d}" if b != 1 else f"W_{d}" for b in reps)
+            else:
                 # name each lift by its diamond offset against the hat lift
                 q = ref * hat.adjugate()
                 if not q.divisible_by(d):
                     raise MembershipViolation(f"{ref} and {hat} lie above different W_{d}")
                 offset = q.divided_by(d).a % N
-            for b, mat in _lifts(ref, delta):
-                if hat is not None:
-                    cls = delta.coset_min(b * offset % N)
-                    name = f"W^_{d}" if cls == 1 else f"[{cls}]W^_{d}"
-                else:
-                    name = f"[{b}]W_{d}" if b != 1 else f"W_{d}"
-                out.append((name, mat, "atkin-lehner", base))
+                classes = (delta.coset_min(b * offset % N) for b in reps)
+                names = tuple(f"W^_{d}" if c == 1 else f"[{c}]W^_{d}" for c in classes)
+            yield "atkin-lehner", ref, base, names
         # Beyond diamonds and Atkin-Lehner lifts: the generic shape
         # [[1,0],[N/2,1]] for levels divisible by 4, and the sporadic
         # involutions of X_0(N) listed in the fact book.  A candidate is
@@ -827,12 +812,10 @@ class Classifier:
         if listed is not None:
             extras.extend(listed.as_matrices())
         for mat in extras:
-            if not normalizes(mat, delta):
-                continue
-            for b, cand in _lifts(mat, delta):
-                name = str(mat) if b == 1 else f"[{b}]{mat}"
-                out.append((name, cand, "explicit", None))
-        return out
+            if normalizes(mat, delta):
+                yield "explicit", mat, None, tuple(
+                    str(mat) if b == 1 else f"[{b}]{mat}" for b in reps
+                )
 
     def _witness_search(self, N: int, delta: DeltaSubgroup, g: int):
         """Verify all candidate involutions; sort them into bielliptic
@@ -840,26 +823,25 @@ class Classifier:
         biell: list[Witness] = []
         hyper: list[Witness] = []
         evidence: list[Evidence] = []
-        for name, mat, kind, base in self._witness_candidates(N, delta):
-            if automorphism_order(mat, delta) != 2:
-                continue
-            elliptic, cuspidal = _involution_count(N, delta, mat, g, base)
-            total = elliptic + cuspidal
-            if total == 2 * g - 2:
-                if kind == "atkin-lehner" and mat.det == N and g > 5:
-                    if fricke_field_degree(delta) != 1:
-                        raise FieldDegreeMismatch(
-                            f"bielliptic {name} on genus {g} is not defined over Q"
-                        )
-                found, rule, shape = biell, "bielliptic-witness", "2g-2"
-            elif total == 2 * g + 2:
-                found, rule, shape = hyper, "hyperelliptic-witness", "2g+2"
-            else:
-                continue
-            found.append(Witness(name, mat, kind, elliptic, cuspidal))
-            evidence.append(Evidence(
-                rule, f"{name} is an involution with {total} = {shape} fixed points",
-            ))
+        for kind, w, base, names in self._witness_candidates(N, delta):
+            for k, mat, elliptic, cuspidal in _involution_counts(N, delta, w, g, base):
+                name = names[k]
+                total = elliptic + cuspidal
+                if total == 2 * g - 2:
+                    if kind == "atkin-lehner" and mat.det == N and g > 5:
+                        if fricke_field_degree(delta) != 1:
+                            raise FieldDegreeMismatch(
+                                f"bielliptic {name} on genus {g} is not defined over Q"
+                            )
+                    found, rule, shape = biell, "bielliptic-witness", "2g-2"
+                elif total == 2 * g + 2:
+                    found, rule, shape = hyper, "hyperelliptic-witness", "2g+2"
+                else:
+                    continue
+                found.append(Witness(name, mat, kind, elliptic, cuspidal))
+                evidence.append(Evidence(
+                    rule, f"{name} is an involution with {total} = {shape} fixed points",
+                ))
         return tuple(biell), tuple(hyper), tuple(evidence)
 
     # -- Accola certificates ------------------------------------------------
@@ -1018,8 +1000,10 @@ class Classifier:
         for d in hall_divisors(N):
             if d == 1:
                 continue
+            # on X_0(N) the non-cuspidal fixed points of W_d are its base set
             w = generic_atkin_lehner(N, d)
-            total = sum(_involution_count(N, full, w, g0, fixed_points_X0(N, d)))
+            total = fixed_points_X0(N, d).count + cuspidal_fixed_count(N, full, w)
+            involution_quotient_genus(g0, total)
             if total in (2 * g0 - 2, 2 * g0 + 2):
                 cands.append((f"W_{d}", w, "atkin-lehner", total))
         tags = {"x0.involution-completeness"}
@@ -1027,8 +1011,8 @@ class Classifier:
         if extra is not None:
             tags.add(extra.key)
             for mat in extra.as_matrices():
-                total = sum(_involution_count(N, full, mat, g0))
-                cands.append((str(mat), mat, "explicit", total))
+                for _, _, elliptic, cuspidal in _involution_counts(N, full, mat, g0):
+                    cands.append((str(mat), mat, "explicit", elliptic + cuspidal))
         self._x0_memo[N] = cands, tuple(sorted(tags))
         return self._x0_memo[N]
 
@@ -1104,9 +1088,8 @@ class Classifier:
                     reason = "does not normalize the congruence subgroup, so admits no lift"
                     fired.add("lift")
                 elif not any(
-                    automorphism_order(lift, delta) == 2
-                    and sum(_involution_count(N, delta, lift, g)) == 2 * g - 2
-                    for _, lift in _lifts(w, delta)
+                    elliptic + cuspidal == 2 * g - 2
+                    for _, _, elliptic, cuspidal in _involution_counts(N, delta, w, g)
                 ):
                     reason = "no lift is an involution with 2g-2 fixed points"
                     fired.add("lift")

@@ -37,6 +37,7 @@ from .classify import (
     curve_name,
     lift_fixed_points,
 )
+from .congruence import _require_level
 from .errors import InputError, InvariantError
 from .facts import FactBook
 from .qforms import FixedPointSet, fixed_points_X0
@@ -206,6 +207,7 @@ def _factbook(setting: str) -> FactBook:
 
 def _resolve_delta(N: int, selector: str) -> DeltaSubgroup:
     """A --delta selector is either a label (D2, 0, 1) or an element list."""
+    _require_level(N)  # before the subgroups are enumerated
     if "," in selector:
         elements = [int(part) for part in selector.split(",") if part.strip()]
         return delta_from_elements(N, elements)

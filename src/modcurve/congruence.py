@@ -76,6 +76,14 @@ LEVEL_LIMIT = 1024
 MODULUS_LIMIT = 2**31
 
 
+def _require_level(N: int) -> None:
+    """Refuse a level below 1 or above ``LEVEL_LIMIT`` with ``InputError``."""
+    if N < 1:
+        raise InputError(f"level {N} is not positive")
+    if N > LEVEL_LIMIT:
+        raise InputError(f"level {N} is too large for the coset tables (limit {LEVEL_LIMIT})")
+
+
 def _modulus(m: int, N: int) -> int:
     """The modulus m*N of a fixed-point count, refused when too large."""
     M = m * N
@@ -141,8 +149,7 @@ def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     """
     if delta.N != N:
         raise InputError(f"subgroup has level {delta.N}, expected {N}")
-    if N > LEVEL_LIMIT:
-        raise InputError(f"level {N} is too large for the coset tables (limit {LEVEL_LIMIT})")
+    _require_level(N)
     canon = canonical_pair_table(N, delta.elements)
     # the canonical pairs are the fixed points of the table; scaling by a
     # unit keeps gcd(c, d, N), so a non-unimodular pair has a canonical

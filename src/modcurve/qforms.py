@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .congruence import _require_level
 from .errors import (
     BadDiscriminant,
     DeterminantMismatch,
@@ -152,6 +153,8 @@ def class_number(D: int) -> int:
 
 
 def _require_hall(N: int, d: int) -> None:
+    """Refuse N outside 1..LEVEL_LIMIT and d not a Hall divisor >= 2 of N."""
+    _require_level(N)
     if d < 2 or N % d or math.gcd(d, N // d) != 1:
         raise InputError(f"d={d} is not a Hall divisor >= 2 of N={N}")
 
@@ -341,11 +344,6 @@ class FixedPointSet:
     @property
     def count(self) -> int:
         return len(self.points)
-
-    def __hash__(self) -> int:
-        # a cache key of route A (classify._lift_plan), looked up on every
-        # count: hash the size, not every point; equality compares points
-        return hash((self.N, self.d, len(self.points)))
 
 
 def _matrix_from_form(f: QForm, trace: int, d: int, N: int) -> Mat2:

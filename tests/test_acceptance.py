@@ -82,7 +82,7 @@ def test_03_negative_control_rejects_wrong_candidates():
         assert report.fixed_total == 4
         assert involution_quotient_genus(5, report.fixed_total) != 1
     good = Mat2(1, 0, 32, 1)
-    count = (coset_fixed_points(64, delta, good)
+    count = (coset_fixed_points(64, delta, good)[0]
              + cuspidal_fixed_count(64, delta, good))
     assert count == 8
     assert involution_quotient_genus(5, count) == 1

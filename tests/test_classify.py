@@ -389,7 +389,7 @@ def test_level_64_candidate_rejection():
     assert rejected == [("W^_64", 4), ("[3]W^_64", 4)]
     # the parabolic-shaped explicit involution is the one that works
     good = Mat2(1, 0, 32, 1)
-    count = (coset_fixed_points(64, delta, good)
+    count = (coset_fixed_points(64, delta, good)[0]
              + cuspidal_fixed_count(64, delta, good))
     assert count == 8
     assert involution_quotient_genus(5, count) == 1

@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import time
+import tracemalloc
 
 import pytest
 
@@ -214,6 +216,31 @@ def test_exit_code_level_past_the_bound(capsys):
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert "too large" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fixed-points", "-5", "5"),
+    ("fixed-points", "-15", "3"),
+    ("fixed-points", "0", "1"),
+    ("fixed-points", "100003", "100003"),
+    ("fixed-points", "1000003", "1000003", "--delta", "1"),
+    ("curve", "1000003", "--delta", "1"),
+    ("curve", "-5", "--delta", "1"),
+])
+def test_exit_code_level_out_of_range_before_any_search(capsys, argv):
+    # a level below 1 or above LEVEL_LIMIT is refused before the fixed-point
+    # search or the subgroup enumeration starts
+    tracemalloc.start()
+    start = time.monotonic()
+    try:
+        code, _, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "level" in err
+    assert time.monotonic() - start < 1.0
+    assert peak < 1 << 20
 
 
 def test_exit_code_non_hall_divisor(capsys):

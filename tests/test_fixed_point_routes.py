@@ -1,6 +1,7 @@
 """The int64 fixed-point routes and cusp table against their scalar oracles,
 the two routes against each other, diamond involutions against
-Riemann-Hurwitz, and the modulus and level guards."""
+Riemann-Hurwitz, the route evaluations of one classification, and the
+modulus and level guards."""
 
 from __future__ import annotations
 
@@ -8,17 +9,19 @@ import tracemalloc
 
 import pytest
 
+import modcurve.classify as classify
 from modcurve.atkinlehner import automorphism_order, descends, diamond_matrix
 from modcurve.classify import (
-    _lift_plan,
-    _lifts,
+    Classifier,
+    al_reference,
     coset_fixed_points,
     cuspidal_fixed_count,
     lift_fixed_points,
 )
 from modcurve.congruence import LEVEL_LIMIT, coset_action, cusp_table, genus, transversal
 from modcurve.errors import InputError
-from modcurve.matrices import Mat2
+from modcurve.facts import FactBook
+from modcurve.matrices import IDENTITY, Mat2
 from modcurve.qforms import FixedPointSet, fixed_points_X0
 from modcurve.zmodn import (
     DeltaSubgroup,
@@ -35,18 +38,28 @@ SMALL_LEVELS = range(3, 61)
 CENSUS_SAMPLE = [(64, "D2"), (72, "D5"), (81, "D1"), (95, "D3"), (119, "D4"), (131, "D2")]
 
 
-def _atkin_lehner_lifts(N, delta):
-    """(lift, base) for every lift [b] * W_d of every descending W_d whose
-    base fixed-point set is non-empty."""
+def _lifts(w, delta):
+    """The lifts [b] * w, b over delta.coset_reps(); the first is w."""
+    return [diamond_matrix(b, delta.N) * w if b != 1 else w for b in delta.coset_reps()]
+
+
+def _atkin_lehner_operators(N, delta):
+    """(first base point matrix, base) for every descending W_d whose base
+    fixed-point set is non-empty."""
     for d in hall_divisors(N):
         if d == 1 or not descends(d, delta):
             continue
         base = fixed_points_X0(N, d)
-        if not base.points:
-            continue
-        ref = base.points[0].matrix
-        for b in delta.coset_reps():
-            yield (diamond_matrix(b, N) * ref if b != 1 else ref), base
+        if base.points:
+            yield base.points[0].matrix, base
+
+
+def _atkin_lehner_lifts(N, delta):
+    """(lift, base) for every lift [b] * W_d of every descending W_d whose
+    base fixed-point set is non-empty."""
+    for ref, base in _atkin_lehner_operators(N, delta):
+        for lift in _lifts(ref, delta):
+            yield lift, base
 
 
 def _check_against_oracles(N, delta):
@@ -60,11 +73,11 @@ def _check_against_oracles(N, delta):
         assert report.witnesses == expected, (N, delta.label, str(lift))
         if base.d not in references:
             references.add(base.d)
-            assert coset_fixed_points(N, delta, lift) == coset_elliptic_count(N, delta, lift)
+            assert coset_fixed_points(N, delta, lift)[0] == coset_elliptic_count(N, delta, lift)
     for b in delta.coset_reps():
         g = diamond_matrix(b, N)
         if b != 1 and automorphism_order(g, delta) == 2:
-            assert coset_fixed_points(N, delta, g) == coset_elliptic_count(N, delta, g)
+            assert coset_fixed_points(N, delta, g)[0] == coset_elliptic_count(N, delta, g)
 
     table = cusp_table(N, delta)
     classes, lookup = cusp_classes(N, delta)
@@ -89,26 +102,86 @@ def test_routes_and_cusps_match_scalar_oracles_on_census_curves(N, label):
     _check_against_oracles(N, delta_by_label(N, label))
 
 
+@pytest.mark.parametrize("N", range(3, 41))
+def test_every_lift_of_one_evaluation_matches_the_scalar_oracles(N):
+    # One evaluation of a route counts every lift [b] * w; each entry must
+    # match the scalar oracle run on that lift alone.  Route B is checked on
+    # the diamonds (the lifts of the identity) and on the lifts of W_d for
+    # d <= 6, where its scalar loop stays cheap.
+    for delta in subgroups_containing_minus1(N):
+        for ref, base in _atkin_lehner_operators(N, delta):
+            report = lift_fixed_points(N, delta, ref, base)
+            expected = [lift_witnesses(N, delta, lift, base) for lift in _lifts(ref, delta)]
+            assert report.witnesses == expected[0], (N, delta.label, base.d)
+            assert report.elliptic_by_lift == tuple(map(len, expected)), (N, delta.label, base.d)
+        operators = [IDENTITY] + [
+            al_reference(N, d, delta)[0] for d in hall_divisors(N)
+            if 1 < d <= 6 and descends(d, delta)
+        ]
+        for w in operators:
+            expected = tuple(coset_elliptic_count(N, delta, lift) for lift in _lifts(w, delta))
+            assert coset_fixed_points(N, delta, w) == expected, (N, delta.label, str(w))
+
+
+def test_lift_counts_include_fixed_points_found_at_a_stabiliser_correction():
+    # The lifts of W_3 on X_1(21) have fixed points found only at a
+    # stabiliser correction of their base point.
+    N, delta = 21, delta_by_label(21, "1")
+    base = fixed_points_X0(N, 3)
+    ref = base.points[0].matrix
+    report = lift_fixed_points(N, delta, ref, base)
+    assert sum(report.elliptic_by_lift) == 24
+    assert report.elliptic_by_lift == tuple(
+        len(lift_witnesses(N, delta, lift, base)) for lift in _lifts(ref, delta)
+    )
+
+
+def test_a_fresh_curve_evaluates_each_operator_once(monkeypatch):
+    # Classifying X_{D5}(72) from scratch runs route A at most once per
+    # (N, Delta, W_d).  The bounds 30 and 4 are the calls of each route
+    # when every lift [b] * w was a separate evaluation.
+    lifted, direct = [], []
+    route_a, route_b = classify.lift_fixed_points, classify.coset_fixed_points
+
+    def lift(N, delta, w, base):
+        lifted.append((N, delta.label, base.d))
+        return route_a(N, delta, w, base)
+
+    def coset(N, delta, w):
+        direct.append((N, delta.label))
+        return route_b(N, delta, w)
+
+    monkeypatch.setattr(classify, "lift_fixed_points", lift)
+    monkeypatch.setattr(classify, "coset_fixed_points", coset)
+    record = Classifier(FactBook()).classify(72, "D5")
+    assert record.status == "not-bielliptic"
+    assert len(lifted) == len(set(lifted)) <= 30
+    assert len(direct) <= 4
+
+
 def _compare_routes(N, delta) -> tuple[int, int]:
-    """Count every involutive lift [b] * W_d by route A and by route B, and
-    every diamond involution [b] by route B plus its fixed cusps and by
-    Riemann-Hurwitz for the double cover X_Delta(N) -> X_<Delta, b>(N);
-    returns how many lifts and diamonds were compared."""
+    """Count every W_d with base points once by route A and once by route
+    B and compare the counts of every involutive lift [b] * W_d; count the
+    diamonds once by route B and check every diamond involution [b], with
+    its fixed cusps, by Riemann-Hurwitz for the double cover
+    X_Delta(N) -> X_<Delta, b>(N).  Returns how many lifts and diamonds
+    were compared."""
     lifts = 0
-    for lift, base in _atkin_lehner_lifts(N, delta):
-        if automorphism_order(lift, delta) != 2:
-            continue
-        lifts += 1
-        lifted = lift_fixed_points(N, delta, lift, base).fixed_elliptic
-        assert lifted == coset_fixed_points(N, delta, lift), (N, delta.label, str(lift))
+    for ref, base in _atkin_lehner_operators(N, delta):
+        lifted = lift_fixed_points(N, delta, ref, base).elliptic_by_lift
+        direct = coset_fixed_points(N, delta, ref)
+        for k, lift in enumerate(_lifts(ref, delta)):
+            if automorphism_order(lift, delta) == 2:
+                lifts += 1
+                assert lifted[k] == direct[k], (N, delta.label, str(lift))
     diamonds = 0
     g = genus(N, delta)
-    for b in delta.coset_reps():
+    direct = coset_fixed_points(N, delta, IDENTITY)
+    for k, b in enumerate(delta.coset_reps()):
         if b == 1 or b * b % N not in delta:
             continue
         diamonds += 1
-        m = diamond_matrix(b, N)
-        fixed = coset_fixed_points(N, delta, m) + cuspidal_fixed_count(N, delta, m)
+        fixed = direct[k] + cuspidal_fixed_count(N, delta, diamond_matrix(b, N))
         quotient = delta_from_elements(N, {*delta.elements, b})
         assert fixed == 2 * g + 2 - 4 * genus(N, quotient), (N, delta.label, b)
     return lifts, diamonds
@@ -125,22 +198,6 @@ def test_lift_route_agrees_with_coset_route():
 def test_lift_route_agrees_with_coset_route_beyond_tier_one(N):
     for delta in subgroups_containing_minus1(N):
         _compare_routes(N, delta)
-
-
-def test_lift_reports_do_not_depend_on_the_call_order():
-    # Route A caches its w-independent products per base set; the lifts of
-    # W_3 on X_1(21) include fixed points found only at a stabiliser
-    # correction, and each order builds the plan from a different lift.
-    N, delta = 21, delta_by_label(21, "1")
-    base = fixed_points_X0(N, 3)
-    lifts = list(_lifts(base.points[0].matrix, delta))
-    reports = []
-    for order in (lifts, lifts[::-1]):
-        _lift_plan.cache_clear()
-        reports.append({b: lift_fixed_points(N, delta, w, base) for b, w in order})
-    assert reports[0] == reports[1]
-    assert sum(r.fixed_elliptic for r in reports[0].values()) == 24
-    assert not any(column.flags.writeable for column in _lift_plan(N, delta, base))
 
 
 def _peak_bytes(fn) -> int:

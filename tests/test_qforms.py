@@ -214,7 +214,7 @@ def test_fixed_point_counts_match_coset_route(N, d):
     # by unrelated algorithms; they must agree
     full = subgroups_containing_minus1(N)[-1]
     w = generic_atkin_lehner(N, d)
-    assert fixed_points_X0(N, d).count == coset_fixed_points(N, full, w)
+    assert (fixed_points_X0(N, d).count,) == coset_fixed_points(N, full, w)
 
 
 def test_fixed_point_structure():
