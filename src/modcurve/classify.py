@@ -52,9 +52,10 @@ P without [b] is tested for P = m * gamma with gamma in Gamma_0(N); the
 coset of gamma's upper-left class then names the lift, b^-1 * Delta in
 route A and b * Delta in route B.  All rows are tested at once modulo m*N
 in int64 (see ``_mul_mod``); m*N must stay below 2^31.  The classifier
-counts every operator through ``_involution_counts``: route A when the
-fixed points of W_d on X_0(N) are given, route B otherwise, and the
-Riemann-Hurwitz check on every lift that is an involution.
+counts every operator through ``_involution_counts``: it decides per lift,
+in the same int64 form, its order 2 and its fixed cusps, then runs route A
+when the fixed points of W_d on X_0(N) are given, route B otherwise, and
+the Riemann-Hurwitz check on every lift that is an involution.
 """
 
 from __future__ import annotations
@@ -67,7 +68,6 @@ from math import isqrt
 import numpy as np
 
 from .atkinlehner import (
-    automorphism_order,
     descends,
     diamond_matrix,
     fricke_field_degree,
@@ -262,29 +262,18 @@ def _scaled_cosets(p, m: int, delta: DeltaSubgroup, corner: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LiftReport:
-    """Fixed points of an automorphism lying above an Atkin-Lehner
-    involution of X_0(N), computed fibre by fibre.
+    """Non-cuspidal fixed points above an Atkin-Lehner involution of X_0(N).
 
     ``witnesses`` holds one ``(base_index, fibre_rep, conjugacy_witness)``
-    triple per fixed point: the index of the base fixed point, the diamond
-    representative of the fibre point, and the upper-left class (mod N,
-    signed) of the group element realising the fixed-point equation.
-    ``elliptic_by_lift`` counts the non-cuspidal fixed points of every lift
-    [b] * w, b over ``delta.coset_reps()``; entry 0 is w itself, which the
-    other fields describe.
+    triple per fixed point of w: the index of the base fixed point, the
+    diamond representative of the fibre point, and the upper-left class
+    (mod N, signed) of the group element realising the fixed-point
+    equation.  ``elliptic_by_lift`` counts the fixed points of every lift
+    [b] * w, b over ``delta.coset_reps()``; entry 0 is w itself.
     """
 
-    N: int
-    delta_label: str
-    base_count: int
-    fixed_elliptic: int
-    fixed_cuspidal: int
     witnesses: tuple[tuple[int, int, int], ...]
     elliptic_by_lift: tuple[int, ...]
-
-    @property
-    def fixed_total(self) -> int:
-        return self.fixed_elliptic + self.fixed_cuspidal
 
 
 @lru_cache(maxsize=None)
@@ -390,16 +379,7 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
             (key[first] // N).tolist(), (key[first] % N).tolist(), signed.tolist()
         ))
 
-    cuspidal = cuspidal_fixed_count(N, delta, w)
-    return LiftReport(
-        N=N,
-        delta_label=delta.label,
-        base_count=base.count,
-        fixed_elliptic=len(witnesses),
-        fixed_cuspidal=cuspidal,
-        witnesses=witnesses,
-        elliptic_by_lift=tuple(by_lift.tolist()),
-    )
+    return LiftReport(witnesses, tuple(by_lift.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -476,12 +456,21 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> tuple[int, ...]:
     return tuple(np.bincount(fixed % delta.index, minlength=delta.index).tolist())
 
 
-def cuspidal_fixed_count(N: int, delta, w: Mat2) -> int:
-    """Number of cusp classes of X_Delta(N) fixed by the automorphism
-    induced by the normalising matrix ``w``."""
+def cuspidal_fixed_count(N: int, delta, w: Mat2) -> tuple[int, ...]:
+    """Numbers of cusp classes of X_Delta(N) fixed by the automorphisms
+    induced by the lifts [b] * w of the normalising matrix ``w``, b over
+    ``delta.coset_reps()`` (entry 0 is w itself).  ``CuspTable.images``
+    maps every class by w; the diamond [b] = [[a, beta], [N, d]] then sends
+    the pair (x; y) of an image to (a*x + beta*y; d*y) mod N."""
     delta = _resolve(N, delta)
-    images = cusp_table(N, delta).images(w)
-    return int(np.count_nonzero(images == np.arange(len(images))))
+    table = cusp_table(N, delta)
+    images = table.images(w)
+    x, y = (v[images, None] % N for v in table.lifts)
+    reps = list(delta.coset_reps())
+    a, beta, _, d = (col[reps] for col in _diamond_columns(N))
+    labels = table.labels[(a * x + beta * y) % N * N + d * y % N]
+    fixed = labels == np.arange(images.size)[:, None]
+    return tuple(np.count_nonzero(fixed, axis=0).tolist())
 
 
 def _involution_counts(
@@ -490,25 +479,35 @@ def _involution_counts(
     """``(k, lift, elliptic, cuspidal)`` for every lift = [b] * w of order 2
     on X_Delta(N) of genus ``g``, b the k-th of ``delta.coset_reps()``.
 
-    The operator is evaluated once, and only if some lift has order 2: by
-    route A above ``base`` when that set of W_d fixed points on X_0(N) is
-    given, by route B otherwise.  Each total must pass the Riemann-Hurwitz
-    check of :func:`involution_quotient_genus`.
+    All lifts are formed at once modulo m*N, m = det(w) >= 1, with
+    [[1,0],[N,1]] * w for b = 1: a lift has order 2 when its square is m
+    times an element of Gamma_Delta(N) and, if m = s^2, it is not s times
+    one.  The operator is evaluated once, and only if some lift has order 2,
+    by route A above ``base`` (the fixed points of W_d on X_0(N)) or else
+    by route B; each total must pass :func:`involution_quotient_genus`.
     """
-    lifts = [diamond_matrix(b, N) * w if b != 1 else w for b in delta.coset_reps()]
-    involutions = [k for k, lift in enumerate(lifts) if automorphism_order(lift, delta) == 2]
+    m = w.det
+    if m < 1:
+        raise InputError("automorphism matrix must have positive determinant")
+    M = _modulus(m, N)
+    reps = list(delta.coset_reps())
+    lifts = _mul_mod([col[reps] for col in _diamond_columns(N)], _residues(w, M), M)
+    involutive = _scaled_cosets(_mul_mod(lifts, lifts, M), m, delta, 0) == 0
+    s = isqrt(m)
+    if s * s == m:
+        involutive &= _scaled_cosets([e % (s * N) for e in lifts], s, delta, 0) != 0
+    involutions = np.flatnonzero(involutive).tolist()
     if not involutions:
         return []
     if base is not None:
         elliptic = lift_fixed_points(N, delta, w, base).elliptic_by_lift
     else:
         elliptic = coset_fixed_points(N, delta, w)
-    out = []
+    cuspidal = cuspidal_fixed_count(N, delta, w)
     for k in involutions:
-        cuspidal = cuspidal_fixed_count(N, delta, lifts[k])
-        involution_quotient_genus(g, elliptic[k] + cuspidal)
-        out.append((k, lifts[k], elliptic[k], cuspidal))
-    return out
+        involution_quotient_genus(g, elliptic[k] + cuspidal[k])
+    return [(k, diamond_matrix(reps[k], N) * w if k else w, elliptic[k], cuspidal[k])
+            for k in involutions]
 
 
 # --------------------------------------------------------------------------
@@ -1000,9 +999,9 @@ class Classifier:
         for d in hall_divisors(N):
             if d == 1:
                 continue
-            # on X_0(N) the non-cuspidal fixed points of W_d are its base set
+            # elliptic count: the base set (route A would redo X_0(N)'s witness search)
             w = generic_atkin_lehner(N, d)
-            total = fixed_points_X0(N, d).count + cuspidal_fixed_count(N, full, w)
+            total = fixed_points_X0(N, d).count + cuspidal_fixed_count(N, full, w)[0]
             involution_quotient_genus(g0, total)
             if total in (2 * g0 - 2, 2 * g0 + 2):
                 cands.append((f"W_{d}", w, "atkin-lehner", total))

@@ -35,10 +35,11 @@ from .classify import (
     Witness,
     al_reference,
     curve_name,
+    cuspidal_fixed_count,
     lift_fixed_points,
 )
 from .congruence import _require_level
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, MembershipViolation
 from .facts import FactBook
 from .qforms import FixedPointSet, fixed_points_X0
 from .zmodn import (
@@ -255,7 +256,7 @@ def _lift_payload(N: int, delta: DeltaSubgroup, base: FixedPointSet) -> dict[str
         )
     ref, name, _, _ = al_reference(N, d, delta)
     if not normalizes(ref, delta):
-        raise InputError(
+        raise MembershipViolation(
             f"candidate {ref} above W_{d} does not normalize the subgroup"
         )
     report = lift_fixed_points(N, delta, ref, base)
@@ -264,9 +265,9 @@ def _lift_payload(N: int, delta: DeltaSubgroup, base: FixedPointSet) -> dict[str
         "curve": curve_name(N, delta.label),
         "candidate": name,
         "candidate_matrix": [[a, b], [c, dd]],
-        "base_count": report.base_count,
-        "fixed_elliptic": report.fixed_elliptic,
-        "fixed_cuspidal": report.fixed_cuspidal,
+        "base_count": base.count,
+        "fixed_elliptic": len(report.witnesses),
+        "fixed_cuspidal": cuspidal_fixed_count(N, delta, ref)[0],
         "a_classes": [w[2] for w in report.witnesses],
         "fibres": [list(w) for w in report.witnesses],
     }

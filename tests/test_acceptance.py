@@ -66,9 +66,10 @@ def test_02_involution_fixed_points_worked_example():
     assert sorted((p.form.p, p.form.q, p.form.r) for p in base.points) == [
         (34, -26, 5), (34, -20, 3), (34, 20, 3), (34, 26, 5)]
     delta = delta_by_label(34, "D2")
-    report = lift_fixed_points(34, delta, base.points[0].matrix, base)
-    assert report.fixed_elliptic == 8
-    assert report.fixed_cuspidal == 0
+    ref = base.points[0].matrix
+    report = lift_fixed_points(34, delta, ref, base)
+    assert len(report.witnesses) == 8
+    assert cuspidal_fixed_count(34, delta, ref)[0] == 0
     assert {w[2] for w in report.witnesses} == {1, -1, 15, 9}
 
 
@@ -78,12 +79,13 @@ def test_03_negative_control_rejects_wrong_candidates():
     hat = hat_W(64, delta)
     assert hat is not None
     for cand in (hat, diamond_matrix(3, 64) * hat):
-        report = lift_fixed_points(64, delta, cand, base)
-        assert report.fixed_total == 4
-        assert involution_quotient_genus(5, report.fixed_total) != 1
+        total = (len(lift_fixed_points(64, delta, cand, base).witnesses)
+                 + cuspidal_fixed_count(64, delta, cand)[0])
+        assert total == 4
+        assert involution_quotient_genus(5, total) != 1
     good = Mat2(1, 0, 32, 1)
     count = (coset_fixed_points(64, delta, good)[0]
-             + cuspidal_fixed_count(64, delta, good))
+             + cuspidal_fixed_count(64, delta, good)[0])
     assert count == 8
     assert involution_quotient_genus(5, count) == 1
 
@@ -154,8 +156,8 @@ def test_07_property_sweeps_within_budget(census_on):
             if el is None or automorphism_order(el, delta) != 2:
                 continue
             report = lift_fixed_points(rec.N, delta, el, fixed_points_X0(rec.N, d))
-            assert 0 <= involution_quotient_genus(
-                rec.genus, report.fixed_total) <= rec.genus
+            total = len(report.witnesses) + cuspidal_fixed_count(rec.N, delta, el)[0]
+            assert 0 <= involution_quotient_genus(rec.genus, total) <= rec.genus
             checked += 1
     assert checked > 250
 

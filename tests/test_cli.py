@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import time
@@ -10,6 +11,7 @@ import tracemalloc
 
 import pytest
 
+import modcurve.cli as cli
 from modcurve import __version__
 from modcurve.cli import CSV_COLUMNS, build_parser, main
 from modcurve.congruence import LEVEL_LIMIT
@@ -159,8 +161,28 @@ def test_fixed_points_lift_without_base_points_or_hat_lift(capsys, N, d, sel):
     assert lift["fibres"] == []
 
 
+def test_fixed_points_lift_that_fails_to_normalize_is_an_invariant_breach(capsys, monkeypatch):
+    # The matrix above a descending W_d always normalizes the subgroup; if
+    # it did not, the program would be at fault, not the input.
+    monkeypatch.setattr(cli, "normalizes", lambda matrix, delta: False)
+    code, out, err = run(capsys, "fixed-points", "34", "2", "--delta", "D2")
+    assert code == 3
+    assert out == ""
+    assert "does not normalize" in err
+
+
 # --------------------------------------------------------------------------
 # census
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("census", "--format", "csv"), "5e862ba68e11b3a456b2aa3e8055c042"),
+    (("census", "--facts", "off", "--format", "json"), "0a23f934f90e5a524052d3260118b127"),
+])
+def test_census_outputs_match_their_golden_digests(capsys, argv, digest):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_census_csv(capsys):

@@ -1,16 +1,18 @@
 """The int64 fixed-point routes and cusp table against their scalar oracles,
 the two routes against each other, diamond involutions against
-Riemann-Hurwitz, the route evaluations of one classification, and the
-modulus and level guards."""
+Riemann-Hurwitz, the per-lift order and cusp decisions against
+``automorphism_order`` and the cusp images of each lift, the route
+evaluations of one classification, and the modulus and level guards."""
 
 from __future__ import annotations
 
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import modcurve.classify as classify
-from modcurve.atkinlehner import automorphism_order, descends, diamond_matrix
+from modcurve.atkinlehner import automorphism_order, descends, diamond_matrix, hat_W
 from modcurve.classify import (
     Classifier,
     al_reference,
@@ -159,21 +161,37 @@ def test_a_fresh_curve_evaluates_each_operator_once(monkeypatch):
     assert len(direct) <= 4
 
 
+def _decided_lifts(N, delta, w, base=None):
+    """``_involution_counts`` of ``w``, after checking its per-lift
+    decisions against the scalar ones: it returns exactly the lifts [b] * w
+    (w for b = 1) that ``automorphism_order`` finds of order 2, and
+    ``cuspidal_fixed_count`` counts, for every lift, the cusp classes that
+    ``CuspTable.images`` of that lift fixes."""
+    lifts = _lifts(w, delta)
+    counts = classify._involution_counts(N, delta, w, genus(N, delta), base)
+    expected = [(k, lift) for k, lift in enumerate(lifts) if automorphism_order(lift, delta) == 2]
+    assert [(k, lift) for k, lift, _, _ in counts] == expected, (N, delta.label, str(w))
+    images = [cusp_table(N, delta).images(lift) for lift in lifts]
+    cuspidal = tuple(int(np.count_nonzero(im == np.arange(im.size))) for im in images)
+    assert cuspidal_fixed_count(N, delta, w) == cuspidal, (N, delta.label, str(w))
+    assert [c for _, _, _, c in counts] == [cuspidal[k] for k, _ in expected]
+    return counts
+
+
 def _compare_routes(N, delta) -> tuple[int, int]:
     """Count every W_d with base points once by route A and once by route
-    B and compare the counts of every involutive lift [b] * W_d; count the
-    diamonds once by route B and check every diamond involution [b], with
-    its fixed cusps, by Riemann-Hurwitz for the double cover
+    B and compare the counts of every involutive lift [b] * W_d, with the
+    per-lift decisions checked by ``_decided_lifts``; count the diamonds
+    once by route B and check every diamond involution [b], with its fixed
+    cusps, by Riemann-Hurwitz for the double cover
     X_Delta(N) -> X_<Delta, b>(N).  Returns how many lifts and diamonds
     were compared."""
     lifts = 0
     for ref, base in _atkin_lehner_operators(N, delta):
-        lifted = lift_fixed_points(N, delta, ref, base).elliptic_by_lift
         direct = coset_fixed_points(N, delta, ref)
-        for k, lift in enumerate(_lifts(ref, delta)):
-            if automorphism_order(lift, delta) == 2:
-                lifts += 1
-                assert lifted[k] == direct[k], (N, delta.label, str(lift))
+        for k, lift, lifted, _ in _decided_lifts(N, delta, ref, base):
+            lifts += 1
+            assert lifted == direct[k], (N, delta.label, str(lift))
     diamonds = 0
     g = genus(N, delta)
     direct = coset_fixed_points(N, delta, IDENTITY)
@@ -181,7 +199,7 @@ def _compare_routes(N, delta) -> tuple[int, int]:
         if b == 1 or b * b % N not in delta:
             continue
         diamonds += 1
-        fixed = direct[k] + cuspidal_fixed_count(N, delta, diamond_matrix(b, N))
+        fixed = direct[k] + cuspidal_fixed_count(N, delta, diamond_matrix(b, N))[0]
         quotient = delta_from_elements(N, {*delta.elements, b})
         assert fixed == 2 * g + 2 - 4 * genus(N, quotient), (N, delta.label, b)
     return lifts, diamonds
@@ -198,6 +216,38 @@ def test_lift_route_agrees_with_coset_route():
 def test_lift_route_agrees_with_coset_route_beyond_tier_one(N):
     for delta in subgroups_containing_minus1(N):
         _compare_routes(N, delta)
+
+
+def test_every_candidate_lift_is_decided_in_the_int64_form(classifier_on, census_on):
+    # Every operator the witness search tries on every census curve, with
+    # the per-lift decisions of _involution_counts checked lift by lift.
+    operators = 0
+    for rec in census_on:
+        delta = delta_by_label(rec.N, rec.delta_label)
+        for _, w, base, _ in classifier_on._witness_candidates(rec.N, delta):
+            _decided_lifts(rec.N, delta, w, base)
+            operators += 1
+    assert operators == 681
+
+
+def test_named_lift_orders_and_cusp_counts():
+    def involutive(N, label, w, base=None):
+        return [k for k, _, _, _ in _decided_lifts(N, delta_by_label(N, label), w, base)]
+
+    # the identity's lift 0 has order 1, so only proper diamonds can qualify
+    assert 0 not in involutive(34, "D2", IDENTITY)
+    d2 = delta_by_label(35, "D2")
+    w = hat_W(5, d2) * hat_W(35, d2)
+    assert automorphism_order(w, d2) == 8
+    assert 0 not in involutive(35, "D2", w)
+    w = Mat2(11, 2, 55, 11)
+    assert automorphism_order(w, delta_by_label(55, "D3")) == 4
+    assert 0 not in involutive(55, "D3", w)
+    # determinant 25 = 5^2: an involution that is not 5 times a member
+    ref, _, base, _ = al_reference(25, 25, delta_by_label(25, "D1"))
+    assert 0 in involutive(25, "D1", ref, base)
+    # determinant 1 without being in Gamma_Delta(28)
+    assert 0 in involutive(28, "D1", Mat2(1, 0, 14, 1))
 
 
 def _peak_bytes(fn) -> int:
