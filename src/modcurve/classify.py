@@ -25,8 +25,11 @@ Negative results are certified by an explicit list of elimination rules:
   hyperelliptic or bielliptic involution of X_0(N) (or lies in the diamond
   group); each candidate involution of X_0(N) is excluded because its lifts
   are not defined over Q, by a rational cusp mapping to non-rational cusps,
-  by a fixed-point count bound, or by inspecting all of its lifts.  The rule
-  is named after the last of these arguments that some candidate needed.
+  by a fixed-point count bound, or because none of its lifts is a bielliptic
+  involution.  That last argument is the witness search's: it does not
+  normalize Gamma_Delta(N), or the search counted every lift and found none
+  with 2g-2 fixed points.  The rule is named after the last of these
+  arguments that some candidate needed.
 * ``covered-by-non-bielliptic`` -- a Galois cover of a curve already known
   to be neither bielliptic nor subhyperelliptic (again for genus >= 6).
 * ``curated-verdict`` -- literature results for three low-genus curves out
@@ -89,6 +92,7 @@ from .matrices import IDENTITY, Mat2
 from .qforms import FixedPointSet, QForm, fixed_points_X0, reduced_classes
 from .zmodn import (
     DeltaSubgroup,
+    _coset_partition,
     delta_by_label,
     delta_from_elements,
     hall_divisors,
@@ -236,24 +240,14 @@ def _residues(w: Mat2, M: int) -> tuple[int, int, int, int]:
     return tuple(e % M for e in w.entries())
 
 
-@lru_cache(maxsize=None)
-def _coset_index(delta: DeltaSubgroup) -> np.ndarray:
-    """Position in ``delta.coset_reps()`` of the coset a*Delta of every
-    residue a mod N, and -1 at the non-units; read-only."""
-    index = np.full(delta.N, -1, dtype=np.int64)
-    for k, b in enumerate(delta.coset_reps()):
-        index[[b * h % delta.N for h in delta.elements]] = k
-    index.flags.writeable = False
-    return index
-
-
 def _scaled_cosets(p, m: int, delta: DeltaSubgroup, corner: int) -> np.ndarray:
     """For each row of ``p`` (residues mod m*N) that equals m*gamma with
-    gamma in Gamma_0(N), the coset index (see ``_coset_index``) of gamma's
-    entry ``corner`` (0 for the upper-left, 3 for the lower-right), else -1."""
+    gamma in Gamma_0(N), the position in ``delta.coset_reps()`` of the coset
+    of gamma's entry ``corner`` (0 for the upper-left, 3 for the
+    lower-right), else -1."""
     a, b, c, d = p
     scaled = (c == 0) & (a % m == 0) & (b % m == 0) & (d % m == 0)
-    return np.where(scaled, _coset_index(delta)[p[corner] // m], -1)
+    return np.where(scaled, _coset_partition(delta)[1][p[corner] // m], -1)
 
 
 # --------------------------------------------------------------------------
@@ -985,9 +979,10 @@ class Classifier:
     # -- candidate involutions of X_0(N) ------------------------------------
 
     def _x0_candidates(self, N: int):
-        """Hyperelliptic/bielliptic involution candidates on X_0(N), each
-        with its fixed-point count there, under a completeness guarantee,
-        or ``None`` when facts are disabled; computed once per level."""
+        """``(candidates, fact_tags)``: the hyperelliptic/bielliptic
+        involution candidates on X_0(N), each as ``(name, matrix, kind,
+        fixed-point count there)``, under a completeness guarantee, or
+        ``(None, ())`` when facts are disabled; computed once per level."""
         if N in self._x0_memo:
             return self._x0_memo[N]
         completeness = self.facts.get("x0.involution-completeness")
@@ -1020,24 +1015,24 @@ class Classifier:
         of X_Delta(N) above it; obstructs a Q-rational lift of ``w``."""
         table = cusp_table(N, delta)
         table0 = cusp_table(N, _full(N))
-        proj = [table0.class_of(*cls.rep) for cls in table.classes]
-        images = table0.images(w)
-        for i, cls in enumerate(table.classes):
-            if not cls.is_rational:
-                continue
-            image = images[proj[i]]
-            fibre = [j for j, pj in enumerate(proj) if pj == image]
-            if not fibre:
-                raise CoverMismatch(
-                    f"no cusp of {curve_name(N, delta.label)} above a cusp of X_0({N})"
-                )
-            if all(not table.classes[j].is_rational for j in fibre):
-                rep = cls.rep
-                return (
-                    f"rational cusp ({rep[0]};{rep[1]}) maps to a cusp of "
-                    f"X_0({N}) with no rational cusp above it"
-                )
-        return None
+        proj = table0.labels[table.lifts[0] % N * N + table.lifts[1] % N]
+        rational = np.array([cls.is_rational for cls in table.classes])
+        covered = np.zeros(len(table0.classes), dtype=bool)
+        covered[proj] = True
+        if not covered.all():
+            raise CoverMismatch(
+                f"no cusp of {curve_name(N, delta.label)} above a cusp of X_0({N})"
+            )
+        rational_above = np.zeros(len(table0.classes), dtype=bool)
+        rational_above[proj[rational]] = True
+        blocked = np.flatnonzero(rational & ~rational_above[table0.images(w)[proj]])
+        if not blocked.size:
+            return None
+        rep = table.classes[blocked[0]].rep
+        return (
+            f"rational cusp ({rep[0]};{rep[1]}) maps to a cusp of "
+            f"X_0({N}) with no rational cusp above it"
+        )
 
     def _involution_elimination(
         self, N: int, delta: DeltaSubgroup, g: int
@@ -1047,63 +1042,43 @@ class Classifier:
         For genus >= 6 a bielliptic involution of X_Delta(N) is unique and
         central, hence defined over Q and descending to X_0(N).  Its image
         is either trivial (the involution is a diamond) or a hyperelliptic/
-        bielliptic involution of X_0(N).  Diamonds are ruled out by the
-        witness search; each X_0(N) candidate is excluded by a field,
-        cusp, count or lift argument.
+        bielliptic involution of X_0(N).  Each X_0(N) candidate is excluded
+        by the first of a field, cusp, count or lift argument that applies,
+        and the rule is named after the last of these that some candidate
+        needed.  The diamonds and the lift argument rest on the witness
+        search: a candidate that normalizes Gamma_Delta(N) is a W_d that
+        descends or a listed extra involution, so the search counted every
+        one of its lifts and found none with 2g-2 fixed points, or the
+        eliminations would not be reached.
         """
         if g < 6:
             return None
         cands, tags = self._x0_candidates(N)
         if cands is None:
             return None
-        deg = delta.index
-        # The witness search counted every diamond involution and found none
-        # with 2g-2 fixed points, or the eliminations would not be reached.
+        rules = ("field-of-definition", "cusp-rationality", "count-bound", "lift-conflict")
         details = ["no diamond involution attains 2g-2 fixed points"]
-        fired: set[str] = set()
+        last = 0
         for name, w, kind, total0 in cands:
-            reason = None
-            if kind == "atkin-lehner" and w.det == N:
-                k = fricke_field_degree(delta)
-                if k > 1:
-                    reason = (
-                        f"lifts are defined over a degree-{k} cyclotomic "
-                        f"subfield, not over Q"
-                    )
-                    fired.add("field")
-            if reason is None:
-                cusp = self._cusp_obstruction(N, delta, w)
-                if cusp is not None:
-                    reason = cusp
-                    fired.add("cusp")
-            if reason is None and 2 * g - 2 > deg * total0:
-                reason = (
-                    f"2g-2 = {2 * g - 2} exceeds {deg}*{total0}, the "
+            if kind == "atkin-lehner" and w.det == N and (k := fricke_field_degree(delta)) > 1:
+                step, reason = 0, (
+                    f"lifts are defined over a degree-{k} cyclotomic "
+                    f"subfield, not over Q"
+                )
+            elif (cusp := self._cusp_obstruction(N, delta, w)) is not None:
+                step, reason = 1, cusp
+            elif 2 * g - 2 > delta.index * total0:
+                step, reason = 2, (
+                    f"2g-2 = {2 * g - 2} exceeds {delta.index}*{total0}, the "
                     f"maximum pulled back from X_0({N})"
                 )
-                fired.add("count")
-            if reason is None:
-                if not normalizes(w, delta):
-                    reason = "does not normalize the congruence subgroup, so admits no lift"
-                    fired.add("lift")
-                elif not any(
-                    elliptic + cuspidal == 2 * g - 2
-                    for _, _, elliptic, cuspidal in _involution_counts(N, delta, w, g)
-                ):
-                    reason = "no lift is an involution with 2g-2 fixed points"
-                    fired.add("lift")
-            if reason is None:
-                return None
+            elif not normalizes(w, delta):
+                step, reason = 3, "does not normalize the congruence subgroup, so admits no lift"
+            else:
+                step, reason = 3, "no lift is an involution with 2g-2 fixed points"
+            last = max(last, step)
             details.append(f"{name}: {reason}")
-        if "lift" in fired:
-            rule = "lift-conflict"
-        elif "count" in fired:
-            rule = "count-bound"
-        elif "cusp" in fired:
-            rule = "cusp-rationality"
-        else:
-            rule = "field-of-definition"
-        return Evidence(rule, "; ".join(details), facts_used=tags)
+        return Evidence(rules[last], "; ".join(details), facts_used=tags)
 
 
 # --------------------------------------------------------------------------

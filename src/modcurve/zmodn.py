@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InputError, MalformedSubgroup, NotCoprime, UnknownDelta
 
 __all__ = [
@@ -173,21 +175,31 @@ class DeltaSubgroup:
 
     def coset_reps(self) -> tuple[int, ...]:
         """Representatives of (Z/NZ)*/Delta, each the smallest in its coset."""
-        seen: set[int] = set()
-        reps: list[int] = []
-        for a in unit_group(self.N).elements:
-            if a in seen:
-                continue
-            reps.append(a)
-            seen.update(a * h % self.N for h in self.elements)
-        return tuple(reps)
+        return _coset_partition(self)[0]
 
     def coset_min(self, a: int) -> int:
         """Smallest residue in the coset a*Delta (the canonical coset name)."""
-        a %= self.N
-        if math.gcd(a, max(self.N, 1)) != 1:
-            raise NotCoprime(f"{a} is not a unit modulo {self.N}")
-        return min(a * h % self.N for h in self.elements)
+        reps, index = _coset_partition(self)
+        k = int(index[a % self.N])
+        if k < 0:
+            raise NotCoprime(f"{a % self.N} is not a unit modulo {self.N}")
+        return reps[k]
+
+
+@lru_cache(maxsize=None)
+def _coset_partition(delta: DeltaSubgroup) -> tuple[tuple[int, ...], np.ndarray]:
+    """``(reps, index)`` for (Z/NZ)*/Delta: the least residue of every coset,
+    in increasing order, and the position in ``reps`` of the coset a*Delta
+    of every residue a mod N (-1 at the non-units; read-only)."""
+    N = delta.N
+    index = np.full(N, -1, dtype=np.int64)
+    reps: list[int] = []
+    for a in unit_group(N).elements:
+        if index[a] < 0:
+            index[[a * h % N for h in delta.elements]] = len(reps)
+            reps.append(a)
+    index.flags.writeable = False
+    return tuple(reps), index
 
 
 def _join(N: int, have: set[int] | frozenset[int], g: int) -> set[int]:

@@ -1,5 +1,5 @@
 """Scalar reference versions of the coset space, the fixed-point counters,
-the cusp table and the normalizer test.
+the cusp table, the cusp obstruction and the normalizer test.
 
 The coset space (canonical pairs, positions, sigma_S and sigma_T, the
 transversal and the action of matrices on cusps) is built pair by pair
@@ -13,9 +13,12 @@ table makes one numpy pass over all N^2 pairs per element of Delta, and
 table in one block per divisor of N and labels the T-cycles by pointer
 doubling.  ``cusp_labels`` labels the cusp orbits one at a time, where
 the package finds the least pair of every orbit at once from the reduced
-pairs (x mod gcd(y, N); y).  Everything else uses exact Python
-integers.  They serve only as oracles: the tests require the package to
-agree with them exactly.
+pairs (x mod gcd(y, N); y).  ``cusp_obstruction`` walks the cusp
+classes of X_Delta(N) one at a time, with one ``class_of`` lookup each and
+one scan of the fibre per rational cusp, where the classifier projects
+every cusp to X_0(N) at once and compares two boolean coverage arrays.
+Everything else uses exact Python integers.  They serve only as oracles:
+the tests require the package to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ from math import isqrt
 import numpy as np
 
 from modcurve.atkinlehner import diamond_matrix
-from modcurve.classify import _stabilizer_generator
-from modcurve.congruence import coset_action, is_member
-from modcurve.errors import DeterminantMismatch, MembershipViolation
+from modcurve.classify import _stabilizer_generator, curve_name
+from modcurve.congruence import coset_action, cusp_table, is_member
+from modcurve.errors import CoverMismatch, DeterminantMismatch, MembershipViolation
 from modcurve.matrices import IDENTITY, S_MAT, T_MAT, Mat2
 from modcurve.qforms import FixedPointSet, QForm, reduced_classes
-from modcurve.zmodn import DeltaSubgroup, delta_from_elements, unit_group
+from modcurve.zmodn import DeltaSubgroup, delta_by_label, delta_from_elements, unit_group
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +338,31 @@ def cusp_classes(N: int, delta: DeltaSubgroup):
         classes.append(((x, y), widths[idx], gal))
     return classes, lookup
 
+
+
+def cusp_obstruction(N: int, delta: DeltaSubgroup, w: Mat2) -> str | None:
+    """A rational cusp whose image cusp on X_0(N) has no rational cusp
+    of X_Delta(N) above it; obstructs a Q-rational lift of ``w``."""
+    table = cusp_table(N, delta)
+    table0 = cusp_table(N, delta_by_label(N, "0"))
+    proj = [table0.class_of(*cls.rep) for cls in table.classes]
+    images = table0.images(w)
+    for i, cls in enumerate(table.classes):
+        if not cls.is_rational:
+            continue
+        image = images[proj[i]]
+        fibre = [j for j, pj in enumerate(proj) if pj == image]
+        if not fibre:
+            raise CoverMismatch(
+                f"no cusp of {curve_name(N, delta.label)} above a cusp of X_0({N})"
+            )
+        if all(not table.classes[j].is_rational for j in fibre):
+            rep = cls.rep
+            return (
+                f"rational cusp ({rep[0]};{rep[1]}) maps to a cusp of "
+                f"X_0({N}) with no rational cusp above it"
+            )
+    return None
 
 def _sign_normal(m: Mat2) -> Mat2:
     for x in m.entries():

@@ -6,21 +6,24 @@ from collections import Counter
 
 import pytest
 
-from modcurve.atkinlehner import diamond_matrix, hat_W
+from modcurve.atkinlehner import descends, diamond_matrix, hat_W, normalizes
 from modcurve.classify import (
     Classifier,
+    _involution_counts,
     classify_curve,
     coset_fixed_points,
     cuspidal_fixed_count,
+    generic_atkin_lehner,
     involution_quotient_genus,
     lift_fixed_points,
 )
-from modcurve.congruence import genus
+from modcurve.congruence import coset_action, cusp_table, genus, transversal
 from modcurve.errors import InputError
 from modcurve.facts import FactBook, default_facts_path
 from modcurve.matrices import Mat2
 from modcurve.qforms import fixed_points_X0
-from modcurve.zmodn import delta_by_label, subgroups_containing_minus1
+from modcurve.zmodn import delta_by_label, hall_divisors, subgroups_containing_minus1
+import scalar_oracles
 
 # --------------------------------------------------------------------------
 # frozen golden data
@@ -443,6 +446,105 @@ def test_witnesses_and_eliminations_mutually_exclusive(census_on):
             assert rec.status == "not-bielliptic"
             assert not rec.witnesses
             assert rec.is_bielliptic is False
+
+
+# --------------------------------------------------------------------------
+# the X_0(N) candidate eliminations
+#
+# Their lift step reads what the witness search established: a candidate
+# that normalizes Gamma_Delta(N) is an operator the search tried, and none of
+# its lifts has 2g-2 fixed points, or the curve would be bielliptic.
+
+X0_ELIMINATION_RULES = {"field-of-definition", "cusp-rationality", "count-bound",
+                        "lift-conflict"}
+NO_BIELLIPTIC_LIFT = "no lift is an involution with 2g-2 fixed points"
+
+
+def _check_lift_argument(clf, N, delta, g):
+    """Check the lift step's premises for every X_0(N) candidate that
+    normalizes Gamma_Delta(N): the witness search tried it (Atkin-Lehner
+    operators matched by determinant, extras by matrix), and a recount finds
+    no lift with 2g-2 fixed points.  Returns how many candidates it checked."""
+    tried = {(kind, w.det if kind == "atkin-lehner" else w)
+             for kind, w, _, _ in clf._witness_candidates(N, delta)}
+    checked = 0
+    for name, w, kind, _ in clf._x0_candidates(N)[0]:
+        if not normalizes(w, delta):
+            continue
+        assert (kind, w.det if kind == "atkin-lehner" else w) in tried, (N, delta.label, name)
+        totals = [e + c for _, _, e, c in _involution_counts(N, delta, w, g)]
+        assert 2 * g - 2 not in totals, (N, delta.label, name)
+        checked += 1
+    return checked
+
+
+def _lift_steps(rec):
+    """``(N, label, candidate)`` for every candidate that the record's X_0(N)
+    elimination excluded by the witness search's count of its lifts."""
+    out = set()
+    for ev in rec.evidence:
+        if ev.rule in X0_ELIMINATION_RULES:
+            for part in ev.detail.split("; ")[1:]:
+                name, reason = part.split(": ", 1)
+                if reason == NO_BIELLIPTIC_LIFT:
+                    out.add((rec.N, rec.delta_label, name))
+    return out
+
+
+def test_lift_step_rests_on_the_witness_search(classifier_on, census_on):
+    checked, steps = 0, set()
+    for rec in census_on:
+        if {e.rule for e in rec.evidence} & X0_ELIMINATION_RULES:
+            delta = delta_by_label(rec.N, rec.delta_label)
+            checked += _check_lift_argument(classifier_on, rec.N, delta, rec.genus)
+            steps |= _lift_steps(rec)
+    assert checked == 183
+    assert steps == {(34, "D1", "W_2"), (36, "D1", "W_4"),
+                     (48, "D5", "[[-6,1],[-48,6]]")}
+
+
+def test_generic_atkin_lehner_normalizes_exactly_when_w_d_descends():
+    triples = 0
+    for N in range(3, 61):
+        for delta in subgroups_containing_minus1(N):
+            for d in hall_divisors(N)[1:]:
+                got = normalizes(generic_atkin_lehner(N, d), delta)
+                assert got == descends(d, delta), (N, delta.label, d)
+                triples += 1
+    assert triples == 579
+
+
+def test_cusp_obstruction_matches_scalar_oracle(classifier_on, census_on):
+    pairs, obstructed = 0, 0
+    for rec in census_on:
+        delta = delta_by_label(rec.N, rec.delta_label)
+        for _, w, _, _ in classifier_on._x0_candidates(rec.N)[0]:
+            got = classifier_on._cusp_obstruction(rec.N, delta, w)
+            expected = scalar_oracles.cusp_obstruction(rec.N, delta, w)
+            assert got == expected, (rec.N, rec.delta_label, w)
+            pairs += 1
+            obstructed += got is not None
+    assert (pairs, obstructed) == (288, 265)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("N", range(132, 401))
+def test_no_curve_beyond_the_census_is_bielliptic(classifier_on, N):
+    # The census keeps only levels where X_0(N) is subhyperelliptic or
+    # bielliptic; beyond 131 every intermediate curve must come out
+    # not-bielliptic, without a witness, with the lift step's premises intact.
+    for delta in subgroups_containing_minus1(N):
+        if delta.is_minimal or delta.is_full:
+            continue
+        rec = classifier_on.classify(N, delta)
+        assert not rec.witnesses and not rec.hyperelliptic_witnesses, rec.name
+        assert rec.status == "not-bielliptic", (rec.name, rec.status)
+        if {e.rule for e in rec.evidence} & X0_ELIMINATION_RULES:
+            _check_lift_argument(classifier_on, N, delta, rec.genus)
+    # Each subgroup's coset tables hold two arrays over all N^2 pairs; kept
+    # for every level up to 400 they would take several GB.
+    for table in (coset_action, cusp_table, transversal):
+        table.cache_clear()
 
 
 # --------------------------------------------------------------------------
