@@ -45,7 +45,8 @@ def canonical_pair_table(N: int, delta_elements: tuple[int, ...]) -> np.ndarray:
     a0 = delta[(delta[:, None] * residues % N).argmin(axis=0)]
     gcds = np.gcd(residues, N)
     table = np.empty((N, N), dtype=np.int64)
-    for g in np.unique(gcds).tolist():
+    # every divisor g of N occurs, as gcd(g, N)
+    for g in (g for g in range(1, N + 1) if N % g == 0):
         rows = np.flatnonzero(gcds == g)
         K = delta[delta % (N // g) == 1 % (N // g)]
         second = None

@@ -250,6 +250,15 @@ def _scaled_cosets(p, m: int, delta: DeltaSubgroup, corner: int) -> np.ndarray:
     return np.where(scaled, _coset_partition(delta)[1][p[corner] // m], -1)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of ``values``, ascending.  Plain ``np.unique``
+    imports ``numpy.ma`` on its first call, which a cold query pays for."""
+    ordered = np.sort(values)
+    keep = np.ones(ordered.size, dtype=bool)
+    keep[1:] = ordered[1:] != ordered[:-1]
+    return ordered[keep]
+
+
 # --------------------------------------------------------------------------
 # fixed points, route A: lifting along X_Delta(N) -> X_0(N)
 
@@ -363,7 +372,7 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
         hits = np.flatnonzero(lift >= 0)
         # a fibre point is fixed by a lift when one of its rows hits for that
         # lift; w's witness is its first row (least s) that hits for w
-        fixed = np.unique(key[hits] * delta.index + lift[hits])
+        fixed = _distinct(key[hits] * delta.index + lift[hits])
         by_lift = np.bincount(fixed % delta.index, minlength=delta.index)
         own = hits[lift[hits] == 0]
         first = own[np.unique(key[own], return_index=True)[1]]
@@ -446,7 +455,7 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> tuple[int, ...]:
                     named = least.get(form.disc, positions)[hits]
                     key = forms.setdefault(form, len(forms)) * act.degree + named
                     points.append(key * delta.index + lift[hits])
-    fixed = np.unique(np.concatenate(points))
+    fixed = _distinct(np.concatenate(points))
     return tuple(np.bincount(fixed % delta.index, minlength=delta.index).tolist())
 
 
@@ -863,7 +872,9 @@ class Classifier:
 
     def _covers(self, N: int, delta: DeltaSubgroup):
         """Covers X_Delta(N) -> X_Delta''(M): diamond quotients at level N
-        (always Galois) and level-lowering maps (Galois when of degree 2)."""
+        (always Galois) and level-lowering maps (Galois when of degree 2),
+        as ``(M, label, degree, galois)``.  Nothing here classifies a
+        target; ``_eliminations`` classifies the Galois ones it reads."""
         out: list[tuple[int, str, int, bool]] = []
         deg_self = coset_action(N, delta).degree
         for sub in subgroups_containing_minus1(N):
@@ -918,13 +929,20 @@ class Classifier:
     def _eliminations(
         self, N: int, delta: DeltaSubgroup, g: int, covers
     ) -> tuple[Evidence, ...]:
+        """Negative evidence against a bielliptic X_Delta(N) of genus ``g``.
+
+        The Castelnuovo-Severi bound reads only the genus of the curve
+        below, so a cover target is classified only when ``g >= 6`` and the
+        cover is Galois: the ``unramified-cover`` and
+        ``covered-by-non-bielliptic`` rules read its verdict.
+        """
         out: list[Evidence] = []
 
         for M, label2, deg, galois in covers:
-            target = self.classify(M, label2)
-            gy = target.genus
+            gy = genus(M, delta_by_label(M, label2))
+            target = self.classify(M, label2) if g >= 6 and galois else None
 
-            if g >= 6 and galois and gy >= 2:
+            if target is not None and gy >= 2:
                 ok, tags = self._not_subhyperelliptic(target)
                 if ok and g - 1 != deg * (gy - 1):
                     out.append(Evidence(
@@ -951,7 +969,7 @@ class Classifier:
                         degree=deg,
                     ))
 
-            if g >= 6 and galois and target.status == "not-bielliptic":
+            if target is not None and target.status == "not-bielliptic":
                 ok, tags = self._not_subhyperelliptic(target)
                 if ok:
                     out.append(Evidence(

@@ -12,8 +12,10 @@ Classes in a family with q = beta (mod 2N) are stratified: forms of content
 l correspond to primitive forms of discriminant D/l^2 with q = lambda
 (mod 2N), l*lambda = beta (mod 2N); each primitive stratum, cut by the pair
 (m1, m2) of gcd invariants, is in bijection with the full set of reduced
-primitive forms of its discriminant.  ``class_representative`` inverts that
-bijection by bounded search.
+primitive forms of its discriminant.  ``fixed_points_X0`` inverts that
+bijection with one bounded search per stratum: the classes of a stratum
+differ only in their reduced image, so one walk over the stratum's forms
+keeps the first form that reaches each image.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 from .congruence import _require_level
 from .errors import (
@@ -269,19 +272,26 @@ def _split_by(N: int, m2: int) -> int:
     return n2
 
 
-def class_representative(cls: GKZClass) -> QForm:
-    """A concrete form [N*e, q, r] with gcd(e, q, r) = 1 in the given class.
+def _stratum_representatives(classes: tuple[GKZClass, ...]) -> tuple[QForm, ...]:
+    """One form [N*e, q, r] with gcd(e, q, r) = 1 in each of ``classes``,
+    which share one primitive stratum (N, D, beta, m1, m2) and differ only
+    in their reduced image.
 
     Primitivity is required of the cofactor triple (e, q, r), not of the
     coefficients (N*e, q, r): a stratum with m2 even, say, is populated by
-    forms whose coefficient gcd shares a factor with N.  Scans q = beta
-    (mod 2N) by increasing |q| and first coefficients N*e over divisors e
-    of (q^2 - D)/(4N), accepting the first form with the right gcd
-    invariants whose reduced image matches.  The |q| bound starts at 16N
+    forms whose coefficient gcd shares a factor with N.  Every class of the
+    stratum sees the same candidates, so they are walked once: q = beta
+    (mod 2N) by increasing |q|, and first coefficients N*e over divisors e
+    of (q^2 - D)/(4N).  A candidate with the stratum's gcd invariants is
+    kept for its reduced image if that image has no form yet, so each class
+    gets the first form that reaches its image.  The |q| bound starts at 16N
     and doubles up to 1024N before raising :class:`SearchExhausted`.
     """
-    N, D, beta = cls.N, cls.D, cls.beta % (2 * cls.N)
-    n2 = _split_by(N, cls.m2)
+    first = classes[0]
+    N, D, beta, m1, m2 = first.N, first.D, first.beta % (2 * first.N), first.m1, first.m2
+    n2 = _split_by(N, m2)
+    wanted = {cls.reduced_image for cls in classes}
+    found: dict[QForm, QForm] = {}
     bound = 16 * N
     scanned_to = 0
     while bound <= 1024 * N:
@@ -298,19 +308,28 @@ def class_representative(cls: GKZClass) -> QForm:
             for e in _divisors(v // N):
                 P = N * e
                 r = v // P
-                f = QForm(P, q, r)
                 if math.gcd(math.gcd(e, q), r) != 1:
                     continue
-                if math.gcd(math.gcd(N, q), e) != cls.m1:
+                if math.gcd(math.gcd(N, q), e) != m1:
                     continue
-                if math.gcd(math.gcd(N, q), r) != cls.m2:
+                if math.gcd(math.gcd(N, q), r) != m2:
                     continue
-                image = QForm(P // n2, q, r * n2)
-                if reduce_form(image)[0] == cls.reduced_image:
-                    return f
+                image = reduce_form(QForm(P // n2, q, r * n2))[0]
+                if image in wanted and image not in found:
+                    found[image] = QForm(P, q, r)
+                    if len(found) == len(wanted):
+                        return tuple(found[cls.reduced_image] for cls in classes)
         scanned_to = bound
         bound *= 2
-    raise SearchExhausted(f"no representative for {cls} with |q| <= {bound // 2}", bound // 2)
+    missing = next(cls for cls in classes if cls.reduced_image not in found)
+    raise SearchExhausted(f"no representative for {missing} with |q| <= {bound // 2}", bound // 2)
+
+
+def class_representative(cls: GKZClass) -> QForm:
+    """A concrete form [N*e, q, r] with gcd(e, q, r) = 1 in the given class:
+    the first form of its stratum's scan (see ``fixed_points_X0``) whose
+    reduced image is the class's."""
+    return _stratum_representatives((cls,))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -364,23 +383,27 @@ def _matrix_from_form(f: QForm, trace: int, d: int, N: int) -> Mat2:
 def fixed_points_X0(N: int, d: int) -> FixedPointSet:
     """Non-cuspidal fixed points of the Atkin-Lehner involution W_d on X_0(N).
 
-    Runs the family/stratum decomposition, picks one representative form per
-    class, and recovers the elliptic element for each.  For d = 3 the
-    discriminant -3 layers of the trace-0 family duplicate the trace-3
-    family and are skipped there.
+    Runs the family/stratum decomposition, scans each stratum once for a
+    representative form of every class in it, and recovers the elliptic
+    element for each.  For d = 3 the discriminant -3 layers of the trace-0
+    family duplicate the trace-3 family and are skipped there.
     """
     _require_hall(N, d)
     points: list[FixedPoint] = []
     for beta, D in beta_candidates(N, d):
         family2 = D == d * d - 4 * d and d in (2, 3)
         trace = d if family2 else 0
-        for cls in gkz_decompose(D, N, beta):
-            if d == 3 and not family2 and cls.D == -3:
+        strata = groupby(
+            gkz_decompose(D, N, beta), key=lambda c: (c.D, c.beta, c.ell, c.m1, c.m2)
+        )
+        for (D0, *_), group in strata:
+            if d == 3 and not family2 and D0 == -3:
                 continue  # content-2 layer; counted once in the trace-3 family
-            prim = class_representative(cls)
-            total = prim.scaled(cls.ell)
-            if total.q % (2 * N) != beta % (2 * N):
-                raise FormMismatch(f"{total} should have q = {beta} (mod {2 * N})")
-            w = _matrix_from_form(total, trace, d, N)
-            points.append(FixedPoint(total, w, cls.D, cls.ell, cls))
+            classes = tuple(group)
+            for cls, prim in zip(classes, _stratum_representatives(classes)):
+                total = prim.scaled(cls.ell)
+                if total.q % (2 * N) != beta % (2 * N):
+                    raise FormMismatch(f"{total} should have q = {beta} (mod {2 * N})")
+                w = _matrix_from_form(total, trace, d, N)
+                points.append(FixedPoint(total, w, cls.D, cls.ell, cls))
     return FixedPointSet(N, d, tuple(points))

@@ -17,8 +17,10 @@ pairs (x mod gcd(y, N); y).  ``cusp_obstruction`` walks the cusp
 classes of X_Delta(N) one at a time, with one ``class_of`` lookup each and
 one scan of the fibre per rational cusp, where the classifier projects
 every cusp to X_0(N) at once and compares two boolean coverage arrays.
-Everything else uses exact Python integers.  They serve only as oracles:
-the tests require the package to agree with them exactly.
+``class_representative`` scans for one Gross-Kohnen-Zagier class at a
+time, where ``fixed_points_X0`` walks each stratum's forms once for all of
+its classes.  Everything else uses exact Python integers.  They serve only
+as oracles: the tests require the package to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -32,9 +34,22 @@ import numpy as np
 from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import _stabilizer_generator, curve_name
 from modcurve.congruence import coset_action, cusp_table, is_member
-from modcurve.errors import CoverMismatch, DeterminantMismatch, MembershipViolation
+from modcurve.errors import (
+    CoverMismatch,
+    DeterminantMismatch,
+    MembershipViolation,
+    SearchExhausted,
+)
 from modcurve.matrices import IDENTITY, S_MAT, T_MAT, Mat2
-from modcurve.qforms import FixedPointSet, QForm, reduced_classes
+from modcurve.qforms import (
+    FixedPointSet,
+    GKZClass,
+    QForm,
+    _divisors,
+    _split_by,
+    reduce_form,
+    reduced_classes,
+)
 from modcurve.zmodn import DeltaSubgroup, delta_by_label, delta_from_elements, unit_group
 
 
@@ -425,3 +440,49 @@ def normalizes(matrix: Mat2, delta: DeltaSubgroup) -> bool:
         if (cc // m) % N or (ca // m) % N not in delta:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# fixed-point forms on X_0(N)
+
+
+def class_representative(cls: GKZClass) -> QForm:
+    """A concrete form [N*e, q, r] with gcd(e, q, r) = 1 in the given class.
+
+    Scans q = beta (mod 2N) by increasing |q| (q before -q) and first
+    coefficients N*e over divisors e of (q^2 - D)/(4N), ascending, and
+    accepts the first form with the class's gcd invariants (m1, m2) whose
+    image [N*e/N2, q, r*N2] (N2 the part of N built from the primes of m2)
+    reduces to the class's reduced image.  The |q| bound starts at 16N and
+    doubles up to 1024N before raising :class:`SearchExhausted`.
+    """
+    N, D, beta = cls.N, cls.D, cls.beta % (2 * cls.N)
+    n2 = _split_by(N, cls.m2)
+    bound = 16 * N
+    scanned_to = 0
+    while bound <= 1024 * N:
+        qs = []
+        for k in range(-(bound // (2 * N)) - 1, bound // (2 * N) + 2):
+            q = beta + 2 * N * k
+            if scanned_to < abs(q) <= bound or (scanned_to == 0 and q == 0):
+                qs.append(q)
+        qs.sort(key=lambda q: (abs(q), -q))
+        for q in qs:
+            v = (q * q - D) // 4
+            if v <= 0 or v % N:
+                continue
+            for e in _divisors(v // N):
+                P = N * e
+                r = v // P
+                if math.gcd(math.gcd(e, q), r) != 1:
+                    continue
+                if math.gcd(math.gcd(N, q), e) != cls.m1:
+                    continue
+                if math.gcd(math.gcd(N, q), r) != cls.m2:
+                    continue
+                if reduce_form(QForm(P // n2, q, r * n2))[0] == cls.reduced_image:
+                    return QForm(P, q, r)
+        scanned_to = bound
+        bound *= 2
+    raise SearchExhausted(f"no representative for {cls} with |q| <= {bound // 2}", bound // 2)
+

@@ -625,6 +625,19 @@ def test_classifier_memoizes():
     assert c.classify(34, "D2") is c.classify(34, "D2")
 
 
+def test_a_curve_classifies_only_the_cover_targets_whose_verdict_it_reads():
+    # X_D1(330) has genus 1281 and 35 covers.  The Castelnuovo-Severi bound
+    # reads only a target's genus; only the Galois-cover rules read its
+    # verdict, so only the five Galois targets are classified.
+    c = Classifier(FactBook(enabled=True))
+    covers = c._covers(330, delta_by_label(330, "D1"))
+    galois = {(M, label) for M, label, _, is_galois in covers if is_galois}
+    assert galois == {(330, "D6"), (330, "D8"), (330, "D11"), (330, "D14"), (330, "0")}
+    assert {(165, "D3"), (10, "0")} <= {(M, label) for M, label, _, _ in covers} - galois
+    c.classify(330, "D1")
+    assert set(c._memo) == galois | {(330, "D1")}
+
+
 def test_classify_handles_boundary_subgroups_outside_census():
     # the classifier itself accepts the minimal and full subgroups; only
     # the census restricts to the strictly intermediate ones

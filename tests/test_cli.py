@@ -6,11 +6,16 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import modcurve
 import modcurve.cli as cli
 from modcurve import __version__
 from modcurve.cli import CSV_COLUMNS, build_parser, main
@@ -185,6 +190,44 @@ def test_census_outputs_match_their_golden_digests(capsys, argv, digest):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", [
+    (("curve", "330", "--delta", "D1", "--facts", "on", "--format", "json"),
+     "4960061efdd2b4cee7d9167e4990d53c"),
+    (("curve", "330", "--delta", "D1", "--facts", "off", "--format", "json"),
+     "40c4bac595c4cd85ee8498e2eca12c3e"),
+    (("curve", "256", "--delta", "D1", "--facts", "on", "--format", "json"),
+     "04540f93ca44d1c9331ab53afc0bd63c"),
+    (("curve", "256", "--delta", "D1", "--facts", "off", "--format", "json"),
+     "ef0685a8a5a37aaf4ccb312693a5f572"),
+])
+def test_large_curve_outputs_match_their_golden_digests(capsys, argv, digest):
+    # single-curve queries classify only the cover targets whose verdicts
+    # their rules read; the evidence must not depend on that
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.md5(out.encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [
+    ["curve", "34", "--delta", "D2"],
+    ["census", "--max-n", "40"],
+])
+def test_a_cold_query_does_not_import_numpy_ma(argv):
+    # a plain np.unique imports numpy.ma on its first call (numpy 2.x),
+    # 10-20 ms that every cold query would pay inside its own run
+    src = str(Path(modcurve.__file__).resolve().parents[1])
+    code = (
+        "import contextlib, io, sys\n"
+        "from modcurve.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "False"], done.stderr
 
 
 def test_census_csv(capsys):

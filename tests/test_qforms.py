@@ -20,6 +20,7 @@ from modcurve.qforms import (
     reduced_classes,
 )
 from modcurve.zmodn import delta_by_label, subgroups_containing_minus1
+import scalar_oracles
 
 
 # --------------------------------------------------------------------------
@@ -61,24 +62,52 @@ def eichler_count(N: int, Q: int) -> int:
     level-N curve, as a class-number sum with local split/inert factors.
 
     Only valid when N/Q is squarefree and every prime of N/Q is coprime to
-    the conductor of each discriminant; the test pair list respects this.
+    the conductor of each discriminant, as ``eichler_applies`` checks.
     """
     M = N // Q
-    if Q == 2:
-        discs = [-4, -8]
-    elif Q == 3:
-        discs = [-3, -12]
-    elif Q % 4 == 3:
-        discs = [-4 * Q, -Q]
-    else:
-        discs = [-4 * Q]
     total = 0
-    for D in discs:
+    for D in _eichler_discs(Q):
         term = class_number(D)
         for p in sorted({f for f in _prime_factors(M)}):
             term *= 1 + kronecker(D, p)
         total += term
     return total
+
+
+def _eichler_discs(Q: int) -> list[int]:
+    """The discriminants that ``eichler_count(N, Q)`` sums over."""
+    if Q == 2:
+        return [-4, -8]
+    if Q == 3:
+        return [-3, -12]
+    if Q % 4 == 3:
+        return [-4 * Q, -Q]
+    return [-4 * Q]
+
+
+def _conductor(D: int) -> int:
+    """The conductor f of the order of discriminant D: D = f^2 * D_K."""
+    return max(
+        f for f in range(1, math.isqrt(-D) + 1)
+        if D % (f * f) == 0 and (D // (f * f)) % 4 in (0, 1)
+    )
+
+
+def eichler_applies(N: int, Q: int) -> bool:
+    """Whether ``eichler_count(N, Q)`` is valid: N/Q squarefree and coprime
+    to the conductor of each discriminant the sum runs over."""
+    M = N // Q
+    if any(M % (p * p) == 0 for p in _prime_factors(M)):
+        return False
+    return all(math.gcd(M, _conductor(D)) == 1 for D in _eichler_discs(Q))
+
+
+def hall_pairs(levels) -> list[tuple[int, int]]:
+    """Every (N, d) with d >= 2 a Hall divisor of N, for N in ``levels``."""
+    return [
+        (N, d) for N in levels for d in range(2, N + 1)
+        if N % d == 0 and math.gcd(d, N // d) == 1
+    ]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -199,7 +228,17 @@ EICHLER_PAIRS = [
 
 @pytest.mark.parametrize("N,Q", EICHLER_PAIRS)
 def test_fixed_point_counts_against_class_number_sums(N, Q):
+    assert eichler_applies(N, Q)
     assert fixed_points_X0(N, Q).count == eichler_count(N, Q)
+
+
+@pytest.mark.slow
+def test_every_fixed_point_count_against_class_number_sums_to_1000():
+    # every Hall divisor up to N = 1000 where the class-number sum applies
+    pairs = [(N, Q) for N, Q in hall_pairs(range(2, 1001)) if eichler_applies(N, Q)]
+    assert len(pairs) == 2925
+    for N, Q in pairs:
+        assert fixed_points_X0(N, Q).count == eichler_count(N, Q), (N, Q)
 
 
 DUAL_ROUTE_PAIRS = [
@@ -234,6 +273,30 @@ def test_fixed_point_structure():
             assert prim.disc == pt.gkz.D
             assert prim.p % N == 0
             assert math.gcd(math.gcd(prim.p // N, prim.q), prim.r) == 1
+
+
+def _check_stratum_scan_against_per_class_oracle(levels) -> int:
+    """Every fixed point's form is the one the per-class scan finds for its
+    class, scaled by the point's content; returns the number of points."""
+    seen = 0
+    for N, d in hall_pairs(levels):
+        for pt in fixed_points_X0(N, d).points:
+            expected = scalar_oracles.class_representative(pt.gkz)
+            assert pt.form == expected.scaled(pt.ell), (N, d, pt.gkz)
+            seen += 1
+    return seen
+
+
+def test_stratum_scan_matches_per_class_oracle():
+    assert _check_stratum_scan_against_per_class_oracle(range(2, 132)) > 0
+    # the public per-class entry point reads the same scan
+    for pt in fixed_points_X0(28, 7).points + fixed_points_X0(92, 23).points:
+        assert class_representative(pt.gkz) == scalar_oracles.class_representative(pt.gkz)
+
+
+@pytest.mark.slow
+def test_stratum_scan_matches_per_class_oracle_beyond_131():
+    assert _check_stratum_scan_against_per_class_oracle(range(132, 401)) > 0
 
 
 def test_gkz_strata_at_28_7():
