@@ -7,9 +7,11 @@ with bottom-row pairs (c, d) in (Z/NZ)^2 with gcd(c, d, N) = 1, taken up to
 scaling by Delta; the canonical coset name is the lexicographically least
 scaled pair.
 
-The coset space is kept in one int64 form: tables over the pair indices
-c*N + d map every pair to its coset and to its cusp class, and the cosets,
-sigma_S, sigma_T and the transversal are int64 arrays read from them.
+The coset space is kept in one int64 form: the cosets, sigma_S, sigma_T,
+the T-cycles and the transversal are arrays with one row per coset, read
+from a table over the pair indices c*N + d that is dropped once they are
+built.  The cusp table keeps its table over the pairs, which maps every
+pair to its cusp class.
 """
 
 from __future__ import annotations
@@ -66,9 +68,11 @@ def is_member(m: Mat2, N: int, delta: DeltaSubgroup) -> bool:
 # ---------------------------------------------------------------------------
 # size limits
 
-#: Levels above this bound are refused: the coset and cusp tables hold N^2
-#: int64 entries, and building them for Delta = {+-1} at N = 1021 peaks at
-#: 80 MB (tracemalloc; 27 MB for the full Delta at N = 1024).
+#: Levels above this bound are refused: the coset action is read from an
+#: N^2 int64 pair table and the cusp table keeps one.  Building the coset
+#: action, the cusp table and the genus for Delta = {+-1} at N = 1021 peaks
+#: at 71 MB and keeps 42 MB (tracemalloc; 18 MB and 8.5 MB for the full
+#: Delta at N = 1024).
 LEVEL_LIMIT = 1024
 
 #: Moduli m*N at or above this bound are refused, so that a sum of two
@@ -101,37 +105,28 @@ def _modulus(m: int, N: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class CosetAction:
-    """Right action of SL2(Z) on the cosets of Gamma_Delta(N).
+    """The coset space Gamma_Delta(N)\\SL2(Z) with the invariants read from it.
 
-    ``positions[c*N + d]`` is the coset of the bottom-row pair (c, d), and
-    -1 for pairs with gcd(c, d, N) != 1; ``cosets`` holds the canonical
-    pair (c, d) of each coset as a row; ``sigma_S`` and ``sigma_T`` are the
-    permutations induced by S = [[0,-1],[1,0]] and T = [[1,1],[0,1]].  All
-    four are read-only int64 arrays.
+    ``cosets`` holds the canonical pair (c, d) of each coset as a row;
+    ``sigma_S`` and ``sigma_T`` are the permutations induced by
+    S = [[0,-1],[1,0]] and T = [[1,1],[0,1]]; ``cycle_starts`` is the least
+    coset of every T-cycle, in increasing order, and ``cycle_widths`` the
+    length of each cycle.  All five are read-only int64 arrays of at most
+    ``degree`` rows.  ``genus`` is the genus of the curve.
     """
 
     N: int
     delta: DeltaSubgroup
-    positions: np.ndarray
     cosets: np.ndarray
     sigma_S: np.ndarray
     sigma_T: np.ndarray
+    cycle_starts: np.ndarray
+    cycle_widths: np.ndarray
+    genus: int
 
     @property
     def degree(self) -> int:
         return len(self.cosets)
-
-    def position(self, c: int, d: int) -> int:
-        """Coset position of the bottom-row pair (c, d)."""
-        pos = int(self.positions[(c % self.N) * self.N + d % self.N])
-        if pos < 0:
-            raise NotUnimodular(f"pair ({c},{d}) is not unimodular mod {self.N}")
-        return pos
-
-    def act(self, pos: int, m: Mat2) -> int:
-        """Position of coset ``pos`` right-multiplied by the matrix m."""
-        c, d = self.cosets[pos].tolist()
-        return self.position(c * m.a + d * m.c, c * m.b + d * m.d)
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -145,7 +140,11 @@ def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     """The coset action of SL2(Z) on Gamma_Delta(N)\\SL2(Z).
 
     Cosets are numbered in increasing order of their canonical pair index
-    c*N + d.  Levels above ``LEVEL_LIMIT`` are refused with ``InputError``.
+    c*N + d.  The genus is g = 1 + mu/12 - e2/4 - e3/3 - einf/2, with e2
+    (resp. e3) the number of cosets fixed by S (resp. ST) and einf the
+    number of T-cycles; :class:`NonIntegralGenus` is raised when it is not
+    an integer.  Levels above ``LEVEL_LIMIT`` are refused with
+    ``InputError``.
     """
     if delta.N != N:
         raise InputError(f"subgroup has level {delta.N}, expected {N}")
@@ -158,17 +157,24 @@ def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     keys = fixed[np.gcd(np.gcd(fixed // N, fixed % N), N) == 1]
     rank = np.full(N * N, -1, dtype=np.int64)
     rank[keys] = np.arange(keys.size, dtype=np.int64)
-    positions = rank[canon]
     c, d = keys // N, keys % N
     # Right action on row vectors: (c, d) * S = (d, -c), (c, d) * T = (c, c+d).
-    sigma_S = positions[d * N + (-c) % N]
-    sigma_T = positions[c * N + (c + d) % N]
+    sigma_S = rank[canon[d * N + (-c) % N]]
+    sigma_T = rank[canon[c * N + (c + d) % N]]
     cosets = np.stack((c, d), axis=1)
-    _read_only(positions, cosets, sigma_S, sigma_T)
-    return CosetAction(N, delta, positions, cosets, sigma_S, sigma_T)
+    mu = keys.size
+    k = np.arange(mu)
+    e2 = int(np.count_nonzero(sigma_S == k))
+    e3 = int(np.count_nonzero(sigma_T[sigma_S] == k))
+    starts, widths = _t_cycles(sigma_T, N)
+    num = 12 + mu - 3 * e2 - 4 * e3 - 6 * len(starts)
+    if num % 12:
+        raise NonIntegralGenus(f"12g = {num} for N={N}, delta={delta.label}")
+    _read_only(cosets, sigma_S, sigma_T, starts, widths)
+    return CosetAction(N, delta, cosets, sigma_S, sigma_T, starts, widths, num // 12)
 
 
-def _t_cycles(act: CosetAction) -> tuple[np.ndarray, np.ndarray]:
+def _t_cycles(sigma_T: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
     """``(starts, widths)``: the least coset of every T-cycle, in increasing
     order, and the length of each cycle.
 
@@ -177,34 +183,19 @@ def _t_cycles(act: CosetAction) -> tuple[np.ndarray, np.ndarray]:
     cosets that follow it, and every cycle length divides N because T^N
     lies in Gamma_Delta(N).
     """
-    label = np.arange(act.degree, dtype=np.int64)
-    step = act.sigma_T
-    for _ in range((act.N - 1).bit_length()):  # until 2^j >= N
+    label = np.arange(len(sigma_T), dtype=np.int64)
+    step = sigma_T
+    for _ in range((N - 1).bit_length()):  # until 2^j >= N
         np.minimum(label, label[step], out=label)
         step = step[step]
-    starts = np.flatnonzero(label == np.arange(act.degree))
+    starts = np.flatnonzero(label == np.arange(len(sigma_T)))
     return starts, np.bincount(label)[starts]
 
 
-@lru_cache(maxsize=None)
 def genus(N: int, delta: DeltaSubgroup) -> int:
-    """Genus of the modular curve attached to Gamma_Delta(N).
-
-    Computed from the coset permutation action:
-    g = 1 + mu/12 - e2/4 - e3/3 - einf/2, with e2 (resp. e3) the number of
-    cosets fixed by S (resp. ST) and einf the number of T-cycles.  Raises
-    :class:`NonIntegralGenus` when the formula does not produce an integer.
-    """
-    act = coset_action(N, delta)
-    mu = act.degree
-    k = np.arange(mu)
-    e2 = int(np.count_nonzero(act.sigma_S == k))
-    e3 = int(np.count_nonzero(act.sigma_T[act.sigma_S] == k))
-    einf = len(_t_cycles(act)[0])
-    num = 12 + mu - 3 * e2 - 4 * e3 - 6 * einf
-    if num % 12:
-        raise NonIntegralGenus(f"12g = {num} for N={N}, delta={delta.label}")
-    return num // 12
+    """Genus of the modular curve attached to Gamma_Delta(N), as computed
+    by :func:`coset_action`."""
+    return coset_action(N, delta).genus
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +389,7 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
     rx, ry = keys // N, keys % N
     reps = list(zip(rx.tolist(), ry.tolist()))
 
-    first, cycle_widths = _t_cycles(act)
+    first, cycle_widths = act.cycle_starts, act.cycle_widths
     if len(first) != len(reps):
         raise CuspCountMismatch(
             f"{len(reps)} cusp orbits vs {len(first)} T-cycles for "

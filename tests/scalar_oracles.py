@@ -1,9 +1,12 @@
 """Scalar reference versions of the coset space, the fixed-point counters,
 the cusp table, the cusp obstruction and the normalizer test.
 
-The coset space (canonical pairs, positions, sigma_S and sigma_T, the
-transversal and the action of matrices on cusps) is built pair by pair
-with Python dicts and ``Mat2``, where the package indexes int64 tables.
+The coset space (canonical pairs, sigma_S and sigma_T, the T-cycles and
+the genus, the transversal and the action of matrices on cusps) is built
+pair by pair with Python dicts and ``Mat2``, where the package keeps int64
+arrays with one row per coset.  ``position`` and ``act`` map a pair and a
+matrix to a coset through the oracle's own table over all pairs, which the
+package does not keep.
 The fixed-point counters and the cusp table are the per-coset ``Mat2``
 loops that the package replaced with int64 arithmetic modulo m*N; the
 normalizer test conjugates every Schreier generator of Gamma_Delta(N),
@@ -33,7 +36,7 @@ import numpy as np
 
 from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import _stabilizer_generator, curve_name
-from modcurve.congruence import coset_action, cusp_table, is_member
+from modcurve.congruence import cusp_table, is_member
 from modcurve.errors import (
     CoverMismatch,
     DeterminantMismatch,
@@ -116,6 +119,16 @@ def act(N: int, delta: DeltaSubgroup, pos: int, m: Mat2) -> int:
     """Position of coset ``pos`` right-multiplied by the matrix m."""
     c, d = coset_space(N, delta)[0][pos]
     return position(N, delta, c * m.a + d * m.c, c * m.b + d * m.d)
+
+
+def genus(sigma_S: list[int], sigma_T: list[int]) -> int:
+    """12g = 12 + mu - 3*e2 - 4*e3 - 6*einf from the permutations S and T."""
+    mu = len(sigma_S)
+    e2 = sum(sigma_S[k] == k for k in range(mu))
+    e3 = sum(sigma_T[sigma_S[k]] == k for k in range(mu))
+    num = 12 + mu - 3 * e2 - 4 * e3 - 6 * len(_cycles(sigma_T))
+    assert num % 12 == 0
+    return num // 12
 
 
 def sigmas(N: int, delta: DeltaSubgroup) -> tuple[list[int], list[int]]:
@@ -306,8 +319,8 @@ def cusp_labels(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, list[tuple[in
     """``(labels, reps)``: the class of every pair index x*N + y (-1 off the
     cusp pairs) and the representative of every class, labelled orbit by
     orbit in increasing order of x*N + y with one numpy orbit per cusp."""
-    act = coset_action(N, delta)
-    unlabelled = act.positions >= 0
+    pairs = np.arange(N * N, dtype=np.int64)
+    unlabelled = np.gcd(np.gcd(pairs // N, pairs % N), N) == 1
     labels = np.full(N * N, -1, dtype=np.int64)
     a = np.array(delta.elements, dtype=np.int64)[:, None]
     a_inv = np.array([pow(e, -1, N) for e in delta.elements], dtype=np.int64)[:, None]

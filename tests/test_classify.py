@@ -541,8 +541,8 @@ def test_no_curve_beyond_the_census_is_bielliptic(classifier_on, N):
         assert rec.status == "not-bielliptic", (rec.name, rec.status)
         if {e.rule for e in rec.evidence} & X0_ELIMINATION_RULES:
             _check_lift_argument(classifier_on, N, delta, rec.genus)
-    # Each subgroup's coset tables hold two arrays over all N^2 pairs; kept
-    # for every level up to 400 they would take several GB.
+    # Each subgroup's cusp table holds an array over all N^2 pairs; kept
+    # for every level up to 400, the caches would take several GB.
     for table in (coset_action, cusp_table, transversal):
         table.cache_clear()
 

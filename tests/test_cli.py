@@ -20,6 +20,7 @@ import modcurve.cli as cli
 from modcurve import __version__
 from modcurve.cli import CSV_COLUMNS, build_parser, main
 from modcurve.congruence import LEVEL_LIMIT
+from modcurve.zmodn import SUBGROUP_LEVEL_LIMIT
 
 
 def run(capsys, *argv):
@@ -307,6 +308,20 @@ def test_exit_code_level_out_of_range_before_any_search(capsys, argv):
     assert code == 2
     assert "level" in err
     assert time.monotonic() - start < 1.0
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("N", [SUBGROUP_LEVEL_LIMIT + 1, 10000019])
+def test_subgroups_refuses_levels_past_the_bound(capsys, N):
+    # the refusal comes before the unit group or any subgroup is built
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "subgroups", str(N))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "level" in err
     assert peak < 1 << 20
 
 

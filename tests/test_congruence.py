@@ -12,7 +12,6 @@ from modcurve._kernels import canonical_pair_table
 from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import generic_atkin_lehner
 from modcurve.congruence import (
-    _t_cycles,
     coset_action,
     cusp_field,
     cusp_table,
@@ -243,8 +242,8 @@ def test_transversal_hits_every_coset(N, label):
     reps = _transversal_matrices(N, delta)
     assert len(reps) == act.degree
     assert all(m.det == 1 for m in reps)
-    assert reps[act.position(0, 1)] == Mat2(1, 0, 0, 1)
-    positions = {act.position(m.c % N, m.d % N) for m in reps}
+    assert reps[oracle.position(N, delta, 0, 1)] == Mat2(1, 0, 0, 1)
+    positions = {oracle.position(N, delta, m.c, m.d) for m in reps}
     assert positions == set(range(act.degree))
 
 
@@ -256,19 +255,19 @@ def test_schreier_generators_rebuild_relations(N, label):
     gens = oracle.schreier_generators(N, delta)
     gen_set = {g.entries() for g in gens} | {(1, 0, 0, 1)}
     gen_set |= {(-a, -b, -c, -d) for (a, b, c, d) in gen_set}
-    pos = [act.position(m.c % N, m.d % N) for m in reps]
+    pos = [oracle.position(N, delta, m.c, m.d) for m in reps]
     for k in range(act.degree):
         for g, mover in ((S_MAT, S_MAT), (T_MAT, T_MAT)):
             prod = reps[k] * g
-            j = pos.index(act.act(pos[k], mover))
+            j = pos.index(oracle.act(N, delta, pos[k], mover))
             elem = prod * reps[j].adjugate()
             assert elem.det == 1
             assert is_member(elem, N, delta)
             assert elem.entries() in gen_set
     for g in gens:
         # members stabilize the identity coset
-        start = act.position(0 % N, 1 % N)
-        assert act.act(start, g) == start
+        start = oracle.position(N, delta, 0, 1)
+        assert oracle.act(N, delta, start, g) == start
 
 
 # --------------------------------------------------------------------------
@@ -344,22 +343,33 @@ def test_cusp_labels_match_scalar_oracle_at_the_level_bound(N, subgroup):
 def test_coset_space_matches_scalar_oracles(N):
     for delta in subgroups_containing_minus1(N):
         act = coset_action(N, delta)
-        cosets, position = oracle.coset_space(N, delta)
+        cosets, _ = oracle.coset_space(N, delta)
         assert [tuple(p) for p in act.cosets.tolist()] == list(cosets)
-        expected = [position.get((k // N, k % N), -1) for k in range(N * N)]
-        assert act.positions.tolist() == expected
         sigma_S, sigma_T = oracle.sigmas(N, delta)
         assert act.sigma_S.tolist() == sigma_S
         assert act.sigma_T.tolist() == sigma_T
-        starts, widths = _t_cycles(act)
         cycles = oracle._cycles(sigma_T)
-        assert starts.tolist() == [cyc[0] for cyc in cycles]
-        assert widths.tolist() == [len(cyc) for cyc in cycles]
+        assert act.cycle_starts.tolist() == [cyc[0] for cyc in cycles]
+        assert act.cycle_widths.tolist() == [len(cyc) for cyc in cycles]
+        assert act.genus == oracle.genus(sigma_S, sigma_T)
         columns = [col.tolist() for col in transversal(N, delta)]
         assert list(zip(*columns)) == [m.entries() for m in oracle.transversal(N, delta)]
         table = cusp_table(N, delta)
         for m in _cusp_test_matrices(N, delta):
             assert table.images(m).tolist() == oracle.cusp_images(N, delta, m), str(m)
+
+
+@pytest.mark.parametrize("N,label", [(330, "D1"), (256, "D1"), (97, "1")])
+def test_coset_record_keeps_one_row_per_coset(N, label):
+    # the coset record keeps no table over the N^2 pairs, and its genus and
+    # T-cycles agree with genus() and with the cusps of the cusp table
+    delta = delta_by_label(N, label)
+    act = coset_action(N, delta)
+    arrays = [v for v in vars(act).values() if isinstance(v, np.ndarray)]
+    assert all(len(arr) <= act.degree for arr in arrays)
+    assert genus(N, delta) == act.genus
+    assert act.cycle_widths.sum() == act.degree
+    assert len(act.cycle_starts) == len(cusp_table(N, delta).classes)
 
 
 # --------------------------------------------------------------------------
@@ -372,8 +382,8 @@ def test_checks_survive_optimized_mode(run_optimized):
     # with an InvariantError, even when bare asserts are compiled away.
     code = (
         "from modcurve.classify import coset_fixed_points\n"
-        "from modcurve.congruence import (CuspClass, coset_action, cusp_field,\n"
-        "                                 cusp_table, lift_to_coprime)\n"
+        "from modcurve.congruence import (CuspClass, cusp_field, cusp_table,\n"
+        "                                 lift_to_coprime)\n"
         "from modcurve.errors import InputError, InvariantError\n"
         "from modcurve.matrices import Mat2\n"
         "from modcurve.zmodn import delta_by_label\n"
@@ -382,7 +392,6 @@ def test_checks_survive_optimized_mode(run_optimized):
         "cases = [\n"
         "    (InputError, lambda: lift_to_coprime(2, 4, 6)),\n"
         "    (InputError, lambda: cusp_table(21, delta).class_of(3, 0)),\n"
-        "    (InputError, lambda: coset_action(21, delta).position(7, 14)),\n"
         "    (InputError, lambda: coset_fixed_points(13, '0', Mat2(2**31, 0, 0, 1))),\n"
         "    (InvariantError, lambda: cusp_field(21, delta, cusp)),\n"
         "]\n"

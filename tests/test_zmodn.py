@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from modcurve.errors import InputError, NotCoprime, UnknownDelta
@@ -12,8 +10,6 @@ from modcurve.zmodn import (
     delta_by_label,
     delta_from_elements,
     hall_divisors,
-    order_mod,
-    sqrt_mod,
     subgroups_containing_minus1,
     unit_group,
 )
@@ -212,22 +208,10 @@ def test_hall_divisors():
     assert hall_divisors(64) == [1, 64]
 
 
-def test_order_mod_and_crt_and_sqrt():
-    assert order_mod(2, 13) == 12
-    assert order_mod(3, 121) == 5
+def test_crt():
     assert crt(2, 3, 3, 5) % 15 == 8
     with pytest.raises(InputError):
         crt(1, 6, 1, 4)
-    s = sqrt_mod(2, 7)
-    assert s is not None and s * s % 7 == 2
-    assert sqrt_mod(3, 5) is None
-    for m in (9, 25, 49):
-        for a in range(1, m):
-            if math.gcd(a, m) != 1:
-                continue
-            s = sqrt_mod(a, m)
-            if s is not None:
-                assert s * s % m == a % m
 
 
 def test_invariants_survive_optimized_mode(run_optimized):
