@@ -471,8 +471,7 @@ def cuspidal_fixed_count(N: int, delta, w: Mat2) -> tuple[int, ...]:
     x, y = (v[images, None] % N for v in table.lifts)
     reps = list(delta.coset_reps())
     a, beta, _, d = (col[reps] for col in _diamond_columns(N))
-    labels = table.labels[(a * x + beta * y) % N * N + d * y % N]
-    fixed = labels == np.arange(images.size)[:, None]
+    fixed = table.class_of(a * x + beta * y, d * y) == np.arange(images.size)[:, None]
     return tuple(np.count_nonzero(fixed, axis=0).tolist())
 
 
@@ -1033,7 +1032,7 @@ class Classifier:
         of X_Delta(N) above it; obstructs a Q-rational lift of ``w``."""
         table = cusp_table(N, delta)
         table0 = cusp_table(N, _full(N))
-        proj = table0.labels[table.lifts[0] % N * N + table.lifts[1] % N]
+        proj = table0.class_of(*table.lifts)
         rational = np.array([cls.is_rational for cls in table.classes])
         covered = np.zeros(len(table0.classes), dtype=bool)
         covered[proj] = True

@@ -192,9 +192,13 @@ def _envelope(command: list[str], results: Any, warnings: list[str]) -> dict[str
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        return
+    try:
+        fh = open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc.strerror}") from exc
+    with fh:
+        fh.write(text)
 
 
 def _json_text(payload: dict[str, Any]) -> str:
@@ -210,7 +214,12 @@ def _resolve_delta(N: int, selector: str) -> DeltaSubgroup:
     """A --delta selector is either a label (D2, 0, 1) or an element list."""
     _require_level(N)  # before the subgroups are enumerated
     if "," in selector:
-        elements = [int(part) for part in selector.split(",") if part.strip()]
+        try:
+            elements = [int(part) for part in selector.split(",") if part.strip()]
+        except ValueError:
+            raise InputError(f"--delta {selector!r} has a part that is not an integer") from None
+        if not elements:
+            raise InputError(f"--delta {selector!r} lists no integer")
         return delta_from_elements(N, elements)
     return delta_by_label(N, selector)
 

@@ -10,14 +10,14 @@ scaled pair.
 The coset space is kept in one int64 form: the cosets, sigma_S, sigma_T,
 the T-cycles and the transversal are arrays with one row per coset, read
 from a table over the pair indices c*N + d that is dropped once they are
-built.  The cusp table keeps its table over the pairs, which maps every
-pair to its cusp class.
+built.  The cusp table keeps one class per reduced pair (x mod gcd(y, N); y),
+P(N) = sum_y gcd(y, N) of them, and reads every pair through one lookup.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -69,9 +69,9 @@ def is_member(m: Mat2, N: int, delta: DeltaSubgroup) -> bool:
 # size limits
 
 #: Levels above this bound are refused: the coset action is read from an
-#: N^2 int64 pair table and the cusp table keeps one.  Building the coset
+#: N^2 int64 pair table, dropped once the action is built.  Building the coset
 #: action, the cusp table and the genus for Delta = {+-1} at N = 1021 peaks
-#: at 71 MB and keeps 42 MB (tracemalloc; 18 MB and 8.5 MB for the full
+#: at 67 MB and keeps 17 MB (tracemalloc; 18 MB and 0.1 MB for the full
 #: Delta at N = 1024).
 LEVEL_LIMIT = 1024
 
@@ -295,23 +295,28 @@ class CuspClass:
 class CuspTable:
     """Cusp classes plus a pair -> class lookup and the action of matrices.
 
-    ``labels[x*N + y]`` is the class index of the cusp +-(x; y), and -1 for
-    pairs with gcd(x, y, N) != 1; ``lifts`` holds coprime integer lifts
-    (x, y) of the class representatives, as two int64 columns.
+    ``rank[offset[y] + x mod gcd(y, N)]`` is the class index of the cusp
+    +-(x; y), one entry per reduced pair (-1 off the cusp pairs), and
+    gcd(y, N) = offset[y + 1] - offset[y]; read both through :meth:`class_of`.
+    ``lifts`` holds coprime integer lifts (x, y) of the class representatives.
     """
 
     N: int
     delta: DeltaSubgroup
     classes: tuple[CuspClass, ...]
-    labels: np.ndarray
+    rank: np.ndarray
+    offset: np.ndarray
     lifts: tuple[np.ndarray, np.ndarray]
 
-    def class_of(self, x: int, y: int) -> int:
-        """Class index of the cusp +-(x; y); requires gcd(x, y, N) = 1."""
-        idx = int(self.labels[(x % self.N) * self.N + y % self.N])
-        if idx < 0:
-            raise NotUnimodular(f"({x};{y}) is not a cusp pair mod {self.N}")
-        return idx
+    def class_of(self, x, y):
+        """Class index of the cusp +-(x; y), an int for ints and an int64 array
+        for int64 arrays; NotUnimodular when some gcd(x, y, N) != 1."""
+        y = np.asarray(y, dtype=np.int64) % self.N
+        start = self.offset[y]
+        idx = self.rank[start + np.asarray(x, dtype=np.int64) % (self.offset[y + 1] - start)]
+        if np.any(idx < 0):
+            raise NotUnimodular(f"some pair (x; y) has gcd(x, y, {self.N}) != 1")
+        return int(idx) if idx.ndim == 0 else idx
 
     def images(self, w: Mat2) -> np.ndarray:
         """Image class of every cusp class under the integer matrix w of
@@ -326,26 +331,27 @@ class CuspTable:
         X = (a * x + b * y) % M
         Y = (c * x + d * y) % M
         g = np.gcd(np.gcd(X, Y), M)
-        return self.labels[(X // g % self.N) * self.N + Y // g % self.N]
+        return self.class_of(X // g, Y // g)
 
 
-def _cusp_labels(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, np.ndarray]:
-    """``(labels, keys)``: the class of every pair index x*N + y (-1 off the
-    cusp pairs) and the least pair index of every class, in increasing order.
+def _cusp_labels(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
+    """``(rank, offset, keys)``: the class of every reduced pair (-1 off the
+    cusp pairs), the position of the first reduced pair of every y (and P(N)
+    at y = N), and the least pair index x*N + y of every class, in order.
 
     The orbit of (x; y) is {(a*x + k*g, a^-1*y) : a in Delta, k in Z} with
     g = gcd(y, N), so it is the Delta-orbit of the reduced pair (x mod g; y)
     under a.(x'; y) = (a*x' mod g; a^-1*y mod N), and its least pair is
     the least (a*x' mod g)*N + a^-1*y mod N.  The P(N) = sum_y gcd(y, N)
-    reduced pairs are laid out y by y; the scaled pairs are compared in
-    blocks of Delta of at most 2^18 cells.
+    reduced pairs are laid out y by y, (x'; y) at offset[y] + x'; the scaled
+    pairs are compared in blocks of Delta of at most 2^18 cells.
     """
     residues = np.arange(N, dtype=np.int64)
     g = np.gcd(residues, N)  # gcd(0, N) = N
-    offset = np.cumsum(g) - g
+    offset = np.cumsum(np.append(0, g))
     ry = np.repeat(residues, g)
     rg = np.repeat(g, g)
-    rx = np.arange(ry.size, dtype=np.int64) - np.repeat(offset, g)
+    rx = np.arange(ry.size, dtype=np.int64) - np.repeat(offset[:-1], g)
     a = np.array(delta.elements, dtype=np.int64)
     a_inv = np.array([pow(e, -1, N) for e in delta.elements], dtype=np.int64)
     least = np.full(ry.size, N * N, dtype=np.int64)
@@ -363,11 +369,7 @@ def _cusp_labels(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, np.ndarray]:
     cusp_pair = np.gcd(rx, rg) == 1
     keys = np.sort(own[(least == own) & cusp_pair])
     rank = np.where(cusp_pair, np.searchsorted(keys, least), -1)
-    # pair (x; y) is the reduced pair offset[y] + x mod g[y]
-    index = np.remainder.outer(residues, g)
-    index += offset
-    labels = rank[index.ravel()]
-    return labels, keys
+    return rank, offset, keys
 
 
 @lru_cache(maxsize=None)
@@ -385,29 +387,33 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
     anything is allocated.
     """
     act = coset_action(N, delta)
-    labels, keys = _cusp_labels(N, delta)
+    rank, offset, keys = _cusp_labels(N, delta)
     rx, ry = keys // N, keys % N
-    reps = list(zip(rx.tolist(), ry.tolist()))
+    lifts = lift_to_coprime(rx, ry, N)
+    _read_only(rank, offset, *lifts)
+    table = CuspTable(N, delta, (), rank, offset, lifts)
 
-    first, cycle_widths = act.cycle_starts, act.cycle_widths
-    if len(first) != len(reps):
+    if len(act.cycle_starts) != len(keys):
         raise CuspCountMismatch(
-            f"{len(reps)} cusp orbits vs {len(first)} T-cycles for "
+            f"{len(keys)} cusp orbits vs {len(act.cycle_starts)} T-cycles for "
             f"N={N}, delta={delta.label}"
         )
-    # the T-cycle through coset U is the cusp U(infinity) = (U.a; U.c)
-    top, _, bottom, _ = transversal(N, delta)
-    cusp_of_cycle = labels[(top[first] % N) * N + bottom[first] % N]
+    # the T-cycle through coset (c, d) is the cusp (a; c) of any
+    # [[a, b], [c, d]] in SL2(Z), and a = d^-1 mod gcd(c, N) names it
+    c, d = act.cosets[act.cycle_starts].T
+    a = [pow(di, -1, math.gcd(ci, N)) for ci, di in zip(c.tolist(), d.tolist())]
+    cusp_of_cycle = table.class_of(np.array(a, dtype=np.int64), c)
     ordered = np.sort(cusp_of_cycle)
     if (ordered[1:] == ordered[:-1]).any():
         raise CuspCountMismatch(
             f"two T-cycles map to one cusp for N={N}, delta={delta.label}"
         )
-    widths = dict(zip(cusp_of_cycle.tolist(), cycle_widths.tolist()))
+    widths = np.empty(len(keys), dtype=np.int64)
+    widths[cusp_of_cycle] = act.cycle_widths
 
     # Galois orbit of a cusp: the classes of (s*x; y) for the units s.
     units = np.array(unit_group(N).elements, dtype=np.int64)
-    images = np.sort(labels[(rx[:, None] * units % N) * N + ry[:, None]], axis=1)
+    images = np.sort(table.class_of(rx[:, None] * units, ry[:, None]), axis=1)
     galois = 1 + np.count_nonzero(np.diff(images, axis=1), axis=1)
 
     classes = tuple(
@@ -415,14 +421,12 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
             N=N,
             rep=(x, y),
             denominator=math.gcd(y, N) if y % N else N,
-            width=widths[k],
-            galois_orbit_size=int(galois[k]),
+            width=w,
+            galois_orbit_size=s,
         )
-        for k, (x, y) in enumerate(reps)
+        for x, y, w, s in zip(rx.tolist(), ry.tolist(), widths.tolist(), galois.tolist())
     )
-    lifts = lift_to_coprime(rx, ry, N)
-    _read_only(labels, *lifts)
-    return CuspTable(N, delta, classes, labels, lifts)
+    return replace(table, classes=classes)
 
 
 def cusps(N: int, delta: DeltaSubgroup) -> tuple[CuspClass, ...]:

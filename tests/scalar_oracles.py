@@ -16,10 +16,13 @@ table makes one numpy pass over all N^2 pairs per element of Delta, and
 table in one block per divisor of N and labels the T-cycles by pointer
 doubling.  ``cusp_labels`` labels the cusp orbits one at a time, where
 the package finds the least pair of every orbit at once from the reduced
-pairs (x mod gcd(y, N); y).  ``cusp_obstruction`` walks the cusp
-classes of X_Delta(N) one at a time, with one ``class_of`` lookup each and
-one scan of the fibre per rational cusp, where the classifier projects
-every cusp to X_0(N) at once and compares two boolean coverage arrays.
+pairs (x mod gcd(y, N); y), and ``cusp_classes`` names the cusp of each
+T-cycle through the transversal, where the package names the cycle through
+the coset (c, d) by the pair (d^-1 mod gcd(c, N); c).  ``cusp_obstruction``
+walks the cusp classes of X_Delta(N) one at a time, with one ``class_of``
+lookup each and one scan of the fibre per rational cusp, where the
+classifier projects every cusp to X_0(N) at once and compares two boolean
+coverage arrays.
 ``class_representative`` scans for one Gross-Kohnen-Zagier class at a
 time, where ``fixed_points_X0`` walks each stratum's forms once for all of
 its classes.  Everything else uses exact Python integers.  They serve only

@@ -503,6 +503,33 @@ def test_lift_step_rests_on_the_witness_search(classifier_on, census_on):
                      (48, "D5", "[[-6,1],[-48,6]]")}
 
 
+# [[1,0],[N/2,1]] is an involution of X_0(N) with 2g0-2 fixed points at these
+# levels, but neither an Atkin-Lehner involution nor a listed extra one, so the
+# X_0(N) eliminations do not name it.  The verdicts above it still hold: it
+# normalizes only the curves listed here, and none of its lifts there has
+# 2g-2 fixed points.
+HALF_LEVEL_NORMALIZED = {40: {"D3"}, 48: {"D3", "D4", "D5"}, 64: {"D1", "D2"},
+                         72: {"D3", "D5", "D8"}}
+
+
+@pytest.mark.parametrize("N", sorted(HALF_LEVEL_NORMALIZED))
+def test_half_level_involution_of_x0_lifts_to_no_bielliptic_one(census_on, N):
+    w = Mat2(1, 0, N // 2, 1)
+    full = delta_by_label(N, "0")
+    g0 = genus(N, full)
+    assert [e + c for _, _, e, c in _involution_counts(N, full, w, g0)] == [2 * g0 - 2]
+    normalized = set()
+    for rec in census_on:
+        if rec.N != N or rec.status == "bielliptic" or rec.genus < 6:
+            continue
+        delta = delta_by_label(N, rec.delta_label)
+        if normalizes(w, delta):
+            normalized.add(rec.delta_label)
+            totals = [e + c for _, _, e, c in _involution_counts(N, delta, w, rec.genus)]
+            assert 2 * rec.genus - 2 not in totals, rec.name
+    assert normalized == HALF_LEVEL_NORMALIZED[N]
+
+
 def test_generic_atkin_lehner_normalizes_exactly_when_w_d_descends():
     triples = 0
     for N in range(3, 61):
@@ -541,8 +568,9 @@ def test_no_curve_beyond_the_census_is_bielliptic(classifier_on, N):
         assert rec.status == "not-bielliptic", (rec.name, rec.status)
         if {e.rule for e in rec.evidence} & X0_ELIMINATION_RULES:
             _check_lift_argument(classifier_on, N, delta, rec.genus)
-    # Each subgroup's cusp table holds an array over all N^2 pairs; kept
-    # for every level up to 400, the caches would take several GB.
+    # The coset caches keep arrays with one row per coset (the cusp table
+    # one entry per reduced pair) for every level they have seen; clearing
+    # them after each level holds the sweep to one level's tables.
     for table in (coset_action, cusp_table, transversal):
         table.cache_clear()
 

@@ -325,6 +325,34 @@ def test_subgroups_refuses_levels_past_the_bound(capsys, N):
     assert peak < 1 << 20
 
 
+def _run_cli(*argv):
+    src = str(Path(modcurve.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, "-m", "modcurve", *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ("curve", "21", "--delta", "5,x"),
+    ("fixed-points", "21", "3", "--delta", "2,x"),
+    ("curve", "21", "--delta", ","),
+])
+def test_exit_code_malformed_element_list(argv):
+    done = _run_cli(*argv)
+    assert done.returncode == 2
+    assert "error:" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_exit_code_unwritable_out_path(tmp_path):
+    target = tmp_path / "missing" / "out.txt"
+    done = _run_cli("fixed-points", "21", "3", "--out", str(target))
+    assert done.returncode == 2
+    assert "error: cannot write" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not target.exists()
+
+
 def test_exit_code_non_hall_divisor(capsys):
     code, _, err = run(capsys, "fixed-points", "12", "2")
     assert code == 2

@@ -20,7 +20,7 @@ from modcurve.congruence import (
     is_member,
     transversal,
 )
-from modcurve.errors import InputError
+from modcurve.errors import InputError, NotUnimodular
 from modcurve.matrices import Mat2
 from modcurve.zmodn import (
     delta_by_label,
@@ -316,7 +316,12 @@ def test_pair_table_matches_scalar_oracle_at_the_level_bound(subgroup):
 def _check_cusp_labels(N, delta):
     table = cusp_table(N, delta)
     labels, reps = oracle.cusp_labels(N, delta)
-    assert np.array_equal(table.labels, labels), delta.label
+    x, y = np.divmod(np.arange(N * N, dtype=np.int64), N)
+    cusp_pair = np.gcd(np.gcd(x, y), N) == 1
+    # the oracle labels exactly the cusp pairs, and class_of agrees on each
+    assert np.array_equal(labels >= 0, cusp_pair), delta.label
+    classes = table.class_of(x[cusp_pair], y[cusp_pair])
+    assert np.array_equal(classes, labels[cusp_pair]), delta.label
     assert [c.rep for c in table.classes] == reps, delta.label
 
 
@@ -370,6 +375,23 @@ def test_coset_record_keeps_one_row_per_coset(N, label):
     assert genus(N, delta) == act.genus
     assert act.cycle_widths.sum() == act.degree
     assert len(act.cycle_starts) == len(cusp_table(N, delta).classes)
+
+
+@pytest.mark.parametrize("N,label", [(330, "D1"), (256, "D1"), (97, "1")])
+def test_cusp_table_keeps_one_entry_per_reduced_pair(N, label):
+    # no array of the cusp table grows past the P(N) = sum_y gcd(y, N)
+    # reduced pairs, and class_of checks every pair of an array
+    table = cusp_table(N, delta_by_label(N, label))
+    arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
+    reduced_pairs = sum(math.gcd(y, N) for y in range(N))
+    assert arrays and all(arr.size <= reduced_pairs for arr in [*arrays, *table.lifts])
+    x, y = np.array([c.rep for c in table.classes], dtype=np.int64).T
+    assert table.class_of(x, y).tolist() == list(range(len(table.classes)))
+    assert isinstance(table.class_of(int(x[0]), int(y[0])), int)
+    with pytest.raises(NotUnimodular):
+        table.class_of(np.append(x, 0), np.append(y, 0))
+    with pytest.raises(NotUnimodular):
+        cusp_table(21, delta_by_label(21, "D1")).class_of(3, 0)
 
 
 # --------------------------------------------------------------------------
