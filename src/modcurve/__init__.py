@@ -43,6 +43,7 @@ from .congruence import (
     cusp_field,
     cusp_table,
     cusps,
+    degree,
     genus,
 )
 from .qforms import (
@@ -96,6 +97,7 @@ __all__ = [
     "IDENTITY",
     # congruence-subgroup geometry
     "coset_action",
+    "degree",
     "genus",
     "cusps",
     "cusp_table",

@@ -77,7 +77,15 @@ from .atkinlehner import (
     hat_W,
     normalizes,
 )
-from .congruence import _modulus, coset_action, cusp_table, genus, transversal
+from .congruence import (
+    _clear_level_caches,
+    _modulus,
+    coset_action,
+    cusp_table,
+    degree,
+    genus,
+    transversal,
+)
 from .errors import (
     CoverMismatch,
     DeterminantMismatch,
@@ -618,15 +626,24 @@ class Classifier:
                 out.append(N)
         return tuple(out)
 
+    def classify_level(self, N: int) -> tuple[ClassificationRecord, ...]:
+        """Classify every intermediate curve at level N, then free the coset
+        tables the level built; the records stay in the memo table."""
+        records = tuple(
+            self.classify(N, sub)
+            for sub in subgroups_containing_minus1(N)
+            if not (sub.is_minimal or sub.is_full)
+        )
+        _clear_level_caches()
+        return records
+
     def census(self, max_n: int = 131) -> tuple[ClassificationRecord, ...]:
         """Classify every intermediate curve at every level in scope."""
-        records = []
-        for N in self.scope_levels(max_n):
-            for sub in subgroups_containing_minus1(N):
-                if sub.is_minimal or sub.is_full:
-                    continue
-                records.append(self.classify(N, sub))
-        return tuple(records)
+        return tuple(
+            record
+            for N in self.scope_levels(max_n)
+            for record in self.classify_level(N)
+        )
 
     # -- curated X_0(N) inventory -------------------------------------------
 
@@ -875,7 +892,7 @@ class Classifier:
         as ``(M, label, degree, galois)``.  Nothing here classifies a
         target; ``_eliminations`` classifies the Galois ones it reads."""
         out: list[tuple[int, str, int, bool]] = []
-        deg_self = coset_action(N, delta).degree
+        deg_self = degree(N, delta)
         for sub in subgroups_containing_minus1(N):
             if len(sub.elements) <= len(delta.elements):
                 continue
@@ -890,7 +907,7 @@ class Classifier:
             for sub in subgroups_containing_minus1(M):
                 if not set(image.elements) <= set(sub.elements):
                     continue
-                deg, rem = divmod(deg_self, coset_action(M, sub).degree)
+                deg, rem = divmod(deg_self, degree(M, sub))
                 if rem:
                     raise CoverMismatch(
                         f"index of {curve_name(M, sub.label)} does not divide "

@@ -12,6 +12,12 @@ the T-cycles and the transversal are arrays with one row per coset, read
 from a table over the pair indices c*N + d that is dropped once they are
 built.  The cusp table keeps one class per reduced pair (x mod gcd(y, N); y),
 P(N) = sum_y gcd(y, N) of them, and reads every pair through one lookup.
+
+The degree and the genus are counted from N and Delta (:func:`degree`,
+:func:`genus`) without building any table; the coset action checks its own
+count against them.  The coset actions, transversals and cusp tables are
+cached per (N, Delta) until ``_clear_level_caches`` frees them, which the
+classifier does after each level of a census.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .errors import (
     CuspCountMismatch,
     DeterminantMismatch,
     FieldDegreeMismatch,
+    GenusMismatch,
     InputError,
     NonIntegralGenus,
     NotUnimodular,
@@ -42,6 +49,7 @@ __all__ = [
     "CuspTable",
     "FieldDescriptor",
     "coset_action",
+    "degree",
     "is_member",
     "genus",
     "transversal",
@@ -70,9 +78,10 @@ def is_member(m: Mat2, N: int, delta: DeltaSubgroup) -> bool:
 
 #: Levels above this bound are refused: the coset action is read from an
 #: N^2 int64 pair table, dropped once the action is built.  Building the coset
-#: action, the cusp table and the genus for Delta = {+-1} at N = 1021 peaks
-#: at 67 MB and keeps 17 MB (tracemalloc; 18 MB and 0.1 MB for the full
-#: Delta at N = 1024).
+#: action and the cusp table for Delta = {+-1} at N = 1021 peaks at 67 MB and
+#: keeps 17 MB (tracemalloc; 18 MB and 0.1 MB for the full Delta at
+#: N = 1024).  ``degree`` and ``genus`` build no table but refuse the same
+#: levels.
 LEVEL_LIMIT = 1024
 
 #: Moduli m*N at or above this bound are refused, so that a sum of two
@@ -88,6 +97,13 @@ def _require_level(N: int) -> None:
         raise InputError(f"level {N} is too large for the coset tables (limit {LEVEL_LIMIT})")
 
 
+def _require_subgroup(N: int, delta: DeltaSubgroup) -> None:
+    """Refuse a subgroup of another level, then a level out of range."""
+    if delta.N != N:
+        raise InputError(f"subgroup has level {delta.N}, expected {N}")
+    _require_level(N)
+
+
 def _modulus(m: int, N: int) -> int:
     """The modulus m*N of a fixed-point count, refused when too large."""
     M = m * N
@@ -100,19 +116,87 @@ def _modulus(m: int, N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# degree and genus by counting
+
+
+def _prime_divisors(n: int) -> list[int]:
+    """The primes dividing n, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def _totient(n: int) -> int:
+    """Euler's phi(n)."""
+    for p in _prime_divisors(n):
+        n -= n // p
+    return n
+
+
+def degree(N: int, delta: DeltaSubgroup) -> int:
+    """Number of cosets of Gamma_Delta(N) in SL2(Z), psi(N)*phi(N)/|Delta|.
+
+    The pairs (c, d) mod N with gcd(c, d, N) = 1 number
+    N^2 * prod_{p | N} (1 - 1/p^2) = psi(N)*phi(N), and Delta scales them
+    freely.  Levels above ``LEVEL_LIMIT`` are refused with ``InputError``.
+    """
+    _require_subgroup(N, delta)
+    pairs = N * N
+    for p in _prime_divisors(N):
+        pairs = pairs // (p * p) * (p * p - 1)
+    return pairs // len(delta.elements)
+
+
+@lru_cache(maxsize=None)
+def genus(N: int, delta: DeltaSubgroup) -> int:
+    """Genus of the modular curve attached to Gamma_Delta(N), by counting.
+
+    12g = 12 + mu - 3*e2 - 4*e3 - 6*c with mu = ``degree(N, delta)``,
+    e2 = phi(N) * #{a in Delta : a^2 = -1} / |Delta|,
+    e3 = phi(N) * #{a in Delta : a^2 - a + 1 = 0} / |Delta| (mod N) and
+    c = sum_{d | N} phi(d)*phi(N/d) / |Delta mod lcm(d, N/d)| cusps, where
+    |Delta mod m| = |Delta| / #{a in Delta : a = 1 (mod m)}.  No coset table
+    is built, and only the integer is cached; :class:`NonIntegralGenus` is
+    raised on a remainder, and levels above ``LEVEL_LIMIT`` are refused
+    with ``InputError``.
+    """
+    mu = degree(N, delta)
+    units, order = delta.elements, len(delta.elements)
+    phi = _totient(N)
+    # every term below is |Delta| times its term in 12g
+    e2 = phi * sum((a * a + 1) % N == 0 for a in units)
+    e3 = phi * sum((a * a - a + 1) % N == 0 for a in units)
+    cusps = 0
+    for d in range(1, math.isqrt(N) + 1):
+        if N % d == 0:
+            m = math.lcm(d, N // d)
+            terms = (1 if d * d == N else 2) * _totient(d) * _totient(N // d)
+            cusps += terms * sum(a % m == 1 % m for a in units)
+    num = (12 + mu) * order - 3 * e2 - 4 * e3 - 6 * cusps
+    if num % (12 * order):
+        raise NonIntegralGenus(f"12g = {num}/{order} for N={N}, delta={delta.label}")
+    return num // (12 * order)
+
+
+# ---------------------------------------------------------------------------
 # coset action
 
 
 @dataclass(frozen=True, eq=False)
 class CosetAction:
-    """The coset space Gamma_Delta(N)\\SL2(Z) with the invariants read from it.
+    """The coset space Gamma_Delta(N)\\SL2(Z).
 
     ``cosets`` holds the canonical pair (c, d) of each coset as a row;
     ``sigma_S`` and ``sigma_T`` are the permutations induced by
     S = [[0,-1],[1,0]] and T = [[1,1],[0,1]]; ``cycle_starts`` is the least
     coset of every T-cycle, in increasing order, and ``cycle_widths`` the
     length of each cycle.  All five are read-only int64 arrays of at most
-    ``degree`` rows.  ``genus`` is the genus of the curve.
+    ``degree`` rows.
     """
 
     N: int
@@ -122,7 +206,6 @@ class CosetAction:
     sigma_T: np.ndarray
     cycle_starts: np.ndarray
     cycle_widths: np.ndarray
-    genus: int
 
     @property
     def degree(self) -> int:
@@ -140,15 +223,14 @@ def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     """The coset action of SL2(Z) on Gamma_Delta(N)\\SL2(Z).
 
     Cosets are numbered in increasing order of their canonical pair index
-    c*N + d.  The genus is g = 1 + mu/12 - e2/4 - e3/3 - einf/2, with e2
-    (resp. e3) the number of cosets fixed by S (resp. ST) and einf the
-    number of T-cycles; :class:`NonIntegralGenus` is raised when it is not
-    an integer.  Levels above ``LEVEL_LIMIT`` are refused with
-    ``InputError``.
+    c*N + d.  As a check, the genus is read from the action too,
+    12g = 12 + mu - 3*e2 - 4*e3 - 6*einf with e2 (resp. e3) the number of
+    cosets fixed by S (resp. ST) and einf the number of T-cycles;
+    :class:`GenusMismatch` is raised when mu or 12g differs from
+    :func:`degree` or :func:`genus`.  Levels above ``LEVEL_LIMIT`` are
+    refused with ``InputError``.
     """
-    if delta.N != N:
-        raise InputError(f"subgroup has level {delta.N}, expected {N}")
-    _require_level(N)
+    _require_subgroup(N, delta)
     canon = canonical_pair_table(N, delta.elements)
     # the canonical pairs are the fixed points of the table; scaling by a
     # unit keeps gcd(c, d, N), so a non-unimodular pair has a canonical
@@ -168,10 +250,13 @@ def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     e3 = int(np.count_nonzero(sigma_T[sigma_S] == k))
     starts, widths = _t_cycles(sigma_T, N)
     num = 12 + mu - 3 * e2 - 4 * e3 - 6 * len(starts)
-    if num % 12:
-        raise NonIntegralGenus(f"12g = {num} for N={N}, delta={delta.label}")
+    if mu != degree(N, delta) or num != 12 * genus(N, delta):
+        raise GenusMismatch(
+            f"the coset action gives mu = {mu}, 12g = {num} for N={N}, "
+            f"delta={delta.label}, against the counting formulas"
+        )
     _read_only(cosets, sigma_S, sigma_T, starts, widths)
-    return CosetAction(N, delta, cosets, sigma_S, sigma_T, starts, widths, num // 12)
+    return CosetAction(N, delta, cosets, sigma_S, sigma_T, starts, widths)
 
 
 def _t_cycles(sigma_T: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -190,12 +275,6 @@ def _t_cycles(sigma_T: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
         step = step[step]
     starts = np.flatnonzero(label == np.arange(len(sigma_T)))
     return starts, np.bincount(label)[starts]
-
-
-def genus(N: int, delta: DeltaSubgroup) -> int:
-    """Genus of the modular curve attached to Gamma_Delta(N), as computed
-    by :func:`coset_action`."""
-    return coset_action(N, delta).genus
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +511,17 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
 def cusps(N: int, delta: DeltaSubgroup) -> tuple[CuspClass, ...]:
     """The cusps of the curve attached to (N, Delta)."""
     return cusp_table(N, delta).classes
+
+
+# The caches that hold a level's coset tables, bound here so that clearing
+# them does not go through the module attributes, which a profiler may wrap.
+_LEVEL_CACHES = (coset_action, transversal, cusp_table)
+
+
+def _clear_level_caches() -> None:
+    """Free every cached coset action, transversal and cusp table."""
+    for cache in _LEVEL_CACHES:
+        cache.cache_clear()
 
 
 def cusp_field(N: int, delta: DeltaSubgroup, cusp: CuspClass) -> FieldDescriptor:

@@ -64,6 +64,10 @@ class NonIntegralGenus(InvariantError):
     """The genus formula produced a non-integer; the coset action is corrupt."""
 
 
+class GenusMismatch(InvariantError):
+    """The degree or genus read from the coset action disagrees with the counting formulas."""
+
+
 class CuspCountMismatch(InvariantError):
     """Cusp orbit enumeration disagrees with the sigma_T cycle count."""
 

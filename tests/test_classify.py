@@ -17,7 +17,13 @@ from modcurve.classify import (
     involution_quotient_genus,
     lift_fixed_points,
 )
-from modcurve.congruence import coset_action, cusp_table, genus, transversal
+from modcurve.congruence import (
+    _clear_level_caches,
+    coset_action,
+    cusp_table,
+    genus,
+    transversal,
+)
 from modcurve.errors import InputError
 from modcurve.facts import FactBook, default_facts_path
 from modcurve.matrices import Mat2
@@ -560,19 +566,11 @@ def test_no_curve_beyond_the_census_is_bielliptic(classifier_on, N):
     # The census keeps only levels where X_0(N) is subhyperelliptic or
     # bielliptic; beyond 131 every intermediate curve must come out
     # not-bielliptic, without a witness, with the lift step's premises intact.
-    for delta in subgroups_containing_minus1(N):
-        if delta.is_minimal or delta.is_full:
-            continue
-        rec = classifier_on.classify(N, delta)
+    for rec in classifier_on.classify_level(N):
         assert not rec.witnesses and not rec.hyperelliptic_witnesses, rec.name
         assert rec.status == "not-bielliptic", (rec.name, rec.status)
         if {e.rule for e in rec.evidence} & X0_ELIMINATION_RULES:
-            _check_lift_argument(classifier_on, N, delta, rec.genus)
-    # The coset caches keep arrays with one row per coset (the cusp table
-    # one entry per reduced pair) for every level they have seen; clearing
-    # them after each level holds the sweep to one level's tables.
-    for table in (coset_action, cusp_table, transversal):
-        table.cache_clear()
+            _check_lift_argument(classifier_on, N, delta_by_label(N, rec.delta_label), rec.genus)
 
 
 # --------------------------------------------------------------------------
@@ -664,6 +662,29 @@ def test_a_curve_classifies_only_the_cover_targets_whose_verdict_it_reads():
     assert {(165, "D3"), (10, "0")} <= {(M, label) for M, label, _, _ in covers} - galois
     c.classify(330, "D1")
     assert set(c._memo) == galois | {(330, "D1")}
+
+
+@pytest.mark.parametrize("N,builds", [(330, 6), (256, 20)])
+def test_a_curve_builds_coset_actions_only_for_the_curves_it_searches(N, builds):
+    # cover degrees and genera are counted, so a coset action is built only
+    # for a curve the witness search visits, never for a cover target alone
+    _clear_level_caches()
+    c = Classifier(FactBook(enabled=True))
+    c.classify(N, "D1")
+    assert coset_action.cache_info().misses == builds <= len(c._memo)
+    _clear_level_caches()
+
+
+def test_census_frees_each_levels_coset_tables(census_on):
+    c = Classifier(FactBook(enabled=True))
+    records = c.census(40)
+    for cache in (coset_action, cusp_table, transversal):
+        assert cache.cache_info().currsize == 0, cache
+    assert records == tuple(r for r in census_on if r.N <= 40)
+    # a level classified on its own, in any order, gives the census records
+    fresh = Classifier(FactBook(enabled=True))
+    for N in reversed(c.scope_levels(40)):
+        assert fresh.classify_level(N) == tuple(r for r in records if r.N == N)
 
 
 def test_classify_handles_boundary_subgroups_outside_census():

@@ -11,18 +11,22 @@ import scalar_oracles as oracle
 from modcurve._kernels import canonical_pair_table
 from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import generic_atkin_lehner
+import modcurve.congruence as congruence
 from modcurve.congruence import (
+    _clear_level_caches,
     coset_action,
     cusp_field,
     cusp_table,
     cusps,
+    degree,
     genus,
     is_member,
     transversal,
 )
-from modcurve.errors import InputError, NotUnimodular
+from modcurve.errors import GenusMismatch, InputError, NonIntegralGenus, NotUnimodular
 from modcurve.matrices import Mat2
 from modcurve.zmodn import (
+    DeltaSubgroup,
     delta_by_label,
     hall_divisors,
     subgroups_containing_minus1,
@@ -148,6 +152,46 @@ def test_genus_monotone_under_inclusion():
             for b in subs:
                 if set(a.elements) <= set(b.elements):
                     assert genus(N, a) >= genus(N, b)
+
+
+@pytest.mark.parametrize("N", [
+    N if N <= 131 else pytest.param(N, marks=pytest.mark.slow)
+    for N in range(3, 401)
+])
+def test_counting_formulas_match_the_coset_action(N):
+    # degree and genus are counted from N and Delta; the coset action built
+    # pair by pair must give the same index, and the same genus read from
+    # its sigma_S and sigma_T by the oracle
+    for delta in subgroups_containing_minus1(N):
+        act = coset_action(N, delta)
+        assert degree(N, delta) == len(act.cosets), delta.label
+        sigma_S, sigma_T = act.sigma_S.tolist(), act.sigma_T.tolist()
+        assert genus(N, delta) == oracle.genus(sigma_S, sigma_T), delta.label
+    _clear_level_caches()
+
+
+def test_coset_action_checks_its_count_against_the_formulas(monkeypatch):
+    delta = delta_by_label(21, "D1")
+    build = coset_action.__wrapped__  # past the cache
+    monkeypatch.setattr(congruence, "genus", lambda N, d: 4)
+    with pytest.raises(GenusMismatch):
+        build(21, delta)
+    monkeypatch.setattr(congruence, "genus", lambda N, d: 3)
+    monkeypatch.setattr(congruence, "degree", lambda N, d: 95)
+    with pytest.raises(GenusMismatch):
+        build(21, delta)
+    monkeypatch.undo()
+    assert build(21, delta).degree == 96
+
+
+def test_counting_formulas_check_their_input():
+    with pytest.raises(InputError, match="expected 34"):
+        genus(34, delta_by_label(17, "0"))
+    with pytest.raises(InputError, match="expected 34"):
+        degree(34, delta_by_label(17, "0"))
+    # {+-1, +-2} mod 13 is not a group: its count leaves a remainder
+    with pytest.raises(NonIntegralGenus):
+        genus(13, DeltaSubgroup(13, (1, 2, 11, 12), "x"))
 
 
 def test_coset_degree_multiplicative():
@@ -356,7 +400,7 @@ def test_coset_space_matches_scalar_oracles(N):
         cycles = oracle._cycles(sigma_T)
         assert act.cycle_starts.tolist() == [cyc[0] for cyc in cycles]
         assert act.cycle_widths.tolist() == [len(cyc) for cyc in cycles]
-        assert act.genus == oracle.genus(sigma_S, sigma_T)
+        assert genus(N, delta) == oracle.genus(sigma_S, sigma_T)
         columns = [col.tolist() for col in transversal(N, delta)]
         assert list(zip(*columns)) == [m.entries() for m in oracle.transversal(N, delta)]
         table = cusp_table(N, delta)
@@ -366,13 +410,13 @@ def test_coset_space_matches_scalar_oracles(N):
 
 @pytest.mark.parametrize("N,label", [(330, "D1"), (256, "D1"), (97, "1")])
 def test_coset_record_keeps_one_row_per_coset(N, label):
-    # the coset record keeps no table over the N^2 pairs, and its genus and
-    # T-cycles agree with genus() and with the cusps of the cusp table
+    # the coset record keeps no table over the N^2 pairs, and its degree and
+    # T-cycles agree with degree() and with the cusps of the cusp table
     delta = delta_by_label(N, label)
     act = coset_action(N, delta)
     arrays = [v for v in vars(act).values() if isinstance(v, np.ndarray)]
     assert all(len(arr) <= act.degree for arr in arrays)
-    assert genus(N, delta) == act.genus
+    assert degree(N, delta) == act.degree
     assert act.cycle_widths.sum() == act.degree
     assert len(act.cycle_starts) == len(cusp_table(N, delta).classes)
 

@@ -20,7 +20,7 @@ from modcurve.classify import (
     cuspidal_fixed_count,
     lift_fixed_points,
 )
-from modcurve.congruence import LEVEL_LIMIT, coset_action, cusp_table, genus, transversal
+from modcurve.congruence import LEVEL_LIMIT, coset_action, cusp_table, degree, genus, transversal
 from modcurve.errors import InputError
 from modcurve.facts import FactBook
 from modcurve.matrices import IDENTITY, Mat2
@@ -275,7 +275,7 @@ def test_lift_route_refuses_modulus_past_int32():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("build", [coset_action, cusp_table, genus, transversal])
+@pytest.mark.parametrize("build", [coset_action, cusp_table, degree, genus, transversal])
 def test_coset_tables_refuse_levels_past_the_bound(build):
     N = LEVEL_LIMIT + 1
     delta = DeltaSubgroup(N, (1, N - 1), "1")
