@@ -3,6 +3,8 @@
 The package computes, for the curves X_Delta(N) attached to subgroups
 {+-1} <= Delta <= (Z/NZ)*:
 
+* divisors, Euler's phi, Hall divisors, the units of Z/NZ and the labeled
+  subgroups Delta, each defined once (:mod:`modcurve.zmodn`);
 * coset actions, genus, and cusps with their fields of definition
   (:mod:`modcurve.congruence`);
 * Atkin-Lehner operators, their lifts, and automorphism orders
@@ -14,6 +16,9 @@ The package computes, for the curves X_Delta(N) attached to subgroups
 
 The command-line interface lives in :mod:`modcurve.cli` (``python -m
 modcurve`` or the ``modcurve`` script).
+
+The unit-group record and its constructor gave way to ``units(N)``, and the
+field degree of the lifts of W_N to ``DeltaSubgroup.index`` (see README).
 """
 
 from __future__ import annotations
@@ -29,11 +34,10 @@ from .errors import (
 )
 from .zmodn import (
     DeltaSubgroup,
-    UnitGroup,
     delta_by_label,
     delta_from_elements,
     subgroups_containing_minus1,
-    unit_group,
+    units,
 )
 from .matrices import IDENTITY, Mat2
 from .congruence import (
@@ -86,8 +90,7 @@ __all__ = [
     "UnknownDelta",
     "SearchExhausted",
     # unit groups and subgroups
-    "UnitGroup",
-    "unit_group",
+    "units",
     "DeltaSubgroup",
     "subgroups_containing_minus1",
     "delta_by_label",

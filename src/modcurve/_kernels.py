@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .zmodn import divisors
+
 __all__ = ["HAS_NUMBA", "resolve_backend", "canonical_pair_table"]
 
 # HAS_NUMBA and resolve_backend() stay only because the benchmark harness
@@ -46,7 +48,7 @@ def canonical_pair_table(N: int, delta_elements: tuple[int, ...]) -> np.ndarray:
     gcds = np.gcd(residues, N)
     table = np.empty((N, N), dtype=np.int64)
     # every divisor g of N occurs, as gcd(g, N)
-    for g in (g for g in range(1, N + 1) if N % g == 0):
+    for g in divisors(N):
         rows = np.flatnonzero(gcds == g)
         K = delta[delta % (N // g) == 1 % (N // g)]
         second = None

