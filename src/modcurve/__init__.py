@@ -23,6 +23,17 @@ field degree of the lifts of W_N to ``DeltaSubgroup.index`` (see README).
 
 from __future__ import annotations
 
+import os
+
+# The package's numpy work is integer array arithmetic, which never calls
+# BLAS.  OpenBLAS, if numpy is built on it, still starts a worker thread
+# when numpy is imported, and that thread busy-waits for tens of
+# milliseconds, into whatever the process does next: the CPU time of a
+# short query grew by up to 40% from one run to the next.  One BLAS thread
+# starts no worker.  A value the caller has set is kept, and a numpy
+# imported before this package has already started its threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .errors import (

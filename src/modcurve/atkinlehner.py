@@ -26,7 +26,7 @@ from .errors import (
 )
 from .matrices import Mat2, T_MAT
 from .qforms import _require_hall
-from .zmodn import DeltaSubgroup, crt, delta_from_elements
+from .zmodn import DeltaSubgroup, crt, delta_from_elements, is_hall_divisor
 
 __all__ = [
     "diamond_matrix",
@@ -64,7 +64,7 @@ def diamond_matrix(a: int, N: int) -> Mat2:
 def _t_images(N: int, d: int, elements) -> list[int]:
     """t_d of every unit in ``elements``, for a Hall divisor d of N
     (checked), as a*e + a^{-1}*(1 - e) mod N with e = 1 mod N/d, 0 mod d."""
-    if d < 1 or N % d or math.gcd(d, N // d) != 1:
+    if not is_hall_divisor(d, N):
         raise InputError(f"d={d} is not a Hall divisor of N={N}")
     e = crt(1, N // d, 0, d)
     return [(a * e + pow(a, -1, N) * (1 - e)) % N for a in elements]
@@ -96,9 +96,22 @@ def hat_W(d: int, delta: DeltaSubgroup) -> Mat2 | None:
     """The preferred Atkin-Lehner lift hat_W_d on the (N, Delta) curve.
 
     Raises :class:`DoesNotDescend` when t_d does not preserve Delta.  When
-    it does, returns the standard matrix, or None when the defining
-    congruence has no solution (the operator still descends but has no
-    matrix of this shape; no fixed points arise from this construction).
+    it does, returns :func:`_hat_matrix` of N and d: the standard matrix,
+    or None when the defining congruence has no solution (the operator
+    still descends but has no matrix of this shape; no fixed points arise
+    from this construction).
+    """
+    N = delta.N
+    _require_hall(N, d)
+    if not descends(d, delta):
+        raise DoesNotDescend(f"W_{d} does not descend to (N={N}, {delta.label})")
+    return _hat_matrix(N, d)
+
+
+def _hat_matrix(N: int, d: int) -> Mat2 | None:
+    """The matrix of hat_W_d at level N, for a Hall divisor d >= 2 of N,
+    or None.  It depends on N and d alone; whether W_d descends to a given
+    Delta is for the caller to establish (see :func:`hat_W`).
 
     * d not in {2, 3}: x0 minimal with -d*x0^2 = 1 (mod N/d), giving
       [[d*x0, y0], [N, -d*x0]] of determinant d (for d = N this is
@@ -106,10 +119,6 @@ def hat_W(d: int, delta: DeltaSubgroup) -> Mat2 | None:
     * d in {2, 3}: scan t in (0, 1, -1) for x0 with d*x0*(t-x0) = 1
       (mod N/d), giving [[d*x0, y0], [N, d*(t-x0)]].
     """
-    N = delta.N
-    _require_hall(N, d)
-    if not descends(d, delta):
-        raise DoesNotDescend(f"W_{d} does not descend to (N={N}, {delta.label})")
     M = N // d
     if d not in (2, 3):
         for x0 in range(M if M > 1 else 1):

@@ -70,9 +70,9 @@ from math import isqrt
 import numpy as np
 
 from .atkinlehner import (
+    _hat_matrix,
     descends,
     diamond_matrix,
-    hat_W,
     normalizes,
 )
 from .congruence import (
@@ -202,10 +202,12 @@ def al_reference(N: int, d: int, delta: DeltaSubgroup):
 
     The matrix is the first base fixed-point matrix when W_d has fixed
     points on X_0(N), else the hat lift when one exists, else
-    :func:`generic_atkin_lehner`.  W_d must descend to X_Delta(N).
+    :func:`generic_atkin_lehner`.  W_d must descend to X_Delta(N): callers
+    establish it with :func:`descends`, once per W_d, and it is not checked
+    again here (:func:`hat_W` is the lift that checks it).
     """
     base = fixed_points_X0(N, d)
-    hat = hat_W(d, delta)
+    hat = _hat_matrix(N, d)
     if base.points:
         return base.points[0].matrix, f"(first fixed-point element above W_{d})", base, hat
     if hat is not None:

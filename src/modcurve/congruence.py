@@ -39,7 +39,7 @@ from .errors import (
     NotUnimodular,
 )
 from .matrices import Mat2
-from .zmodn import DeltaSubgroup, divisors, prime_divisors, totient, units
+from .zmodn import DeltaSubgroup, divisors, is_hall_divisor, prime_divisors, totient, units
 
 __all__ = [
     "LEVEL_LIMIT",
@@ -513,7 +513,7 @@ def cusp_field(N: int, delta: DeltaSubgroup, cusp: CuspClass) -> FieldDescriptor
     """
     degree = cusp.galois_orbit_size
     d = cusp.denominator
-    if math.gcd(d, N // d) == 1:
+    if is_hall_divisor(d, N):
         nd = N // d
         delta_d = sorted({a % d for a in delta.elements if a % nd == 1 % nd})
         phi_d = totient(d)

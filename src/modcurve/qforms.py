@@ -35,7 +35,7 @@ from .errors import (
     SearchExhausted,
 )
 from .matrices import Mat2
-from .zmodn import divisors, hall_divisors
+from .zmodn import divisors, hall_divisors, is_hall_divisor
 
 __all__ = [
     "QForm",
@@ -159,7 +159,7 @@ def class_number(D: int) -> int:
 def _require_hall(N: int, d: int) -> None:
     """Refuse N outside 1..LEVEL_LIMIT and d not a Hall divisor >= 2 of N."""
     _require_level(N)
-    if d < 2 or N % d or math.gcd(d, N // d) != 1:
+    if d < 2 or not is_hall_divisor(d, N):
         raise InputError(f"d={d} is not a Hall divisor >= 2 of N={N}")
 
 

@@ -2,7 +2,8 @@
 
 The arithmetic every other module builds on is defined here and only here:
 :func:`divisors`, :func:`prime_divisors`, :func:`totient`, :func:`crt`, the
-Hall divisors d of N (gcd(d, N/d) = 1) and the :func:`units` of Z/NZ.
+Hall divisors d of N (gcd(d, N/d) = 1, tested by :func:`is_hall_divisor`)
+and the :func:`units` of Z/NZ.
 
 The central object is :class:`DeltaSubgroup`: a subgroup Delta of the unit
 group (Z/NZ)* with -1 in Delta.  Such subgroups index the curves this package
@@ -13,12 +14,18 @@ studies; they are enumerated in a canonical order and given stable labels:
 * ``"D1"``, ``"D2"``, ... -- the intermediate subgroups, sorted by order
   (ascending) and then lexicographically on their sorted element tuple.
 
-The enumeration is a breadth-first search over the lattice: starting from
-{+-1}, each subgroup H found is joined with one generator g of every
-distinct cyclic subgroup <g, -1>, and H<g> is built as the union of the
-cosets g^k H.  The labels are a function of the set of subgroups alone
-(through the sort above), so the way the search finds them cannot move a
-label.
+The enumeration works one Sylow part at a time.  A subgroup H of the
+abelian group G = (Z/NZ)* is the direct product of its parts H_p, the
+intersections of H with the Sylow parts G_p over the primes p dividing
+phi(N); G_p = {u^(phi/p^a) : u in G} for p^a exactly dividing phi(N).
+As -1 has order 2, it lies in H exactly when it lies in H_2.  Inside each
+G_p a breadth-first search starts from {+-1} for p = 2 and from {1} for
+odd p, and joins each subgroup K found with one generator g of every
+distinct cyclic subgroup <g, -1> (p = 2) or <g> (odd p), building K<g> as
+the union of the cosets g^k K.  Every product of one subgroup per part is
+then one subgroup containing -1.  The labels are a function of the set of
+subgroups alone (through the sort above), so the way the search finds
+them cannot move a label.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "prime_divisors",
     "totient",
     "hall_divisors",
+    "is_hall_divisor",
 ]
 
 
@@ -93,9 +101,14 @@ def totient(n: int) -> int:
     return n
 
 
+def is_hall_divisor(d: int, n: int) -> bool:
+    """True when d >= 1 divides n and gcd(d, n/d) == 1."""
+    return d >= 1 and n % d == 0 and math.gcd(d, n // d) == 1
+
+
 def hall_divisors(n: int) -> list[int]:
     """Divisors d of n with gcd(d, n/d) == 1, ascending (includes 1 and n)."""
-    return [d for d in divisors(n) if math.gcd(d, n // d) == 1]
+    return [d for d in divisors(n) if is_hall_divisor(d, n)]
 
 
 @lru_cache(maxsize=None)
@@ -109,10 +122,11 @@ def units(N: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # subgroups containing -1
 
-#: Levels above this bound are refused by the subgroup enumeration.  One
-#: enumeration takes at most 0.38 s per level up to 1024 (at 819) and at
-#: most 3.2 s from 1025 to 2048 (at 1729, with 400 subgroups); level 5040
-#: takes 15 s, 720720 runs past 120 s, and 10000019 runs out of memory.
+#: Levels above this bound are refused by the subgroup enumeration.  On a
+#: 2-core x86-64 host one enumeration takes at most 0.07 s per level up to
+#: 1024 (at 1020) and at most 0.96 s from 1025 to 2048 (at 2040, whose unit
+#: group of order 512 is all one Sylow 2-part, so the split gains nothing
+#: there); 1729, with 400 subgroups, takes 0.025 s.
 SUBGROUP_LEVEL_LIMIT = 2048
 
 
@@ -209,16 +223,18 @@ def _closure(N: int, gens: set[int]) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
-def _cyclic_generators(N: int) -> list[int]:
-    """One unit g for each cyclic subgroup <g, -1> of (Z/NZ)* other than {+-1}.
+def _cyclic_generators(N: int, part: list[int], base: frozenset[int]) -> list[int]:
+    """One g in ``part`` for each subgroup <g> * base of it other than base.
 
-    One pass over the units: each new g walks its powers once and marks
-    every g^k and -g^k with gcd(k, ord g) = 1, which generate the same
-    <g, -1>, so no later unit repeats that subgroup's walk.
+    ``part`` is a Sylow part of (Z/NZ)* and ``base`` is {+-1} in the 2-part
+    and {1} in an odd part.  One pass over the part: each new g walks its
+    powers once and marks every g^k * b with gcd(k, ord g) = 1 and b in
+    base, which generate the same <g> * base, so no later element repeats
+    that subgroup's walk.
     """
-    marked = {1, N - 1}
+    marked = set(base)
     gens: list[int] = []
-    for g in units(N):
+    for g in part:
         if g in marked:
             continue
         gens.append(g)
@@ -230,37 +246,17 @@ def _cyclic_generators(N: int) -> list[int]:
         order = len(powers)
         for k in range(1, order):
             if math.gcd(k, order) == 1:
-                marked.add(powers[k])
-                marked.add(N - powers[k])
+                marked.update(powers[k] * b % N for b in base)
     return gens
 
 
-@lru_cache(maxsize=None)
-def subgroups_containing_minus1(N: int) -> tuple[DeltaSubgroup, ...]:
-    """All subgroups of (Z/NZ)* containing -1, canonically ordered and labeled.
-
-    Order: by subgroup order ascending, ties broken lexicographically on the
-    sorted element tuple.  The first entry is {+-1} (label "1"), the last is
-    the full unit group (label "0"); entries in between get labels "D1",
-    "D2", ...  Requires 3 <= N <= ``SUBGROUP_LEVEL_LIMIT`` (below 3, {+-1}
-    is already everything).
-
-    The subgroups are found breadth-first from {+-1}, joining each one found
-    with one generator of every cyclic subgroup <g, -1>: a subgroup
-    containing -1 is the product of the cyclic subgroups <h, -1> of its
-    elements h, so every one is reached.  Labels depend only on the set of
-    subgroups and the sort above, not on the order of the search.
-    """
-    if N < 3:
-        raise InputError(f"subgroup enumeration needs N >= 3, got {N}")
-    if N > SUBGROUP_LEVEL_LIMIT:
-        raise InputError(
-            f"level {N} is too large for the subgroup enumeration "
-            f"(limit {SUBGROUP_LEVEL_LIMIT})"
-        )
-    phi = totient(N)
-    base = frozenset({1, N - 1})
-    gens = _cyclic_generators(N)
+def _part_subgroups(N: int, part: list[int], base: frozenset[int]) -> list[frozenset[int]]:
+    """Every subgroup of the Sylow part ``part`` of (Z/NZ)* that contains
+    ``base``, found breadth-first from ``base`` by joining each subgroup
+    found with one generator of every cyclic subgroup <g> * base: such a
+    subgroup is the product of the <h> * base of its elements h, so every
+    one is reached."""
+    gens = _cyclic_generators(N, part, base)
     found = {base}
     frontier = [base]
     while frontier:
@@ -274,6 +270,56 @@ def subgroups_containing_minus1(N: int) -> tuple[DeltaSubgroup, ...]:
                     found.add(bigger)
                     nxt.append(bigger)
         frontier = nxt
+    return list(found)
+
+
+@lru_cache(maxsize=None)
+def subgroups_containing_minus1(N: int) -> tuple[DeltaSubgroup, ...]:
+    """All subgroups of (Z/NZ)* containing -1, canonically ordered and labeled.
+
+    Order: by subgroup order ascending, ties broken lexicographically on the
+    sorted element tuple.  The first entry is {+-1} (label "1"), the last is
+    the full unit group (label "0"); entries in between get labels "D1",
+    "D2", ...  Requires 3 <= N <= ``SUBGROUP_LEVEL_LIMIT`` (below 3, {+-1}
+    is already everything).
+
+    Each Sylow part G_p of the unit group is searched on its own (see the
+    module docstring): its subgroups containing -1 for p = 2, all of its
+    subgroups for odd p.  Every product of one subgroup per part must have
+    the product of their orders as its size, and the products must be
+    pairwise distinct, else :class:`MalformedSubgroup` is raised.  Labels
+    depend only on the set of subgroups and the sort above, not on the
+    order of the search.
+    """
+    if N < 3:
+        raise InputError(f"subgroup enumeration needs N >= 3, got {N}")
+    if N > SUBGROUP_LEVEL_LIMIT:
+        raise InputError(
+            f"level {N} is too large for the subgroup enumeration "
+            f"(limit {SUBGROUP_LEVEL_LIMIT})"
+        )
+    phi = totient(N)
+    base = frozenset({1, N - 1})
+    found = [frozenset({1})]
+    for p in prime_divisors(phi):
+        cofactor = phi
+        while cofactor % p == 0:
+            cofactor //= p
+        part = sorted({pow(u, cofactor, N) for u in units(N)})
+        subs = _part_subgroups(N, part, base if p == 2 else frozenset({1}))
+        grown: list[frozenset[int]] = []
+        for have in found:
+            for sub in subs:
+                prod = frozenset(a * b % N for a in have for b in sub)
+                if len(prod) != len(have) * len(sub):
+                    raise MalformedSubgroup(
+                        f"the product of subgroups of orders {len(have)} and "
+                        f"{len(sub)} modulo {N} has {len(prod)} elements"
+                    )
+                grown.append(prod)
+        found = grown
+    if len(set(found)) != len(found):
+        raise MalformedSubgroup(f"two products of Sylow parts coincide modulo {N}")
     ordered = sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
     out: list[DeltaSubgroup] = []
     inter = 0

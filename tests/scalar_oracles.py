@@ -26,8 +26,13 @@ coverage arrays.
 ``class_representative`` scans for one Gross-Kohnen-Zagier class at a
 time, where ``fixed_points_X0`` walks each stratum's forms once for all of
 its classes; it finds divisors and the prime-power part N2 by its own
-brute-force loops, sharing no helper with the package.  Everything else uses exact Python integers.  They serve only
-as oracles: the tests require the package to agree with them exactly.
+brute-force loops, sharing no helper with the package.
+``subgroup_search`` is the breadth-first search over the whole unit group
+that enumerated the subgroups containing -1 before the package split it
+into one search per Sylow part, with its own copy of the join of a
+subgroup and a unit.  Everything else uses exact Python integers.  They
+serve only as oracles: the tests require the package to agree with them
+exactly.
 """
 
 from __future__ import annotations
@@ -55,7 +60,78 @@ from modcurve.qforms import (
     reduce_form,
     reduced_classes,
 )
-from modcurve.zmodn import DeltaSubgroup, delta_by_label, delta_from_elements
+from modcurve.zmodn import DeltaSubgroup, delta_by_label, delta_from_elements, units
+
+
+# ---------------------------------------------------------------------------
+# subgroups of (Z/NZ)* containing -1
+
+
+def _join(N: int, have: set[int] | frozenset[int], g: int) -> set[int]:
+    """The subgroup H<g> for a subgroup H = ``have`` of (Z/NZ)* and a unit g.
+
+    H<g> is the disjoint union of the cosets g^k H for k = 0, 1, ... up to
+    the first k with g^k in H, so the cost is O(|H<g>|).
+    """
+    out = set(have)
+    x = g % N
+    while x not in have:
+        out.update(x * h % N for h in have)
+        x = x * g % N
+    return out
+
+
+def _cyclic_generators(N: int) -> list[int]:
+    """One unit g for each cyclic subgroup <g, -1> of (Z/NZ)* other than {+-1}.
+
+    One pass over the units: each new g walks its powers once and marks
+    every g^k and -g^k with gcd(k, ord g) = 1, which generate the same
+    <g, -1>, so no later unit repeats that subgroup's walk.
+    """
+    marked = {1, N - 1}
+    gens: list[int] = []
+    for g in units(N):
+        if g in marked:
+            continue
+        gens.append(g)
+        powers = [1]
+        x = g
+        while x != 1:
+            powers.append(x)
+            x = x * g % N
+        order = len(powers)
+        for k in range(1, order):
+            if math.gcd(k, order) == 1:
+                marked.add(powers[k])
+                marked.add(N - powers[k])
+    return gens
+
+
+def subgroup_search(N: int) -> list[tuple[int, ...]]:
+    """The sorted element tuples of every subgroup of (Z/NZ)* containing -1,
+    N >= 3, by order and then lexicographically, as the labels number them.
+
+    The subgroups are found breadth-first from {+-1}, joining each one found
+    with one generator of every cyclic subgroup <g, -1>: a subgroup
+    containing -1 is the product of the cyclic subgroups <h, -1> of its
+    elements h, so every one is reached.
+    """
+    base = frozenset({1, N - 1})
+    gens = _cyclic_generators(N)
+    found = {base}
+    frontier = [base]
+    while frontier:
+        nxt: list[frozenset[int]] = []
+        for have in frontier:
+            for g in gens:
+                if g in have:
+                    continue
+                bigger = frozenset(_join(N, have, g))
+                if bigger not in found:
+                    found.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return sorted((tuple(sorted(s)) for s in found), key=lambda t: (len(t), t))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from modcurve import atkinlehner, classify
 from modcurve.atkinlehner import descends, diamond_matrix, hat_W, normalizes
 from modcurve.classify import (
     Classifier,
@@ -649,6 +650,21 @@ def test_classify_curve_matches_census(census_by_key):
 def test_classifier_memoizes():
     c = Classifier(FactBook(enabled=True))
     assert c.classify(34, "D2") is c.classify(34, "D2")
+
+
+def test_the_witness_search_checks_each_descent_once(monkeypatch):
+    # the witness search establishes that W_d descends, and al_reference
+    # builds the hat lift without checking it again
+    calls = Counter()
+
+    def counted(d, delta):
+        calls[d, delta.N, delta.label] += 1
+        return descends(d, delta)
+
+    for module in (atkinlehner, classify):
+        monkeypatch.setattr(module, "descends", counted)
+    Classifier(FactBook(enabled=True)).census(40)
+    assert calls and max(calls.values()) == 1
 
 
 def test_a_curve_classifies_only_the_cover_targets_whose_verdict_it_reads():

@@ -243,6 +243,30 @@ def test_a_cold_query_does_not_import_numpy_ma(argv):
     assert done.stdout.split() == ["0", "False"], done.stderr
 
 
+def test_a_cold_query_starts_no_blas_thread():
+    # an OpenBLAS worker thread busy-waits for tens of ms after it starts,
+    # CPU time that a short query would be charged for, varying run to run
+    src = str(Path(modcurve.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    code = (
+        "import contextlib, io, os\n"
+        "from modcurve.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['curve', '34', '--delta', 'D2'])\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else 1\n"
+        "print(code, os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env={**env, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["0", "1", "1"], done.stderr
+    # a value the caller set is kept
+    done = subprocess.run([sys.executable, "-c", "import os, modcurve\n"
+                           "print(os.environ['OPENBLAS_NUM_THREADS'])"],
+                          env={**env, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "2"},
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["2"], done.stderr
+
+
 def test_census_csv(capsys):
     code, out, _ = run(capsys, "census", "--max-n", "20", "--format", "csv")
     assert code == 0

@@ -6,7 +6,9 @@ import math
 
 import pytest
 
-from modcurve.errors import InputError, NotCoprime, UnknownDelta
+import scalar_oracles
+from modcurve import zmodn
+from modcurve.errors import InputError, MalformedSubgroup, NotCoprime, UnknownDelta
 from modcurve.zmodn import (
     SUBGROUP_LEVEL_LIMIT,
     crt,
@@ -14,6 +16,7 @@ from modcurve.zmodn import (
     delta_from_elements,
     divisors,
     hall_divisors,
+    is_hall_divisor,
     prime_divisors,
     subgroups_containing_minus1,
     totient,
@@ -49,7 +52,10 @@ SUBGROUP_COUNTS = {
     1250: (8, 6),
     840: (236, 234),
     1000: (24, 22),
+    1680: (498, 496),
+    1729: (400, 398),
     2003: (8, 6),
+    2040: (511, 509),
 }
 
 # Known element sets, keyed by canonical label (order ascending, ties by
@@ -125,6 +131,32 @@ def test_subgroup_counts(N):
 def test_enumeration_matches_brute_force(N):
     subs = subgroups_containing_minus1(N)
     assert {s.elements for s in subs} == brute_force_subgroups(N)
+
+
+@pytest.mark.parametrize("N", [
+    N if N <= 400 else pytest.param(N, marks=pytest.mark.slow)
+    for N in range(3, 1025)
+])
+def test_sylow_enumeration_matches_the_whole_group_search(N):
+    # the element tuples in order, and so the labels, of the search over
+    # the whole unit group that the one-Sylow-part-at-a-time search replaced
+    subs = subgroups_containing_minus1(N)
+    assert [s.elements for s in subs] == scalar_oracles.subgroup_search(N)
+
+
+def test_products_of_sylow_parts_are_checked(monkeypatch):
+    search = zmodn._part_subgroups
+    enumerate_uncached = subgroups_containing_minus1.__wrapped__
+    # every subgroup of a part listed twice: two products coincide
+    monkeypatch.setattr(zmodn, "_part_subgroups", lambda N, part, base: 2 * search(N, part, base))
+    with pytest.raises(MalformedSubgroup):
+        enumerate_uncached(21)
+    # {1, 8} modulo 21 is no subgroup of the 3-part {1, 4, 16}: its product
+    # with the 2-part {1, 8, 13, 20} has 4 elements, not 8
+    monkeypatch.setattr(zmodn, "_part_subgroups", lambda N, part, base:
+                        search(N, part, base) if N - 1 in base else [frozenset({1, 8})])
+    with pytest.raises(MalformedSubgroup):
+        enumerate_uncached(21)
 
 
 @pytest.mark.parametrize("N", [21, 40, 56, 63])
@@ -224,6 +256,9 @@ def test_hall_divisors():
     assert hall_divisors(12) == [1, 3, 4, 12]
     assert hall_divisors(34) == [1, 2, 17, 34]
     assert hall_divisors(64) == [1, 64]
+    # the predicate picks out exactly the Hall divisors, and nothing below 1
+    for n in range(1, 201):
+        assert [d for d in range(-1, n + 2) if is_hall_divisor(d, n)] == hall_divisors(n), n
     # divisors, their primes and the Hall divisors against range scans
     for n in range(1, SUBGROUP_LEVEL_LIMIT + 1):
         divs = [d for d in range(1, n + 1) if n % d == 0]
