@@ -14,6 +14,10 @@ The package computes, for the curves X_Delta(N) attached to subgroups
 * a rule-based classifier for the bielliptic/hyperelliptic census with
   verifiable witnesses and elimination evidence (:mod:`modcurve.classify`).
 
+A subgroup names its curve: a function that takes a ``DeltaSubgroup`` reads
+the level from ``delta.N``, as in ``genus(delta)``.  Only
+:func:`classify_curve` and ``Classifier.classify`` take ``(N, delta)``.
+
 The command-line interface lives in :mod:`modcurve.cli` (``python -m
 modcurve`` or the ``modcurve`` script).
 

@@ -77,13 +77,13 @@ def t_map(N: int, d: int, a: int) -> int:
     return _t_images(N, d, [a])[0]
 
 
-def t_image(N: int, d: int, delta: DeltaSubgroup) -> DeltaSubgroup:
+def t_image(d: int, delta: DeltaSubgroup) -> DeltaSubgroup:
     """The subgroup t_d(Delta), with its canonical label."""
-    return delta_from_elements(N, _t_images(N, d, delta.elements))
+    return delta_from_elements(delta.N, _t_images(delta.N, d, delta.elements))
 
 
 def descends(d: int, delta: DeltaSubgroup) -> bool:
-    """True when W_d induces an automorphism of the (N, Delta) curve,
+    """True when W_d induces an automorphism of the curve X_Delta(N),
     i.e. t_d(Delta) = Delta.  Symmetric in d <-> N/d."""
     return set(_t_images(delta.N, d, delta.elements)) == set(delta.elements)
 
@@ -93,7 +93,7 @@ def descends(d: int, delta: DeltaSubgroup) -> bool:
 
 
 def hat_W(d: int, delta: DeltaSubgroup) -> Mat2 | None:
-    """The preferred Atkin-Lehner lift hat_W_d on the (N, Delta) curve.
+    """The preferred Atkin-Lehner lift hat_W_d on the curve X_Delta(N).
 
     Raises :class:`DoesNotDescend` when t_d does not preserve Delta.  When
     it does, returns :func:`_hat_matrix` of N and d: the standard matrix,
@@ -183,7 +183,7 @@ def normalizes(matrix: Mat2, delta: DeltaSubgroup) -> bool:
         conj = matrix * gen * adj
         if not conj.divisible_by(m):
             return False
-        if not is_member(conj.divided_by(m), N, delta):
+        if not is_member(conj.divided_by(m), delta):
             return False
     return True
 
@@ -195,12 +195,11 @@ def automorphism_order(w: Mat2, delta: DeltaSubgroup):
     member of Gamma_Delta(N): det(w^k) = s^2, s | w^k entrywise, and
     w^k / s passes membership.
     """
-    N = delta.N
     power = w
     for k in range(1, ORDER_CAP + 1):
         det = power.det
         s = math.isqrt(det)
-        if s * s == det and power.divisible_by(s) and is_member(power.divided_by(s), N, delta):
+        if s * s == det and power.divisible_by(s) and is_member(power.divided_by(s), delta):
             return k
         power = power * w
     return UNBOUNDED

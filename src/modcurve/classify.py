@@ -57,8 +57,12 @@ route A and b * Delta in route B.  All rows are tested at once modulo m*N
 in int64 (see ``_mul_mod``); m*N must stay below 2^31.  The classifier
 counts every operator through ``_involution_counts``: it decides per lift,
 in the same int64 form, its order 2 and its fixed cusps, then runs route A
-when the fixed points of W_d on X_0(N) are given, route B otherwise, and
-the Riemann-Hurwitz check on every lift that is an involution.
+for the Atkin-Lehner operators, route B for the others, and the
+Riemann-Hurwitz check on every lift that is an involution.
+
+Every function here reads the level N from ``delta.N``, except the entry
+points :meth:`Classifier.classify` and :func:`classify_curve`, which also
+accept a label or an element list for Delta.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ from .errors import (
 )
 from .facts import FactBook
 from .matrices import IDENTITY, Mat2
-from .qforms import FixedPointSet, QForm, fixed_points_X0, reduced_classes
+from .qforms import QForm, fixed_points_X0, reduced_classes
 from .zmodn import (
     DeltaSubgroup,
     _coset_partition,
@@ -196,7 +200,7 @@ def generic_atkin_lehner(N: int, d: int) -> Mat2:
     return w
 
 
-def al_reference(N: int, d: int, delta: DeltaSubgroup):
+def al_reference(d: int, delta: DeltaSubgroup):
     """The matrix above W_d that counts start from on X_Delta(N), with its
     name, the fixed points of W_d on X_0(N) and the hat lift (or None).
 
@@ -206,13 +210,13 @@ def al_reference(N: int, d: int, delta: DeltaSubgroup):
     establish it with :func:`descends`, once per W_d, and it is not checked
     again here (:func:`hat_W` is the lift that checks it).
     """
-    base = fixed_points_X0(N, d)
-    hat = _hat_matrix(N, d)
+    base = fixed_points_X0(delta.N, d)
+    hat = _hat_matrix(delta.N, d)
     if base.points:
         return base.points[0].matrix, f"(first fixed-point element above W_{d})", base, hat
     if hat is not None:
         return hat, f"W^_{d}", base, hat
-    return generic_atkin_lehner(N, d), f"W_{d}", base, hat
+    return generic_atkin_lehner(delta.N, d), f"W_{d}", base, hat
 
 
 # --------------------------------------------------------------------------
@@ -289,7 +293,7 @@ class LiftReport:
 
 
 @lru_cache(maxsize=None)
-def _fibre_reps(N: int, delta: DeltaSubgroup, extra_class: int | None) -> np.ndarray:
+def _fibre_reps(delta: DeltaSubgroup, extra_class: int | None) -> np.ndarray:
     """Coset representatives of ``<Delta, extra_class>`` inside the units.
 
     These index the fibre of X_Delta(N) -> X_0(N) over a point whose
@@ -298,7 +302,7 @@ def _fibre_reps(N: int, delta: DeltaSubgroup, extra_class: int | None) -> np.nda
     gens = set(delta.elements)
     if extra_class is not None:
         gens.add(extra_class)
-    return np.array(delta_from_elements(N, gens).coset_reps(), dtype=np.int64)
+    return np.array(delta_from_elements(delta.N, gens).coset_reps(), dtype=np.int64)
 
 
 @lru_cache(maxsize=None)
@@ -311,12 +315,13 @@ def _diamond_columns(N: int) -> tuple[np.ndarray, ...]:
     return tuple(cols)
 
 
-def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport:
+def lift_fixed_points(delta: DeltaSubgroup, w: Mat2) -> LiftReport:
     """Count fixed points of ``w`` and of every lift [b] * w on X_Delta(N)
     above the fixed points of the Atkin-Lehner involution W_d on X_0(N).
 
     ``w`` must normalise Gamma_Delta(N) and lie in the coset
-    ``Gamma_0(N) * W_d`` (determinant ``d == base.d``).  Each base fixed
+    ``Gamma_0(N) * W_d``, d = det(w) a Hall divisor of N = ``delta.N``; the
+    base fixed points are ``fixed_points_X0(N, d)``.  Each base fixed
     point z_j contributes one fibre; the fibre is indexed by diamond coset
     representatives modulo the stabiliser of z_j, and a fibre point is fixed
     exactly when a twisted conjugate of ``w`` falls back into
@@ -330,13 +335,9 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
     a^-1 of gamma.  The witnesses are those of w: per (j, G) the first
     correction that hits.
     """
-    delta = _resolve(N, delta)
-    d = base.d
-    if w.det != d:
-        raise InputError(
-            f"candidate determinant {w.det} does not match the operator W_{d}"
-        )
+    N, d = delta.N, w.det
     M = _modulus(d, N)
+    base = fixed_points_X0(N, d)
     w_res = _residues(w, M)
     witnesses: tuple[tuple[int, int, int], ...] = ()
     by_lift = np.zeros(delta.index, dtype=np.int64)
@@ -348,8 +349,6 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
             )
         blocks = []  # (j, fibre, adj(s) * adj(W_j)) per base point and correction
         for j, point in enumerate(base.points):
-            if point.matrix.det != d:
-                raise DeterminantMismatch(f"base point matrix {point.matrix} at W_{d}")
             primitive = QForm(
                 point.form.p // point.ell,
                 point.form.q // point.ell,
@@ -366,7 +365,7 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
                 if primitive.disc == -3:
                     corrections.append(_mul_mod(s1, s1, M))
                 extra = stab.a % N
-            fibre = _fibre_reps(N, delta, extra)
+            fibre = _fibre_reps(delta, extra)
             wj_adj = _adj(_residues(point.matrix, M))
             blocks.extend((j, fibre, _mul_mod(_adj(s), wj_adj, M)) for s in corrections)
         js, fibres, xs = zip(*blocks)
@@ -397,7 +396,7 @@ def lift_fixed_points(N: int, delta, w: Mat2, base: FixedPointSet) -> LiftReport
 # fixed points, route B: elliptic elements on the coset space
 
 
-def coset_fixed_points(N: int, delta, w: Mat2) -> tuple[int, ...]:
+def coset_fixed_points(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
     """Numbers of non-cuspidal fixed points on X_Delta(N) of the
     automorphisms induced by the lifts [b] * w, b over ``delta.coset_reps()``
     (entry 0 is w itself), found directly on the coset space.
@@ -414,13 +413,12 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> tuple[int, ...]:
     form's root (S at discriminant -4, S*T at -3): the positions of one
     orbit represent one and the same point.
     """
-    delta = _resolve(N, delta)
-    m = w.det
+    N, m = delta.N, w.det
     if m <= 0:
         raise InputError("automorphism matrix must have positive determinant")
     M = _modulus(m, N)
-    act = coset_action(N, delta)
-    trans = tuple(col % M for col in transversal(N, delta))
+    act = coset_action(delta)
+    trans = tuple(col % M for col in transversal(delta))
     # adj(U_x) * adj(w) does not depend on the elliptic element
     tail = _mul_mod(_adj(trans), _adj(_residues(w, M)), M)
     positions, st = np.arange(act.degree), act.sigma_T[act.sigma_S]
@@ -467,14 +465,13 @@ def coset_fixed_points(N: int, delta, w: Mat2) -> tuple[int, ...]:
     return tuple(np.bincount(fixed % delta.index, minlength=delta.index).tolist())
 
 
-def cuspidal_fixed_count(N: int, delta, w: Mat2) -> tuple[int, ...]:
+def cuspidal_fixed_count(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
     """Numbers of cusp classes of X_Delta(N) fixed by the automorphisms
     induced by the lifts [b] * w of the normalising matrix ``w``, b over
     ``delta.coset_reps()`` (entry 0 is w itself).  ``CuspTable.images``
     maps every class by w; the diamond [b] = [[a, beta], [N, d]] then sends
     the pair (x; y) of an image to (a*x + beta*y; d*y) mod N."""
-    delta = _resolve(N, delta)
-    table = cusp_table(N, delta)
+    N, table = delta.N, cusp_table(delta)
     images = table.images(w)
     x, y = (v[images, None] % N for v in table.lifts)
     reps = list(delta.coset_reps())
@@ -484,7 +481,7 @@ def cuspidal_fixed_count(N: int, delta, w: Mat2) -> tuple[int, ...]:
 
 
 def _involution_counts(
-    N: int, delta: DeltaSubgroup, w: Mat2, g: int, base: FixedPointSet | None = None
+    delta: DeltaSubgroup, w: Mat2, g: int, route_a: bool = False
 ) -> list[tuple[int, Mat2, int, int]]:
     """``(k, lift, elliptic, cuspidal)`` for every lift = [b] * w of order 2
     on X_Delta(N) of genus ``g``, b the k-th of ``delta.coset_reps()``.
@@ -493,10 +490,10 @@ def _involution_counts(
     [[1,0],[N,1]] * w for b = 1: a lift has order 2 when its square is m
     times an element of Gamma_Delta(N) and, if m = s^2, it is not s times
     one.  The operator is evaluated once, and only if some lift has order 2,
-    by route A above ``base`` (the fixed points of W_d on X_0(N)) or else
-    by route B; each total must pass :func:`involution_quotient_genus`.
+    by route A (``w`` above an Atkin-Lehner operator W_m) when ``route_a``,
+    else by route B; each total must pass :func:`involution_quotient_genus`.
     """
-    m = w.det
+    N, m = delta.N, w.det
     if m < 1:
         raise InputError("automorphism matrix must have positive determinant")
     M = _modulus(m, N)
@@ -509,11 +506,9 @@ def _involution_counts(
     involutions = np.flatnonzero(involutive).tolist()
     if not involutions:
         return []
-    if base is not None:
-        elliptic = lift_fixed_points(N, delta, w, base).elliptic_by_lift
-    else:
-        elliptic = coset_fixed_points(N, delta, w)
-    cuspidal = cuspidal_fixed_count(N, delta, w)
+    elliptic = (lift_fixed_points(delta, w).elliptic_by_lift if route_a
+                else coset_fixed_points(delta, w))
+    cuspidal = cuspidal_fixed_count(delta, w)
     for k in involutions:
         involution_quotient_genus(g, elliptic[k] + cuspidal[k])
     return [(k, diamond_matrix(reps[k], N) * w if k else w, elliptic[k], cuspidal[k])
@@ -601,7 +596,7 @@ class Classifier:
             raise InvariantError(f"classification cycle at {curve_name(N, delta.label)}")
         self._in_progress.add(key)
         try:
-            record = self._classify(N, delta)
+            record = self._classify(delta)
         finally:
             self._in_progress.discard(key)
         self._memo[key] = record
@@ -612,8 +607,9 @@ class Classifier:
         quadratic points: X_0(N) subhyperelliptic or bielliptic, with at
         least one intermediate subgroup.
 
-        The X_0(N) classification used here delimits the survey and is read
-        even when the fact book is disabled.
+        The X_0(N) classification used here delimits the survey: genus 0
+        and 1 are counted, and the curated hyperelliptic and bielliptic
+        lists are read even when the fact book is disabled.
         """
         if max_n > 256:
             raise InputError("census is supported for levels up to 256")
@@ -648,51 +644,46 @@ class Classifier:
     # -- curated X_0(N) inventory -------------------------------------------
 
     def _x0_type(self, N: int) -> str | None:
-        """Coarse type of X_0(N) from the complete literature lists, or
-        ``None`` when X_0(N) is neither subhyperelliptic nor bielliptic.
+        """Coarse type of X_0(N), N >= 13, or ``None`` when X_0(N) is neither
+        subhyperelliptic nor bielliptic.  Genus 0 and 1 are counted without
+        enumerating subgroups; the complete literature lists give the rest.
         Used only to delimit the survey scope."""
-        for key, label in (
-            ("x0.rational", "rational"),
-            ("x0.elliptic", "elliptic"),
-            ("x0.hyperelliptic", "hyperelliptic"),
-            ("x0.bielliptic", "bielliptic"),
-        ):
-            fact = self.facts.read_past_switch(key)
-            if N in fact.as_levels():
+        g = genus(DeltaSubgroup(N, units(N), "0"))
+        if g <= 1:
+            return ("rational", "elliptic")[g]
+        for label in ("hyperelliptic", "bielliptic"):
+            if N in self.facts.read_past_switch(f"x0.{label}").as_levels():
                 return label
         return None
 
     # -- main classification flow -------------------------------------------
 
-    def _classify(self, N: int, delta: DeltaSubgroup) -> ClassificationRecord:
-        g = genus(N, delta)
-        label = delta.label
+    def _classify(self, delta: DeltaSubgroup) -> ClassificationRecord:
+        N, g = delta.N, genus(delta)
         warnings: list[str] = []
         if g == 0:
-            return self._record(N, delta, g, "rational", None, (), (), (), "infinite", ())
+            return self._record(delta, g, "rational", None, (), (), (), "infinite", ())
         if g == 1:
-            return self._record(N, delta, g, "elliptic", None, (), (), (), "infinite", ())
+            return self._record(delta, g, "elliptic", None, (), (), (), "infinite", ())
 
-        biell, hyper, evidence = self._witness_search(N, delta, g)
+        biell, hyper, evidence = self._witness_search(delta, g)
 
         if hyper or g == 2:
             if g == 2 and not hyper:
                 evidence = evidence + (
                     Evidence("genus-two", "every genus-2 curve is hyperelliptic"),
                 )
-            return self._record(
-                N, delta, g, "hyperelliptic", bool(biell), biell, hyper,
-                evidence, "infinite",
-            )
+            return self._record(delta, g, "hyperelliptic", bool(biell), biell, hyper,
+                                evidence, "infinite")
 
         if biell:
             qp, qp_facts, qp_warn = self._quadratic_points_bielliptic(N)
             return self._record(
-                N, delta, g, "bielliptic", True, biell, hyper, evidence,
+                delta, g, "bielliptic", True, biell, hyper, evidence,
                 qp, qp_facts, warnings=qp_warn,
             )
 
-        covers = self._covers(N, delta)
+        covers = self._covers(delta)
         accola = self._accola_genus4(N, g, covers)
         if accola is not None:
             warnings.append(
@@ -701,16 +692,16 @@ class Classifier:
             )
             qp, qp_facts, qp_warn = self._quadratic_points_bielliptic(N)
             return self._record(
-                N, delta, g, "bielliptic", True, (), (), evidence + (accola,),
+                delta, g, "bielliptic", True, (), (), evidence + (accola,),
                 qp, qp_facts, warnings=tuple(warnings) + qp_warn,
             )
 
-        negative = self._eliminations(N, delta, g, covers)
+        negative = self._eliminations(delta, g, covers)
         evidence = evidence + negative
         if negative:
             qp, qp_facts, qp_warn = self._quadratic_points_not_bielliptic()
             return self._record(
-                N, delta, g, "not-bielliptic", False, (), (), evidence,
+                delta, g, "not-bielliptic", False, (), (), evidence,
                 qp, qp_facts, warnings=qp_warn,
             )
 
@@ -721,14 +712,11 @@ class Classifier:
             )
         else:
             warnings.append("no decisive evidence found")
-        return self._record(
-            N, delta, g, "undecided", None, (), (), evidence, "n/a", (),
-            warnings=tuple(warnings),
-        )
+        return self._record(delta, g, "undecided", None, (), (), evidence, "n/a", (),
+                            warnings=tuple(warnings))
 
     def _record(
         self,
-        N: int,
         delta: DeltaSubgroup,
         g: int,
         status: str,
@@ -744,7 +732,7 @@ class Classifier:
         for ev in evidence:
             facts_used.update(ev.facts_used)
         return ClassificationRecord(
-            N=N,
+            N=delta.N,
             delta_label=delta.label,
             delta_elements=delta.elements,
             genus=g,
@@ -797,18 +785,17 @@ class Classifier:
 
     # -- witness search -----------------------------------------------------
 
-    def _witness_candidates(self, N: int, delta: DeltaSubgroup):
+    def _witness_candidates(self, delta: DeltaSubgroup):
         """Every operator whose lifts [b] * w are tried on X_Delta(N), as
-        ``(kind, w, base, names)``: ``base`` is the set of W_d fixed points
-        on X_0(N) for Atkin-Lehner operators (else None) and ``names`` names
-        the lifts, b over ``delta.coset_reps()``.  The diamonds [b] are the
-        lifts of the identity."""
-        reps = delta.coset_reps()
-        yield "diamond", IDENTITY, None, tuple(f"[{b}]" for b in reps)
+        ``(kind, w, names)``: ``names`` names the lifts, b over
+        ``delta.coset_reps()``.  The diamonds [b] are the lifts of the
+        identity."""
+        N, reps = delta.N, delta.coset_reps()
+        yield "diamond", IDENTITY, tuple(f"[{b}]" for b in reps)
         for d in hall_divisors(N):
             if d == 1 or not descends(d, delta):
                 continue
-            ref, _, base, hat = al_reference(N, d, delta)
+            ref, _, _, hat = al_reference(d, delta)
             if hat is None:
                 names = tuple(f"[{b}]W_{d}" if b != 1 else f"W_{d}" for b in reps)
             else:
@@ -819,7 +806,7 @@ class Classifier:
                 offset = q.divided_by(d).a % N
                 classes = (delta.coset_min(b * offset % N) for b in reps)
                 names = tuple(f"W^_{d}" if c == 1 else f"[{c}]W^_{d}" for c in classes)
-            yield "atkin-lehner", ref, base, names
+            yield "atkin-lehner", ref, names
         # Beyond diamonds and Atkin-Lehner lifts: the generic shape
         # [[1,0],[N/2,1]] for levels divisible by 4, and the sporadic
         # involutions of X_0(N) listed in the fact book.  A candidate is
@@ -831,22 +818,23 @@ class Classifier:
             extras.extend(listed.as_matrices())
         for mat in extras:
             if normalizes(mat, delta):
-                yield "explicit", mat, None, tuple(
+                yield "explicit", mat, tuple(
                     str(mat) if b == 1 else f"[{b}]{mat}" for b in reps
                 )
 
-    def _witness_search(self, N: int, delta: DeltaSubgroup, g: int):
+    def _witness_search(self, delta: DeltaSubgroup, g: int):
         """Verify all candidate involutions; sort them into bielliptic
         witnesses (2g-2 fixed points) and hyperelliptic witnesses (2g+2)."""
         biell: list[Witness] = []
         hyper: list[Witness] = []
         evidence: list[Evidence] = []
-        for kind, w, base, names in self._witness_candidates(N, delta):
-            for k, mat, elliptic, cuspidal in _involution_counts(N, delta, w, g, base):
+        for kind, w, names in self._witness_candidates(delta):
+            route_a = kind == "atkin-lehner"
+            for k, mat, elliptic, cuspidal in _involution_counts(delta, w, g, route_a):
                 name = names[k]
                 total = elliptic + cuspidal
                 if total == 2 * g - 2:
-                    if kind == "atkin-lehner" and mat.det == N and g > 5:
+                    if kind == "atkin-lehner" and mat.det == delta.N and g > 5:
                         if delta.index != 1:
                             raise FieldDegreeMismatch(
                                 f"bielliptic {name} on genus {g} is not defined over Q"
@@ -872,7 +860,7 @@ class Classifier:
         if g != 4:
             return None
         for M, label, deg, _ in covers:
-            if M != N or deg != 3 or genus(N, delta_by_label(N, label)) != 2:
+            if M != N or deg != 3 or genus(delta_by_label(N, label)) != 2:
                 continue
             # Riemann-Hurwitz: 2*4-2 == 3*(2*2-2) + ram forces ram == 0.
             return Evidence(
@@ -886,13 +874,14 @@ class Classifier:
 
     # -- cover enumeration --------------------------------------------------
 
-    def _covers(self, N: int, delta: DeltaSubgroup):
+    def _covers(self, delta: DeltaSubgroup):
         """Covers X_Delta(N) -> X_Delta''(M): diamond quotients at level N
         (always Galois) and level-lowering maps (Galois when of degree 2),
         as ``(M, label, degree, galois)``.  Nothing here classifies a
         target; ``_eliminations`` classifies the Galois ones it reads."""
+        N = delta.N
         out: list[tuple[int, str, int, bool]] = []
-        deg_self = degree(N, delta)
+        deg_self = degree(delta)
         for sub in subgroups_containing_minus1(N):
             if len(sub.elements) <= len(delta.elements):
                 continue
@@ -907,7 +896,7 @@ class Classifier:
             for sub in subgroups_containing_minus1(M):
                 if not set(image.elements) <= set(sub.elements):
                     continue
-                deg, rem = divmod(deg_self, degree(M, sub))
+                deg, rem = divmod(deg_self, degree(sub))
                 if rem:
                     raise CoverMismatch(
                         f"index of {curve_name(M, sub.label)} does not divide "
@@ -942,9 +931,7 @@ class Classifier:
             return True, ("intermediate.hyperelliptic",)
         return False, ()
 
-    def _eliminations(
-        self, N: int, delta: DeltaSubgroup, g: int, covers
-    ) -> tuple[Evidence, ...]:
+    def _eliminations(self, delta: DeltaSubgroup, g: int, covers) -> tuple[Evidence, ...]:
         """Negative evidence against a bielliptic X_Delta(N) of genus ``g``.
 
         The Castelnuovo-Severi bound reads only the genus of the curve
@@ -955,7 +942,7 @@ class Classifier:
         out: list[Evidence] = []
 
         for M, label2, deg, galois in covers:
-            gy = genus(M, delta_by_label(M, label2))
+            gy = genus(delta_by_label(M, label2))
             target = self.classify(M, label2) if g >= 6 and galois else None
 
             if target is not None and gy >= 2:
@@ -997,11 +984,11 @@ class Classifier:
                         facts_used=tuple(sorted(set(tags) | set(target.facts_used))),
                     ))
 
-        ev = self._involution_elimination(N, delta, g)
+        ev = self._involution_elimination(delta, g)
         if ev is not None:
             out.append(ev)
 
-        fact = self.facts.get(f"verdict.{N}.{delta.label}")
+        fact = self.facts.get(f"verdict.{delta.N}.{delta.label}")
         if fact is not None and fact.value == "not-bielliptic":
             out.append(Evidence(
                 "curated-verdict",
@@ -1023,14 +1010,14 @@ class Classifier:
         if completeness is None:
             return None, ()
         full = _full(N)
-        g0 = genus(N, full)
+        g0 = genus(full)
         cands: list[tuple[str, Mat2, str, int]] = []
         for d in hall_divisors(N):
             if d == 1:
                 continue
             # elliptic count: the base set (route A would redo X_0(N)'s witness search)
             w = generic_atkin_lehner(N, d)
-            total = fixed_points_X0(N, d).count + cuspidal_fixed_count(N, full, w)[0]
+            total = fixed_points_X0(N, d).count + cuspidal_fixed_count(full, w)[0]
             involution_quotient_genus(g0, total)
             if total in (2 * g0 - 2, 2 * g0 + 2):
                 cands.append((f"W_{d}", w, "atkin-lehner", total))
@@ -1039,16 +1026,16 @@ class Classifier:
         if extra is not None:
             tags.add(extra.key)
             for mat in extra.as_matrices():
-                for _, _, elliptic, cuspidal in _involution_counts(N, full, mat, g0):
+                for _, _, elliptic, cuspidal in _involution_counts(full, mat, g0):
                     cands.append((str(mat), mat, "explicit", elliptic + cuspidal))
         self._x0_memo[N] = cands, tuple(sorted(tags))
         return self._x0_memo[N]
 
-    def _cusp_obstruction(self, N: int, delta: DeltaSubgroup, w: Mat2) -> str | None:
+    def _cusp_obstruction(self, delta: DeltaSubgroup, w: Mat2) -> str | None:
         """A rational cusp whose image cusp on X_0(N) has no rational cusp
         of X_Delta(N) above it; obstructs a Q-rational lift of ``w``."""
-        table = cusp_table(N, delta)
-        table0 = cusp_table(N, _full(N))
+        N, table = delta.N, cusp_table(delta)
+        table0 = cusp_table(_full(N))
         proj = table0.class_of(*table.lifts)
         rational = np.array([cls.is_rational for cls in table.classes])
         covered = np.zeros(len(table0.classes), dtype=bool)
@@ -1068,9 +1055,7 @@ class Classifier:
             f"X_0({N}) with no rational cusp above it"
         )
 
-    def _involution_elimination(
-        self, N: int, delta: DeltaSubgroup, g: int
-    ) -> Evidence | None:
+    def _involution_elimination(self, delta: DeltaSubgroup, g: int) -> Evidence | None:
         """Exclude every possible image on X_0(N) of a bielliptic involution.
 
         For genus >= 6 a bielliptic involution of X_Delta(N) is unique and
@@ -1087,6 +1072,7 @@ class Classifier:
         """
         if g < 6:
             return None
+        N = delta.N
         cands, tags = self._x0_candidates(N)
         if cands is None:
             return None
@@ -1099,7 +1085,7 @@ class Classifier:
                     f"lifts are defined over a degree-{k} cyclotomic "
                     f"subfield, not over Q"
                 )
-            elif (cusp := self._cusp_obstruction(N, delta, w)) is not None:
+            elif (cusp := self._cusp_obstruction(delta, w)) is not None:
                 step, reason = 1, cusp
             elif 2 * g - 2 > delta.index * total0:
                 step, reason = 2, (

@@ -41,7 +41,7 @@ from .classify import (
 from .congruence import _require_level
 from .errors import InputError, InvariantError, MembershipViolation
 from .facts import FactBook
-from .qforms import FixedPointSet, fixed_points_X0
+from .qforms import fixed_points_X0
 from .zmodn import (
     DeltaSubgroup,
     delta_by_label,
@@ -256,27 +256,26 @@ def _cmd_curve(args: argparse.Namespace, argv: list[str]) -> str:
     return "\n".join(_record_text(record)) + "\n"
 
 
-def _lift_payload(N: int, delta: DeltaSubgroup, base: FixedPointSet) -> dict[str, Any]:
-    d = base.d
+def _lift_payload(delta: DeltaSubgroup, d: int) -> dict[str, Any]:
     if not descends(d, delta):
         raise InputError(
-            f"W_{d} does not act on {curve_name(N, delta.label)}: "
+            f"W_{d} does not act on {curve_name(delta.N, delta.label)}: "
             f"its operator does not normalize the congruence subgroup"
         )
-    ref, name, _, _ = al_reference(N, d, delta)
+    ref, name, base, _ = al_reference(d, delta)
     if not normalizes(ref, delta):
         raise MembershipViolation(
             f"candidate {ref} above W_{d} does not normalize the subgroup"
         )
-    report = lift_fixed_points(N, delta, ref, base)
+    report = lift_fixed_points(delta, ref)
     a, b, c, dd = ref.entries()
     return {
-        "curve": curve_name(N, delta.label),
+        "curve": curve_name(delta.N, delta.label),
         "candidate": name,
         "candidate_matrix": [[a, b], [c, dd]],
         "base_count": base.count,
         "fixed_elliptic": len(report.witnesses),
-        "fixed_cuspidal": cuspidal_fixed_count(N, delta, ref)[0],
+        "fixed_cuspidal": cuspidal_fixed_count(delta, ref)[0],
         "a_classes": [w[2] for w in report.witnesses],
         "fibres": [list(w) for w in report.witnesses],
     }
@@ -300,7 +299,7 @@ def _cmd_fixed_points(args: argparse.Namespace, argv: list[str]) -> str:
     }
     delta = _resolve_delta(args.N, args.delta) if args.delta is not None else None
     if delta is not None:
-        results["lift"] = _lift_payload(args.N, delta, base)
+        results["lift"] = _lift_payload(delta, args.d)
     if args.format == "json":
         return _json_text(_envelope(argv, results, []))
 

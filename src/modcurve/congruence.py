@@ -13,11 +13,12 @@ from a table over the pair indices c*N + d that is dropped once they are
 built.  The cusp table keeps one class per reduced pair (x mod gcd(y, N); y),
 P(N) = sum_y gcd(y, N) of them, and reads every pair through one lookup.
 
-The degree and the genus are counted from N and Delta (:func:`degree`,
-:func:`genus`) without building any table; the coset action checks its own
-count against them.  The coset actions, transversals and cusp tables are
-cached per (N, Delta) until ``_clear_level_caches`` frees them, which the
-classifier does after each level of a census.
+Every function here reads the level N from ``delta.N``.  The degree and the
+genus are counted from Delta (:func:`degree`, :func:`genus`) without building
+any table; the coset action checks its own count against them.  The coset
+actions, transversals and cusp tables are cached per Delta until
+``_clear_level_caches`` frees them, which the classifier does after each
+level of a census.
 """
 
 from __future__ import annotations
@@ -64,13 +65,13 @@ __all__ = [
 # membership
 
 
-def is_member(m: Mat2, N: int, delta: DeltaSubgroup) -> bool:
-    """True when m (or -m) lies in Gamma_Delta(N).
+def is_member(m: Mat2, delta: DeltaSubgroup) -> bool:
+    """True when m (or -m) lies in Gamma_Delta(N), N = ``delta.N``.
 
     Because -1 in Delta, membership of m and of -m are equivalent, so a
     single check covers the projective group.
     """
-    return m.det == 1 and m.c % N == 0 and (m.a % N) in delta
+    return m.det == 1 and m.c % delta.N == 0 and (m.a % delta.N) in delta
 
 
 # ---------------------------------------------------------------------------
@@ -97,13 +98,6 @@ def _require_level(N: int) -> None:
         raise InputError(f"level {N} is too large for the coset tables (limit {LEVEL_LIMIT})")
 
 
-def _require_subgroup(N: int, delta: DeltaSubgroup) -> None:
-    """Refuse a subgroup of another level, then a level out of range."""
-    if delta.N != N:
-        raise InputError(f"subgroup has level {delta.N}, expected {N}")
-    _require_level(N)
-
-
 def _modulus(m: int, N: int) -> int:
     """The modulus m*N of a fixed-point count, refused when too large."""
     M = m * N
@@ -119,14 +113,15 @@ def _modulus(m: int, N: int) -> int:
 # degree and genus by counting
 
 
-def degree(N: int, delta: DeltaSubgroup) -> int:
+def degree(delta: DeltaSubgroup) -> int:
     """Number of cosets of Gamma_Delta(N) in SL2(Z), psi(N)*phi(N)/|Delta|.
 
     The pairs (c, d) mod N with gcd(c, d, N) = 1 number
     N^2 * prod_{p | N} (1 - 1/p^2) = psi(N)*phi(N), and Delta scales them
     freely.  Levels above ``LEVEL_LIMIT`` are refused with ``InputError``.
     """
-    _require_subgroup(N, delta)
+    N = delta.N
+    _require_level(N)
     pairs = N * N
     for p in prime_divisors(N):
         pairs = pairs // (p * p) * (p * p - 1)
@@ -134,10 +129,10 @@ def degree(N: int, delta: DeltaSubgroup) -> int:
 
 
 @lru_cache(maxsize=None)
-def genus(N: int, delta: DeltaSubgroup) -> int:
+def genus(delta: DeltaSubgroup) -> int:
     """Genus of the modular curve attached to Gamma_Delta(N), by counting.
 
-    12g = 12 + mu - 3*e2 - 4*e3 - 6*c with mu = ``degree(N, delta)``,
+    12g = 12 + mu - 3*e2 - 4*e3 - 6*c with mu = ``degree(delta)``,
     e2 = phi(N) * #{a in Delta : a^2 = -1} / |Delta|,
     e3 = phi(N) * #{a in Delta : a^2 - a + 1 = 0} / |Delta| (mod N) and
     c = sum_{d | N} phi(d)*phi(N/d) / |Delta mod lcm(d, N/d)| cusps, where
@@ -146,7 +141,7 @@ def genus(N: int, delta: DeltaSubgroup) -> int:
     raised on a remainder, and levels above ``LEVEL_LIMIT`` are refused
     with ``InputError``.
     """
-    mu = degree(N, delta)
+    N, mu = delta.N, degree(delta)
     elems, order = delta.elements, len(delta.elements)
     phi = totient(N)
     # every term below is |Delta| times its term in 12g
@@ -178,13 +173,16 @@ class CosetAction:
     ``degree`` rows.
     """
 
-    N: int
     delta: DeltaSubgroup
     cosets: np.ndarray
     sigma_S: np.ndarray
     sigma_T: np.ndarray
     cycle_starts: np.ndarray
     cycle_widths: np.ndarray
+
+    @property
+    def N(self) -> int:
+        return self.delta.N
 
     @property
     def degree(self) -> int:
@@ -198,7 +196,7 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=None)
-def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
+def coset_action(delta: DeltaSubgroup) -> CosetAction:
     """The coset action of SL2(Z) on Gamma_Delta(N)\\SL2(Z).
 
     Cosets are numbered in increasing order of their canonical pair index
@@ -209,7 +207,8 @@ def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     :func:`degree` or :func:`genus`.  Levels above ``LEVEL_LIMIT`` are
     refused with ``InputError``.
     """
-    _require_subgroup(N, delta)
+    N = delta.N
+    _require_level(N)
     canon = canonical_pair_table(N, delta.elements)
     # the canonical pairs are the fixed points of the table; scaling by a
     # unit keeps gcd(c, d, N), so a non-unimodular pair has a canonical
@@ -229,13 +228,13 @@ def coset_action(N: int, delta: DeltaSubgroup) -> CosetAction:
     e3 = int(np.count_nonzero(sigma_T[sigma_S] == k))
     starts, widths = _t_cycles(sigma_T, N)
     num = 12 + mu - 3 * e2 - 4 * e3 - 6 * len(starts)
-    if mu != degree(N, delta) or num != 12 * genus(N, delta):
+    if mu != degree(delta) or num != 12 * genus(delta):
         raise GenusMismatch(
             f"the coset action gives mu = {mu}, 12g = {num} for N={N}, "
             f"delta={delta.label}, against the counting formulas"
         )
     _read_only(cosets, sigma_S, sigma_T, starts, widths)
-    return CosetAction(N, delta, cosets, sigma_S, sigma_T, starts, widths)
+    return CosetAction(delta, cosets, sigma_S, sigma_T, starts, widths)
 
 
 def _t_cycles(sigma_T: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -283,7 +282,7 @@ def lift_to_coprime(c, d, N: int):
 
 
 @lru_cache(maxsize=None)
-def transversal(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
+def transversal(delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
     """One SL2(Z) representative [[a, b], [c, d]] per coset, as four
     read-only int64 columns (a, b, c, d) indexed by coset position.
 
@@ -292,7 +291,7 @@ def transversal(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
     Euclidean algorithm, run on all cosets at once; coset (0, 1) gets the
     identity.
     """
-    act = coset_action(N, delta)
+    N, act = delta.N, coset_action(delta)
     c, d = lift_to_coprime(act.cosets[:, 0], act.cosets[:, 1], N)
     # extended Euclid on (d, c), stepped in the columns whose remainder is
     # not yet 0; it keeps u*d = r (mod c) and ends with u*d = 1 (mod c)
@@ -359,12 +358,15 @@ class CuspTable:
     ``lifts`` holds coprime integer lifts (x, y) of the class representatives.
     """
 
-    N: int
     delta: DeltaSubgroup
     classes: tuple[CuspClass, ...]
     rank: np.ndarray
     offset: np.ndarray
     lifts: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def N(self) -> int:
+        return self.delta.N
 
     def class_of(self, x, y):
         """Class index of the cusp +-(x; y), an int for ints and an int64 array
@@ -392,7 +394,7 @@ class CuspTable:
         return self.class_of(X // g, Y // g)
 
 
-def _cusp_labels(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
+def _cusp_labels(delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
     """``(rank, offset, keys)``: the class of every reduced pair (-1 off the
     cusp pairs), the position of the first reduced pair of every y (and P(N)
     at y = N), and the least pair index x*N + y of every class, in order.
@@ -404,6 +406,7 @@ def _cusp_labels(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
     reduced pairs are laid out y by y, (x'; y) at offset[y] + x'; the scaled
     pairs are compared in blocks of Delta of at most 2^18 cells.
     """
+    N = delta.N
     residues = np.arange(N, dtype=np.int64)
     g = np.gcd(residues, N)  # gcd(0, N) = N
     offset = np.cumsum(np.append(0, g))
@@ -431,7 +434,7 @@ def _cusp_labels(N: int, delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
 
 
 @lru_cache(maxsize=None)
-def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
+def cusp_table(delta: DeltaSubgroup) -> CuspTable:
     """All cusps of the curve, with widths cross-checked against sigma_T.
 
     The reduction of Gamma_Delta(N) mod N is the group of matrices
@@ -444,12 +447,12 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
     Levels above ``LEVEL_LIMIT`` are refused by ``coset_action`` before
     anything is allocated.
     """
-    act = coset_action(N, delta)
-    rank, offset, keys = _cusp_labels(N, delta)
+    N, act = delta.N, coset_action(delta)
+    rank, offset, keys = _cusp_labels(delta)
     rx, ry = keys // N, keys % N
     lifts = lift_to_coprime(rx, ry, N)
     _read_only(rank, offset, *lifts)
-    table = CuspTable(N, delta, (), rank, offset, lifts)
+    table = CuspTable(delta, (), rank, offset, lifts)
 
     if len(act.cycle_starts) != len(keys):
         raise CuspCountMismatch(
@@ -487,9 +490,9 @@ def cusp_table(N: int, delta: DeltaSubgroup) -> CuspTable:
     return replace(table, classes=classes)
 
 
-def cusps(N: int, delta: DeltaSubgroup) -> tuple[CuspClass, ...]:
-    """The cusps of the curve attached to (N, Delta)."""
-    return cusp_table(N, delta).classes
+def cusps(delta: DeltaSubgroup) -> tuple[CuspClass, ...]:
+    """The cusps of the curve attached to Delta."""
+    return cusp_table(delta).classes
 
 
 # The caches that hold a level's coset tables, bound here so that clearing
@@ -503,14 +506,18 @@ def _clear_level_caches() -> None:
         cache.cache_clear()
 
 
-def cusp_field(N: int, delta: DeltaSubgroup, cusp: CuspClass) -> FieldDescriptor:
-    """Field of definition of a cusp inside Q(zeta_N).
+def cusp_field(delta: DeltaSubgroup, cusp: CuspClass) -> FieldDescriptor:
+    """Field of definition of a cusp inside Q(zeta_N), N = ``delta.N``.
 
     The degree always equals the cusp's Galois orbit size.  When the
     denominator d satisfies gcd(d, N/d) = 1 the field is the subfield of
     Q(zeta_d) fixed by Delta^(d) = {a mod d : a in Delta, a = 1 mod N/d};
-    both routes are computed and must agree.
+    both routes are computed and must agree.  A cusp of another level is
+    refused with ``InputError``.
     """
+    N = delta.N
+    if cusp.N != N:
+        raise InputError(f"cusp {cusp.rep} has level {cusp.N}, Delta has level {N}")
     degree = cusp.galois_orbit_size
     d = cusp.denominator
     if is_hall_divisor(d, N):

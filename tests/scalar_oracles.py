@@ -317,7 +317,7 @@ def lift_witnesses(
                 if not m.divisible_by(d):
                     continue
                 gamma = m.divided_by(d)
-                if is_member(gamma, N, delta):
+                if is_member(gamma, delta):
                     witnesses.append((j, rep, _signed(gamma.a, N)))
                     break
     return tuple(witnesses)
@@ -359,7 +359,7 @@ def coset_elliptic_count(N: int, delta: DeltaSubgroup, w: Mat2) -> int:
                     if not p.divisible_by(m):
                         continue
                     gamma = p.divided_by(m)
-                    if gamma.det == 1 and is_member(gamma, N, delta):
+                    if gamma.det == 1 and is_member(gamma, delta):
                         matches.setdefault(form, set()).add(x)
 
     count = 0
@@ -449,8 +449,8 @@ def cusp_classes(N: int, delta: DeltaSubgroup):
 def cusp_obstruction(N: int, delta: DeltaSubgroup, w: Mat2) -> str | None:
     """A rational cusp whose image cusp on X_0(N) has no rational cusp
     of X_Delta(N) above it; obstructs a Q-rational lift of ``w``."""
-    table = cusp_table(N, delta)
-    table0 = cusp_table(N, delta_by_label(N, "0"))
+    table = cusp_table(delta)
+    table0 = cusp_table(delta_by_label(N, "0"))
     proj = [table0.class_of(*cls.rep) for cls in table.classes]
     images = table0.images(w)
     for i, cls in enumerate(table.classes):
@@ -495,7 +495,7 @@ def schreier_generators(N: int, delta: DeltaSubgroup) -> tuple[Mat2, ...]:
             m = reps[k] * g * reps[sigma[k]].adjugate()
             if m.det != 1:
                 raise DeterminantMismatch(f"Schreier generator {m} at N={N}")
-            if not is_member(m, N, delta):
+            if not is_member(m, delta):
                 raise MembershipViolation(
                     f"Schreier generator {m} not in Gamma_Delta({N}), "
                     f"delta={delta.label}, coset {k}"

@@ -53,10 +53,10 @@ def test_01_genus_values_match_published_tables(census_by_key):
     assert census_by_key[(34, "D2")].genus == 5
     assert census_by_key[(37, "D3")].genus == 4
     assert census_by_key[(37, "D4")].genus == 4
-    assert genus(37, subgroups_containing_minus1(37)[-1]) == 2
+    assert genus(subgroups_containing_minus1(37)[-1]) == 2
     # the full sweep over every census curve must be cheap
     for (N, label), rec in census_by_key.items():
-        assert genus(N, delta_by_label(N, label)) == rec.genus
+        assert genus(delta_by_label(N, label)) == rec.genus
     assert time.monotonic() - start < 60
 
 
@@ -67,9 +67,9 @@ def test_02_involution_fixed_points_worked_example():
         (34, -26, 5), (34, -20, 3), (34, 20, 3), (34, 26, 5)]
     delta = delta_by_label(34, "D2")
     ref = base.points[0].matrix
-    report = lift_fixed_points(34, delta, ref, base)
+    report = lift_fixed_points(delta, ref)
     assert len(report.witnesses) == 8
-    assert cuspidal_fixed_count(34, delta, ref)[0] == 0
+    assert cuspidal_fixed_count(delta, ref)[0] == 0
     assert {w[2] for w in report.witnesses} == {1, -1, 15, 9}
 
 
@@ -79,13 +79,13 @@ def test_03_negative_control_rejects_wrong_candidates():
     hat = hat_W(64, delta)
     assert hat is not None
     for cand in (hat, diamond_matrix(3, 64) * hat):
-        total = (len(lift_fixed_points(64, delta, cand, base).witnesses)
-                 + cuspidal_fixed_count(64, delta, cand)[0])
+        total = (len(lift_fixed_points(delta, cand).witnesses)
+                 + cuspidal_fixed_count(delta, cand)[0])
         assert total == 4
         assert involution_quotient_genus(5, total) != 1
     good = Mat2(1, 0, 32, 1)
-    count = (coset_fixed_points(64, delta, good)[0]
-             + cuspidal_fixed_count(64, delta, good)[0])
+    count = (coset_fixed_points(delta, good)[0]
+             + cuspidal_fixed_count(delta, good)[0])
     assert count == 8
     assert involution_quotient_genus(5, count) == 1
 
@@ -135,9 +135,9 @@ def test_06_operator_vignettes():
     assert automorphism_order(w5 * w35, d2) == 8
     assert automorphism_order(Mat2(11, 2, 55, 11), delta_by_label(55, "D3")) == 4
     d65 = {lab: delta_by_label(65, lab) for lab in ("D1", "D2", "D3")}
-    assert t_image(65, 5, d65["D1"]) == d65["D3"]
-    assert t_image(65, 5, d65["D3"]) == d65["D1"]
-    assert t_image(65, 5, d65["D2"]) == d65["D2"]
+    assert t_image(5, d65["D1"]) == d65["D3"]
+    assert t_image(5, d65["D3"]) == d65["D1"]
+    assert t_image(5, d65["D2"]) == d65["D2"]
     el = hat_W(5, delta_by_label(35, "D3"))
     assert el is not None and el == Mat2(10, -3, 35, -10)
 
@@ -155,8 +155,8 @@ def test_07_property_sweeps_within_budget(census_on):
             el = hat_W(d, delta)
             if el is None or automorphism_order(el, delta) != 2:
                 continue
-            report = lift_fixed_points(rec.N, delta, el, fixed_points_X0(rec.N, d))
-            total = len(report.witnesses) + cuspidal_fixed_count(rec.N, delta, el)[0]
+            report = lift_fixed_points(delta, el)
+            total = len(report.witnesses) + cuspidal_fixed_count(delta, el)[0]
             assert 0 <= involution_quotient_genus(rec.genus, total) <= rec.genus
             checked += 1
     assert checked > 250
@@ -178,7 +178,7 @@ def test_07_property_sweeps_within_budget(census_on):
     # analytic cusp count equals the T-orbit count on cosets
     for rec in census_on:
         delta = delta_by_label(rec.N, rec.delta_label)
-        sigma = coset_action(rec.N, delta).sigma_T
+        sigma = coset_action(delta).sigma_T
         visited = [False] * len(sigma)
         cycles = 0
         for i in range(len(sigma)):
@@ -188,7 +188,7 @@ def test_07_property_sweeps_within_budget(census_on):
                 while not visited[j]:
                     visited[j] = True
                     j = sigma[j]
-        assert cycles == len(cusps(rec.N, delta))
+        assert cycles == len(cusps(delta))
 
     # descent symmetry between complementary divisors
     for rec in census_on:

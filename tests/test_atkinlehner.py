@@ -40,7 +40,7 @@ def test_diamond_matrix_is_member_of_full_level():
             assert m.det == 1
             assert m.c % N == 0
             assert m.a % N in (a % N, (N - a) % N)
-            assert is_member(m, N, full)
+            assert is_member(m, full)
 
 
 def _gcd(a, b):
@@ -52,8 +52,8 @@ def _gcd(a, b):
 def test_diamond_respects_subgroup_membership():
     N = 21
     d1 = delta_by_label(N, "D1")  # {1, 8, 13, 20}
-    assert is_member(diamond_matrix(8, N), N, d1)
-    assert not is_member(diamond_matrix(2, N), N, d1)
+    assert is_member(diamond_matrix(8, N), d1)
+    assert not is_member(diamond_matrix(2, N), d1)
     assert normalizes(diamond_matrix(2, N), d1)
 
 
@@ -88,9 +88,9 @@ def test_t_image_at_65_swaps_the_two_order_4_subgroups():
     assert set(d1.elements) == {1, 8, 57, 64}
     assert set(d2.elements) == {1, 14, 51, 64}
     assert set(d3.elements) == {1, 18, 47, 64}
-    assert t_image(65, 5, d1) == d3
-    assert t_image(65, 5, d3) == d1
-    assert t_image(65, 5, d2) == d2
+    assert t_image(5, d1) == d3
+    assert t_image(5, d3) == d1
+    assert t_image(5, d2) == d2
 
 
 def test_descends_iff_t_image_fixes_subgroup():
@@ -99,7 +99,7 @@ def test_descends_iff_t_image_fixes_subgroup():
             for d in hall_divisors(N):
                 if d in (1,):
                     continue
-                assert descends(d, delta) == (t_image(N, d, delta) == delta)
+                assert descends(d, delta) == (t_image(d, delta) == delta)
 
 
 def test_descends_symmetric_in_complementary_divisor():
@@ -221,7 +221,7 @@ def test_automorphism_orders_golden():
     w = Mat2(6, -1, 21, -3)
     assert automorphism_order(w, d1) == 6
     sq = (w * w).divided_by(3)
-    assert is_member(sq * diamond_matrix(5, 21).adjugate(), 21, d1)
+    assert is_member(sq * diamond_matrix(5, 21).adjugate(), d1)
 
 
 def test_automorphism_order_of_involutions():

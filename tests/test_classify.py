@@ -373,7 +373,7 @@ def test_curated_x0_lists_agree_with_the_witness_search():
     found = {}
     for N in sorted(set(bielliptic) | set(hyperelliptic)):
         full = delta_by_label(N, "0")
-        biell, hyper, _ = clf._witness_search(N, full, genus(N, full))
+        biell, hyper, _ = clf._witness_search(full, genus(full))
         found[N] = ([w.name for w in biell], [w.name for w in hyper])
     assert [N for N in bielliptic if not found[N][0]] == []
     assert [N for N in hyperelliptic if not found[N][1]] == [37]
@@ -392,16 +392,16 @@ def test_level_64_candidate_rejection():
     rejected = []
     for cand, name in ((hat, "W^_64"),
                        (diamond_matrix(3, 64) * hat, "[3]W^_64")):
-        total = (len(lift_fixed_points(64, delta, cand, base).witnesses)
-                 + cuspidal_fixed_count(64, delta, cand)[0])
+        total = (len(lift_fixed_points(delta, cand).witnesses)
+                 + cuspidal_fixed_count(delta, cand)[0])
         rejected.append((name, total))
         # 4 fixed points on a genus-5 curve quotient to genus 2, not 1
         assert involution_quotient_genus(5, total) == 2
     assert rejected == [("W^_64", 4), ("[3]W^_64", 4)]
     # the parabolic-shaped explicit involution is the one that works
     good = Mat2(1, 0, 32, 1)
-    count = (coset_fixed_points(64, delta, good)[0]
-             + cuspidal_fixed_count(64, delta, good)[0])
+    count = (coset_fixed_points(delta, good)[0]
+             + cuspidal_fixed_count(delta, good)[0])
     assert count == 8
     assert involution_quotient_genus(5, count) == 1
 
@@ -473,13 +473,13 @@ def _check_lift_argument(clf, N, delta, g):
     operators matched by determinant, extras by matrix), and a recount finds
     no lift with 2g-2 fixed points.  Returns how many candidates it checked."""
     tried = {(kind, w.det if kind == "atkin-lehner" else w)
-             for kind, w, _, _ in clf._witness_candidates(N, delta)}
+             for kind, w, _ in clf._witness_candidates(delta)}
     checked = 0
     for name, w, kind, _ in clf._x0_candidates(N)[0]:
         if not normalizes(w, delta):
             continue
         assert (kind, w.det if kind == "atkin-lehner" else w) in tried, (N, delta.label, name)
-        totals = [e + c for _, _, e, c in _involution_counts(N, delta, w, g)]
+        totals = [e + c for _, _, e, c in _involution_counts(delta, w, g)]
         assert 2 * g - 2 not in totals, (N, delta.label, name)
         checked += 1
     return checked
@@ -523,8 +523,8 @@ HALF_LEVEL_NORMALIZED = {40: {"D3"}, 48: {"D3", "D4", "D5"}, 64: {"D1", "D2"},
 def test_half_level_involution_of_x0_lifts_to_no_bielliptic_one(census_on, N):
     w = Mat2(1, 0, N // 2, 1)
     full = delta_by_label(N, "0")
-    g0 = genus(N, full)
-    assert [e + c for _, _, e, c in _involution_counts(N, full, w, g0)] == [2 * g0 - 2]
+    g0 = genus(full)
+    assert [e + c for _, _, e, c in _involution_counts(full, w, g0)] == [2 * g0 - 2]
     normalized = set()
     for rec in census_on:
         if rec.N != N or rec.status == "bielliptic" or rec.genus < 6:
@@ -532,7 +532,7 @@ def test_half_level_involution_of_x0_lifts_to_no_bielliptic_one(census_on, N):
         delta = delta_by_label(N, rec.delta_label)
         if normalizes(w, delta):
             normalized.add(rec.delta_label)
-            totals = [e + c for _, _, e, c in _involution_counts(N, delta, w, rec.genus)]
+            totals = [e + c for _, _, e, c in _involution_counts(delta, w, rec.genus)]
             assert 2 * rec.genus - 2 not in totals, rec.name
     assert normalized == HALF_LEVEL_NORMALIZED[N]
 
@@ -553,7 +553,7 @@ def test_cusp_obstruction_matches_scalar_oracle(classifier_on, census_on):
     for rec in census_on:
         delta = delta_by_label(rec.N, rec.delta_label)
         for _, w, _, _ in classifier_on._x0_candidates(rec.N)[0]:
-            got = classifier_on._cusp_obstruction(rec.N, delta, w)
+            got = classifier_on._cusp_obstruction(delta, w)
             expected = scalar_oracles.cusp_obstruction(rec.N, delta, w)
             assert got == expected, (rec.N, rec.delta_label, w)
             pairs += 1
@@ -672,7 +672,7 @@ def test_a_curve_classifies_only_the_cover_targets_whose_verdict_it_reads():
     # reads only a target's genus; only the Galois-cover rules read its
     # verdict, so only the five Galois targets are classified.
     c = Classifier(FactBook(enabled=True))
-    covers = c._covers(330, delta_by_label(330, "D1"))
+    covers = c._covers(delta_by_label(330, "D1"))
     galois = {(M, label) for M, label, _, is_galois in covers if is_galois}
     assert galois == {(330, "D6"), (330, "D8"), (330, "D11"), (330, "D14"), (330, "0")}
     assert {(165, "D3"), (10, "0")} <= {(M, label) for M, label, _, _ in covers} - galois

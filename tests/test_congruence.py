@@ -120,12 +120,12 @@ def _minimal(N):
 
 @pytest.mark.parametrize("N", list(range(3, 101)))
 def test_genus_full_level_matches_classical_formula(N):
-    assert genus(N, _full(N)) == genus_X0(N)
+    assert genus(_full(N)) == genus_X0(N)
 
 
 @pytest.mark.parametrize("N", list(range(5, 72)))
 def test_genus_minimal_level_matches_classical_formula(N):
-    assert genus(N, _minimal(N)) == genus_X1(N)
+    assert genus(_minimal(N)) == genus_X1(N)
 
 
 KNOWN_INTERMEDIATE_GENERA = {
@@ -141,7 +141,7 @@ KNOWN_INTERMEDIATE_GENERA = {
 
 def test_genus_known_intermediate_values():
     for (N, label), g in KNOWN_INTERMEDIATE_GENERA.items():
-        assert genus(N, delta_by_label(N, label)) == g, (N, label)
+        assert genus(delta_by_label(N, label)) == g, (N, label)
 
 
 def test_genus_monotone_under_inclusion():
@@ -151,7 +151,19 @@ def test_genus_monotone_under_inclusion():
         for a in subs:
             for b in subs:
                 if set(a.elements) <= set(b.elements):
-                    assert genus(N, a) >= genus(N, b)
+                    assert genus(a) >= genus(b)
+
+
+# The classical lists of the levels at which X_0(N) has genus 0 and genus 1.
+X0_RATIONAL = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 16, 18, 25)
+X0_ELLIPTIC = (11, 14, 15, 17, 19, 20, 21, 24, 27, 32, 36, 49)
+
+
+def test_genus_gives_the_rational_and_elliptic_x0_lists():
+    # The census scope counts these genera instead of reading the lists.
+    genera = {N: genus(_full(N)) for N in range(3, 257)}
+    assert [N for N, g in genera.items() if g == 0] == [N for N in X0_RATIONAL if N >= 3]
+    assert [N for N, g in genera.items() if g == 1] == list(X0_ELLIPTIC)
 
 
 @pytest.mark.parametrize("N", [
@@ -163,42 +175,38 @@ def test_counting_formulas_match_the_coset_action(N):
     # pair by pair must give the same index, and the same genus read from
     # its sigma_S and sigma_T by the oracle
     for delta in subgroups_containing_minus1(N):
-        act = coset_action(N, delta)
-        assert degree(N, delta) == len(act.cosets), delta.label
+        act = coset_action(delta)
+        assert degree(delta) == len(act.cosets), delta.label
         sigma_S, sigma_T = act.sigma_S.tolist(), act.sigma_T.tolist()
-        assert genus(N, delta) == oracle.genus(sigma_S, sigma_T), delta.label
+        assert genus(delta) == oracle.genus(sigma_S, sigma_T), delta.label
     _clear_level_caches()
 
 
 def test_coset_action_checks_its_count_against_the_formulas(monkeypatch):
     delta = delta_by_label(21, "D1")
     build = coset_action.__wrapped__  # past the cache
-    monkeypatch.setattr(congruence, "genus", lambda N, d: 4)
+    monkeypatch.setattr(congruence, "genus", lambda d: 4)
     with pytest.raises(GenusMismatch):
-        build(21, delta)
-    monkeypatch.setattr(congruence, "genus", lambda N, d: 3)
-    monkeypatch.setattr(congruence, "degree", lambda N, d: 95)
+        build(delta)
+    monkeypatch.setattr(congruence, "genus", lambda d: 3)
+    monkeypatch.setattr(congruence, "degree", lambda d: 95)
     with pytest.raises(GenusMismatch):
-        build(21, delta)
+        build(delta)
     monkeypatch.undo()
-    assert build(21, delta).degree == 96
+    assert build(delta).degree == 96
 
 
 def test_counting_formulas_check_their_input():
-    with pytest.raises(InputError, match="expected 34"):
-        genus(34, delta_by_label(17, "0"))
-    with pytest.raises(InputError, match="expected 34"):
-        degree(34, delta_by_label(17, "0"))
     # {+-1, +-2} mod 13 is not a group: its count leaves a remainder
     with pytest.raises(NonIntegralGenus):
-        genus(13, DeltaSubgroup(13, (1, 2, 11, 12), "x"))
+        genus(DeltaSubgroup(13, (1, 2, 11, 12), "x"))
 
 
 def test_coset_degree_multiplicative():
     for N in (21, 34, 40, 56):
-        d0 = coset_action(N, delta_by_label(N, "0")).degree
+        d0 = coset_action(delta_by_label(N, "0")).degree
         for sub in subgroups_containing_minus1(N):
-            act = coset_action(N, sub)
+            act = coset_action(sub)
             assert act.degree == d0 * sub.index
 
 
@@ -208,26 +216,26 @@ def test_coset_degree_multiplicative():
 
 @pytest.mark.parametrize("N", [6, 12, 21, 34, 37, 40, 56, 63, 64])
 def test_cusp_counts_against_classical_formulas(N):
-    assert len(cusps(N, _full(N))) == cusp_count_X0(N)
-    assert len(cusps(N, _minimal(N))) == cusp_count_X1(N)
+    assert len(cusps(_full(N))) == cusp_count_X0(N)
+    assert len(cusps(_minimal(N))) == cusp_count_X1(N)
 
 
 def test_cusps_squarefree_full_level_all_rational():
     for N in (21, 34, 35, 39):
-        for c in cusps(N, delta_by_label(N, "0")):
+        for c in cusps(delta_by_label(N, "0")):
             assert c.is_rational
-            assert cusp_field(N, delta_by_label(N, "0"), c).degree == 1
+            assert cusp_field(delta_by_label(N, "0"), c).degree == 1
 
 
 def test_cusp_fields_above_denominator_three():
     # at level 39 the two order-6 subgroup choices behave differently for
     # cusps with denominator 3: irrational for D2, rational for D3
     d2 = delta_by_label(39, "D2")
-    fields = [cusp_field(39, d2, c).degree for c in cusps(39, d2)
+    fields = [cusp_field(d2, c).degree for c in cusps(d2)
               if c.denominator == 3]
     assert fields and all(deg == 2 for deg in fields)
     d3 = delta_by_label(39, "D3")
-    fields = [cusp_field(39, d3, c).degree for c in cusps(39, d3)
+    fields = [cusp_field(d3, c).degree for c in cusps(d3)
               if c.denominator == 3]
     assert fields and all(deg == 1 for deg in fields)
 
@@ -235,22 +243,29 @@ def test_cusp_fields_above_denominator_three():
 def test_cusp_fields_above_denominator_four_at_forty():
     for label in ("D4", "D5"):
         delta = delta_by_label(40, label)
-        fields = [cusp_field(40, delta, c).degree for c in cusps(40, delta)
+        fields = [cusp_field(delta, c).degree for c in cusps(delta)
                   if c.denominator == 4]
         assert fields and all(deg == 1 for deg in fields)
+
+
+def test_cusp_field_refuses_a_cusp_of_another_level():
+    delta = delta_by_label(34, "D2")
+    for cusp in cusps(delta_by_label(35, "0")):
+        with pytest.raises(InputError, match="level 35"):
+            cusp_field(delta, cusp)
 
 
 def test_cusp_widths_sum_to_index():
     for (N, label) in ((21, "D1"), (34, "D2"), (40, "D6"), (56, "D5")):
         delta = delta_by_label(N, label)
-        table = cusp_table(N, delta)
-        assert sum(c.width for c in table.classes) == coset_action(N, delta).degree
+        table = cusp_table(delta)
+        assert sum(c.width for c in table.classes) == coset_action(delta).degree
 
 
 def test_cusp_matrix_action():
     N = 21
     delta = delta_by_label(N, "D1")
-    table = cusp_table(N, delta)
+    table = cusp_table(delta)
     # T is a member, so it fixes every cusp class
     assert table.images(T_MAT).tolist() == list(range(len(table.classes)))
     # the level-determinant operator swaps the cusps 0 and infinity,
@@ -264,7 +279,7 @@ def test_cusp_matrix_action():
 
 
 def test_cusp_images_refuse_singular_and_oversized_matrices():
-    table = cusp_table(21, delta_by_label(21, "D1"))
+    table = cusp_table(delta_by_label(21, "D1"))
     with pytest.raises(InputError):
         table.images(Mat2(1, 2, 2, 4))
     with pytest.raises(InputError):
@@ -276,13 +291,13 @@ def test_cusp_images_refuse_singular_and_oversized_matrices():
 
 
 def _transversal_matrices(N, delta):
-    return [Mat2(*row) for row in zip(*(col.tolist() for col in transversal(N, delta)))]
+    return [Mat2(*row) for row in zip(*(col.tolist() for col in transversal(delta)))]
 
 
 @pytest.mark.parametrize("N,label", [(21, "D1"), (34, "D2"), (40, "D6"), (49, "D1")])
 def test_transversal_hits_every_coset(N, label):
     delta = delta_by_label(N, label)
-    act = coset_action(N, delta)
+    act = coset_action(delta)
     reps = _transversal_matrices(N, delta)
     assert len(reps) == act.degree
     assert all(m.det == 1 for m in reps)
@@ -294,7 +309,7 @@ def test_transversal_hits_every_coset(N, label):
 @pytest.mark.parametrize("N,label", [(21, "D1"), (34, "D2"), (40, "D6")])
 def test_schreier_generators_rebuild_relations(N, label):
     delta = delta_by_label(N, label)
-    act = coset_action(N, delta)
+    act = coset_action(delta)
     reps = _transversal_matrices(N, delta)
     gens = oracle.schreier_generators(N, delta)
     gen_set = {g.entries() for g in gens} | {(1, 0, 0, 1)}
@@ -306,7 +321,7 @@ def test_schreier_generators_rebuild_relations(N, label):
             j = pos.index(oracle.act(N, delta, pos[k], mover))
             elem = prod * reps[j].adjugate()
             assert elem.det == 1
-            assert is_member(elem, N, delta)
+            assert is_member(elem, delta)
             assert elem.entries() in gen_set
     for g in gens:
         # members stabilize the identity coset
@@ -358,7 +373,7 @@ def test_pair_table_matches_scalar_oracle_at_the_level_bound(subgroup):
 
 
 def _check_cusp_labels(N, delta):
-    table = cusp_table(N, delta)
+    table = cusp_table(delta)
     labels, reps = oracle.cusp_labels(N, delta)
     x, y = np.divmod(np.arange(N * N, dtype=np.int64), N)
     cusp_pair = np.gcd(np.gcd(x, y), N) == 1
@@ -391,7 +406,7 @@ def test_cusp_labels_match_scalar_oracle_at_the_level_bound(N, subgroup):
 ])
 def test_coset_space_matches_scalar_oracles(N):
     for delta in subgroups_containing_minus1(N):
-        act = coset_action(N, delta)
+        act = coset_action(delta)
         cosets, _ = oracle.coset_space(N, delta)
         assert [tuple(p) for p in act.cosets.tolist()] == list(cosets)
         sigma_S, sigma_T = oracle.sigmas(N, delta)
@@ -400,10 +415,10 @@ def test_coset_space_matches_scalar_oracles(N):
         cycles = oracle._cycles(sigma_T)
         assert act.cycle_starts.tolist() == [cyc[0] for cyc in cycles]
         assert act.cycle_widths.tolist() == [len(cyc) for cyc in cycles]
-        assert genus(N, delta) == oracle.genus(sigma_S, sigma_T)
-        columns = [col.tolist() for col in transversal(N, delta)]
+        assert genus(delta) == oracle.genus(sigma_S, sigma_T)
+        columns = [col.tolist() for col in transversal(delta)]
         assert list(zip(*columns)) == [m.entries() for m in oracle.transversal(N, delta)]
-        table = cusp_table(N, delta)
+        table = cusp_table(delta)
         for m in _cusp_test_matrices(N, delta):
             assert table.images(m).tolist() == oracle.cusp_images(N, delta, m), str(m)
 
@@ -413,19 +428,19 @@ def test_coset_record_keeps_one_row_per_coset(N, label):
     # the coset record keeps no table over the N^2 pairs, and its degree and
     # T-cycles agree with degree() and with the cusps of the cusp table
     delta = delta_by_label(N, label)
-    act = coset_action(N, delta)
+    act = coset_action(delta)
     arrays = [v for v in vars(act).values() if isinstance(v, np.ndarray)]
     assert all(len(arr) <= act.degree for arr in arrays)
-    assert degree(N, delta) == act.degree
+    assert degree(delta) == act.degree
     assert act.cycle_widths.sum() == act.degree
-    assert len(act.cycle_starts) == len(cusp_table(N, delta).classes)
+    assert len(act.cycle_starts) == len(cusp_table(delta).classes)
 
 
 @pytest.mark.parametrize("N,label", [(330, "D1"), (256, "D1"), (97, "1")])
 def test_cusp_table_keeps_one_entry_per_reduced_pair(N, label):
     # no array of the cusp table grows past the P(N) = sum_y gcd(y, N)
     # reduced pairs, and class_of checks every pair of an array
-    table = cusp_table(N, delta_by_label(N, label))
+    table = cusp_table(delta_by_label(N, label))
     arrays = [v for v in vars(table).values() if isinstance(v, np.ndarray)]
     reduced_pairs = sum(math.gcd(y, N) for y in range(N))
     assert arrays and all(arr.size <= reduced_pairs for arr in [*arrays, *table.lifts])
@@ -435,7 +450,7 @@ def test_cusp_table_keeps_one_entry_per_reduced_pair(N, label):
     with pytest.raises(NotUnimodular):
         table.class_of(np.append(x, 0), np.append(y, 0))
     with pytest.raises(NotUnimodular):
-        cusp_table(21, delta_by_label(21, "D1")).class_of(3, 0)
+        cusp_table(delta_by_label(21, "D1")).class_of(3, 0)
 
 
 # --------------------------------------------------------------------------
@@ -457,9 +472,10 @@ def test_checks_survive_optimized_mode(run_optimized):
         "cusp = CuspClass(21, (1, 0), 21, 1, 12 // len(delta.elements) + 1)\n"
         "cases = [\n"
         "    (InputError, lambda: lift_to_coprime(2, 4, 6)),\n"
-        "    (InputError, lambda: cusp_table(21, delta).class_of(3, 0)),\n"
-        "    (InputError, lambda: coset_fixed_points(13, '0', Mat2(2**31, 0, 0, 1))),\n"
-        "    (InvariantError, lambda: cusp_field(21, delta, cusp)),\n"
+        "    (InputError, lambda: cusp_table(delta).class_of(3, 0)),\n"
+        "    (InputError, lambda: coset_fixed_points(delta_by_label(13, '0'),\n"
+        "                                            Mat2(2**31, 0, 0, 1))),\n"
+        "    (InvariantError, lambda: cusp_field(delta, cusp)),\n"
         "]\n"
         "for error, call in cases:\n"
         "    try:\n"

@@ -24,7 +24,7 @@ from modcurve.congruence import LEVEL_LIMIT, coset_action, cusp_table, degree, g
 from modcurve.errors import InputError
 from modcurve.facts import FactBook
 from modcurve.matrices import IDENTITY, Mat2
-from modcurve.qforms import FixedPointSet, fixed_points_X0
+from modcurve.qforms import fixed_points_X0
 from modcurve.zmodn import (
     DeltaSubgroup,
     delta_by_label,
@@ -70,18 +70,18 @@ def _check_against_oracles(N, delta):
     # involution; the lift-vs-coset test covers every involutive lift.
     references = set()
     for lift, base in _atkin_lehner_lifts(N, delta):
-        report = lift_fixed_points(N, delta, lift, base)
+        report = lift_fixed_points(delta, lift)
         expected = lift_witnesses(N, delta, lift, base)
         assert report.witnesses == expected, (N, delta.label, str(lift))
         if base.d not in references:
             references.add(base.d)
-            assert coset_fixed_points(N, delta, lift)[0] == coset_elliptic_count(N, delta, lift)
+            assert coset_fixed_points(delta, lift)[0] == coset_elliptic_count(N, delta, lift)
     for b in delta.coset_reps():
         g = diamond_matrix(b, N)
         if b != 1 and automorphism_order(g, delta) == 2:
-            assert coset_fixed_points(N, delta, g)[0] == coset_elliptic_count(N, delta, g)
+            assert coset_fixed_points(delta, g)[0] == coset_elliptic_count(N, delta, g)
 
-    table = cusp_table(N, delta)
+    table = cusp_table(delta)
     classes, lookup = cusp_classes(N, delta)
     assert [(c.rep, c.width, c.galois_orbit_size) for c in table.classes] == classes
     for x in range(N):
@@ -112,17 +112,17 @@ def test_every_lift_of_one_evaluation_matches_the_scalar_oracles(N):
     # d <= 6, where its scalar loop stays cheap.
     for delta in subgroups_containing_minus1(N):
         for ref, base in _atkin_lehner_operators(N, delta):
-            report = lift_fixed_points(N, delta, ref, base)
+            report = lift_fixed_points(delta, ref)
             expected = [lift_witnesses(N, delta, lift, base) for lift in _lifts(ref, delta)]
             assert report.witnesses == expected[0], (N, delta.label, base.d)
             assert report.elliptic_by_lift == tuple(map(len, expected)), (N, delta.label, base.d)
         operators = [IDENTITY] + [
-            al_reference(N, d, delta)[0] for d in hall_divisors(N)
+            al_reference(d, delta)[0] for d in hall_divisors(N)
             if 1 < d <= 6 and descends(d, delta)
         ]
         for w in operators:
             expected = tuple(coset_elliptic_count(N, delta, lift) for lift in _lifts(w, delta))
-            assert coset_fixed_points(N, delta, w) == expected, (N, delta.label, str(w))
+            assert coset_fixed_points(delta, w) == expected, (N, delta.label, str(w))
 
 
 def test_lift_counts_include_fixed_points_found_at_a_stabiliser_correction():
@@ -131,10 +131,24 @@ def test_lift_counts_include_fixed_points_found_at_a_stabiliser_correction():
     N, delta = 21, delta_by_label(21, "1")
     base = fixed_points_X0(N, 3)
     ref = base.points[0].matrix
-    report = lift_fixed_points(N, delta, ref, base)
+    report = lift_fixed_points(delta, ref)
     assert sum(report.elliptic_by_lift) == 24
     assert report.elliptic_by_lift == tuple(
         len(lift_witnesses(N, delta, lift, base)) for lift in _lifts(ref, delta)
+    )
+
+
+def test_lift_route_reads_the_base_points_at_the_level_of_delta():
+    # Route A takes the fixed points of W_2 on X_0(10) from the level of
+    # Delta, whatever another level has put in the cache just before.
+    delta = delta_by_label(10, "1")
+    ref = al_reference(2, delta)[0]
+    assert fixed_points_X0(14, 2).count == 0
+    report = lift_fixed_points(delta, ref)
+    assert report.elliptic_by_lift == (2, 2)
+    base = fixed_points_X0(10, 2)
+    assert report.elliptic_by_lift == tuple(
+        len(lift_witnesses(10, delta, lift, base)) for lift in _lifts(ref, delta)
     )
 
 
@@ -145,13 +159,13 @@ def test_a_fresh_curve_evaluates_each_operator_once(monkeypatch):
     lifted, direct = [], []
     route_a, route_b = classify.lift_fixed_points, classify.coset_fixed_points
 
-    def lift(N, delta, w, base):
-        lifted.append((N, delta.label, base.d))
-        return route_a(N, delta, w, base)
+    def lift(delta, w):
+        lifted.append((delta.N, delta.label, w.det))
+        return route_a(delta, w)
 
-    def coset(N, delta, w):
-        direct.append((N, delta.label))
-        return route_b(N, delta, w)
+    def coset(delta, w):
+        direct.append((delta.N, delta.label))
+        return route_b(delta, w)
 
     monkeypatch.setattr(classify, "lift_fixed_points", lift)
     monkeypatch.setattr(classify, "coset_fixed_points", coset)
@@ -161,19 +175,19 @@ def test_a_fresh_curve_evaluates_each_operator_once(monkeypatch):
     assert len(direct) <= 4
 
 
-def _decided_lifts(N, delta, w, base=None):
+def _decided_lifts(delta, w, route_a=False):
     """``_involution_counts`` of ``w``, after checking its per-lift
     decisions against the scalar ones: it returns exactly the lifts [b] * w
     (w for b = 1) that ``automorphism_order`` finds of order 2, and
     ``cuspidal_fixed_count`` counts, for every lift, the cusp classes that
     ``CuspTable.images`` of that lift fixes."""
-    lifts = _lifts(w, delta)
-    counts = classify._involution_counts(N, delta, w, genus(N, delta), base)
+    N, lifts = delta.N, _lifts(w, delta)
+    counts = classify._involution_counts(delta, w, genus(delta), route_a)
     expected = [(k, lift) for k, lift in enumerate(lifts) if automorphism_order(lift, delta) == 2]
     assert [(k, lift) for k, lift, _, _ in counts] == expected, (N, delta.label, str(w))
-    images = [cusp_table(N, delta).images(lift) for lift in lifts]
+    images = [cusp_table(delta).images(lift) for lift in lifts]
     cuspidal = tuple(int(np.count_nonzero(im == np.arange(im.size))) for im in images)
-    assert cuspidal_fixed_count(N, delta, w) == cuspidal, (N, delta.label, str(w))
+    assert cuspidal_fixed_count(delta, w) == cuspidal, (N, delta.label, str(w))
     assert [c for _, _, _, c in counts] == [cuspidal[k] for k, _ in expected]
     return counts
 
@@ -187,21 +201,21 @@ def _compare_routes(N, delta) -> tuple[int, int]:
     X_Delta(N) -> X_<Delta, b>(N).  Returns how many lifts and diamonds
     were compared."""
     lifts = 0
-    for ref, base in _atkin_lehner_operators(N, delta):
-        direct = coset_fixed_points(N, delta, ref)
-        for k, lift, lifted, _ in _decided_lifts(N, delta, ref, base):
+    for ref, _ in _atkin_lehner_operators(N, delta):
+        direct = coset_fixed_points(delta, ref)
+        for k, lift, lifted, _ in _decided_lifts(delta, ref, route_a=True):
             lifts += 1
             assert lifted == direct[k], (N, delta.label, str(lift))
     diamonds = 0
-    g = genus(N, delta)
-    direct = coset_fixed_points(N, delta, IDENTITY)
+    g = genus(delta)
+    direct = coset_fixed_points(delta, IDENTITY)
     for k, b in enumerate(delta.coset_reps()):
         if b == 1 or b * b % N not in delta:
             continue
         diamonds += 1
-        fixed = direct[k] + cuspidal_fixed_count(N, delta, diamond_matrix(b, N))[0]
+        fixed = direct[k] + cuspidal_fixed_count(delta, diamond_matrix(b, N))[0]
         quotient = delta_from_elements(N, {*delta.elements, b})
-        assert fixed == 2 * g + 2 - 4 * genus(N, quotient), (N, delta.label, b)
+        assert fixed == 2 * g + 2 - 4 * genus(quotient), (N, delta.label, b)
     return lifts, diamonds
 
 
@@ -224,15 +238,15 @@ def test_every_candidate_lift_is_decided_in_the_int64_form(classifier_on, census
     operators = 0
     for rec in census_on:
         delta = delta_by_label(rec.N, rec.delta_label)
-        for _, w, base, _ in classifier_on._witness_candidates(rec.N, delta):
-            _decided_lifts(rec.N, delta, w, base)
+        for kind, w, _ in classifier_on._witness_candidates(delta):
+            _decided_lifts(delta, w, route_a=kind == "atkin-lehner")
             operators += 1
     assert operators == 681
 
 
 def test_named_lift_orders_and_cusp_counts():
-    def involutive(N, label, w, base=None):
-        return [k for k, _, _, _ in _decided_lifts(N, delta_by_label(N, label), w, base)]
+    def involutive(N, label, w, route_a=False):
+        return [k for k, _, _, _ in _decided_lifts(delta_by_label(N, label), w, route_a)]
 
     # the identity's lift 0 has order 1, so only proper diamonds can qualify
     assert 0 not in involutive(34, "D2", IDENTITY)
@@ -244,8 +258,8 @@ def test_named_lift_orders_and_cusp_counts():
     assert automorphism_order(w, delta_by_label(55, "D3")) == 4
     assert 0 not in involutive(55, "D3", w)
     # determinant 25 = 5^2: an involution that is not 5 times a member
-    ref, _, base, _ = al_reference(25, 25, delta_by_label(25, "D1"))
-    assert 0 in involutive(25, "D1", ref, base)
+    ref = al_reference(25, delta_by_label(25, "D1"))[0]
+    assert 0 in involutive(25, "D1", ref, route_a=True)
     # determinant 1 without being in Gamma_Delta(28)
     assert 0 in involutive(28, "D1", Mat2(1, 0, 14, 1))
 
@@ -261,7 +275,8 @@ def _peak_bytes(fn) -> int:
 
 
 def test_coset_route_refuses_modulus_past_int32():
-    peak = _peak_bytes(lambda: coset_fixed_points(13, "0", Mat2(2**31, 0, 0, 1)))
+    delta = delta_by_label(13, "0")
+    peak = _peak_bytes(lambda: coset_fixed_points(delta, Mat2(2**31, 0, 0, 1)))
     assert peak < 1 << 20
 
 
@@ -270,8 +285,7 @@ def test_lift_route_refuses_modulus_past_int32():
     # the refusal must come before any table of size N^2 is built.
     N = 46349
     delta = DeltaSubgroup(N, (1, N - 1), "1")
-    base = FixedPointSet(N, N, ())
-    peak = _peak_bytes(lambda: lift_fixed_points(N, delta, Mat2(0, -1, N, 0), base))
+    peak = _peak_bytes(lambda: lift_fixed_points(delta, Mat2(0, -1, N, 0)))
     assert peak < 1 << 20
 
 
@@ -279,4 +293,4 @@ def test_lift_route_refuses_modulus_past_int32():
 def test_coset_tables_refuse_levels_past_the_bound(build):
     N = LEVEL_LIMIT + 1
     delta = DeltaSubgroup(N, (1, N - 1), "1")
-    assert _peak_bytes(lambda: build(N, delta)) < 1 << 20
+    assert _peak_bytes(lambda: build(delta)) < 1 << 20

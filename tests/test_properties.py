@@ -62,8 +62,8 @@ def test_cusp_count_equals_T_cycle_count(census_on):
         key = (rec.N, rec.delta_label)
         seen.add(key)
         delta = delta_by_label(*key)
-        act = coset_action(rec.N, delta)
-        assert _cycle_count(act.sigma_T) == len(cusps(rec.N, delta))
+        act = coset_action(delta)
+        assert _cycle_count(act.sigma_T) == len(cusps(delta))
     assert len(seen) == 182
 
 
@@ -84,8 +84,8 @@ def _cycle_count(sigma):
 def test_cusp_count_equals_T_cycle_count_boundary_subgroups():
     for N in (21, 34, 40, 56, 64):
         for delta in subgroups_containing_minus1(N):
-            act = coset_action(N, delta)
-            assert _cycle_count(act.sigma_T) == len(cusps(N, delta))
+            act = coset_action(delta)
+            assert _cycle_count(act.sigma_T) == len(cusps(delta))
 
 
 # --------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_descends_symmetry_sweep(census_on):
 ])
 def test_coset_table_rebuilt_by_pair_bfs(N, label):
     delta = delta_by_label(N, label)
-    act = coset_action(N, delta)
+    act = coset_action(delta)
 
     def canon(c, d):
         best = None
@@ -140,7 +140,7 @@ def test_schreier_generators_are_stabilizing_members(N, label):
     start = oracle.position(N, delta, 0, 1)
     for g in oracle.schreier_generators(N, delta):
         assert g.det == 1
-        assert is_member(g, N, delta)
+        assert is_member(g, delta)
         assert oracle.act(N, delta, start, g) == start
 
 

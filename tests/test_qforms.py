@@ -253,7 +253,7 @@ def test_fixed_point_counts_match_coset_route(N, d):
     # by unrelated algorithms; they must agree
     full = subgroups_containing_minus1(N)[-1]
     w = generic_atkin_lehner(N, d)
-    assert (fixed_points_X0(N, d).count,) == coset_fixed_points(N, full, w)
+    assert (fixed_points_X0(N, d).count,) == coset_fixed_points(full, w)
 
 
 def test_fixed_point_structure():
@@ -339,6 +339,6 @@ def test_riemann_hurwitz_consistency_for_rational_quotients():
     from modcurve.congruence import genus
 
     for N, d in ((26, 26), (29, 29), (35, 35), (28, 7)):
-        g = genus(N, subgroups_containing_minus1(N)[-1])
+        g = genus(subgroups_containing_minus1(N)[-1])
         nu = fixed_points_X0(N, d).count
         assert 2 * g - 2 == 2 * (2 * 0 - 2) + nu

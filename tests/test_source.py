@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import modcurve
@@ -33,3 +34,24 @@ def test_every_exported_name_exists():
         missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
                     if not hasattr(module, attr)]
     assert not missing, missing
+
+
+def test_no_function_takes_a_level_beside_a_subgroup():
+    # A DeltaSubgroup carries its level, so a function that took N beside
+    # delta could be handed two that disagree.  Only the classifier's entry
+    # points take both, because they also accept a label or an element list.
+    found = []
+    for stem in ("congruence", "classify", "atkinlehner"):
+        module = importlib.import_module(f"modcurve.{stem}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if inspect.isclass(obj):
+                functions = {f"{attr}.{name}": member for name, member in vars(obj).items()
+                             if inspect.isfunction(member)}
+            elif callable(obj):
+                functions = {attr: obj}
+            else:
+                continue
+            found += [f"{stem}.{name}" for name, fn in functions.items()
+                      if {"N", "delta"} <= set(inspect.signature(fn).parameters)]
+    assert sorted(found) == ["classify.Classifier.classify", "classify.classify_curve"]
