@@ -36,9 +36,9 @@ Negative results are certified by an explicit list of elimination rules:
   of reach of the counting rules.
 
 Counting fixed points of an automorphism of determinant m is done by two
-independent routes, which must agree; tests cross-check them.  Each
-evaluation counts every lift [b] * w of one operator, b over
-``delta.coset_reps()``:
+independent routes, which must agree; tests compare them on every lift of
+every descending W_d.  Each evaluation counts every lift [b] * w of one
+operator, b over ``delta.coset_reps()``:
 
 * route A, :func:`lift_fixed_points`, works above the fixed points z_j of
   the induced Atkin-Lehner involution W_m on X_0(N).  A point of the fibre
@@ -48,7 +48,8 @@ evaluation counts every lift [b] * w of one operator, b over
 * route B, :func:`coset_fixed_points`, works on the coset space.  Coset
   U_x holds a fixed point of [b] * w when U_x * E * adj(U_x) * adj(w) *
   adj([b]) is m times an element of Gamma_Delta(N) for an elliptic element
-  E of determinant m, enumerated by trace and binary quadratic form.
+  E of determinant m, enumerated by trace, of both signs, and binary
+  quadratic form; the sign matters for lifts of order 3, 4 or 6.
 
 As [b] lies in Gamma_0(N), which normalises Gamma_Delta(N), each product
 P without [b] is tested for P = m * gamma with gamma in Gamma_0(N); the
@@ -408,7 +409,10 @@ def coset_fixed_points(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
     an element of Gamma_0(N) whose upper-left class lies in b * Delta.
     Elliptic elements are enumerated by trace and by the primitive binary
     quadratic form of their fixed point, and each is tested against all
-    cosets at once, modulo det(w)*N.  A point is named by its form and its
+    cosets at once, modulo det(w)*N.  Both signs of each trace are tried:
+    the elements of trace t and -t with one fixed point turn by opposite
+    angles there, so a lift of order 3, 4 or 6 may have fixed points that
+    only one sign sees.  A point is named by its form and its
     coset position, taken least in its orbit under the stabiliser of the
     form's root (S at discriminant -4, S*T at -3): the positions of one
     orbit represent one and the same point.
@@ -429,7 +433,7 @@ def coset_fixed_points(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
     for c in (1, 2, 3):
         s = isqrt(c * m)
         if s * s == c * m and s * s < 4 * m:
-            traces.add(s)
+            traces.update((s, -s))
 
     forms: dict[QForm, int] = {}
     points = [np.zeros(0, dtype=np.int64)]
@@ -617,8 +621,7 @@ class Classifier:
         for N in range(13, max_n + 1):
             if self._x0_type(N) is None:
                 continue
-            subs = subgroups_containing_minus1(N)
-            if any(not s.is_minimal and not s.is_full for s in subs):
+            if any(s.is_intermediate for s in subgroups_containing_minus1(N)):
                 out.append(N)
         return tuple(out)
 
@@ -626,9 +629,7 @@ class Classifier:
         """Classify every intermediate curve at level N, then free the coset
         tables the level built; the records stay in the memo table."""
         records = tuple(
-            self.classify(N, sub)
-            for sub in subgroups_containing_minus1(N)
-            if not (sub.is_minimal or sub.is_full)
+            self.classify(N, sub) for sub in subgroups_containing_minus1(N) if sub.is_intermediate
         )
         _clear_level_caches()
         return records
@@ -659,78 +660,57 @@ class Classifier:
     # -- main classification flow -------------------------------------------
 
     def _classify(self, delta: DeltaSubgroup) -> ClassificationRecord:
-        N, g = delta.N, genus(delta)
-        warnings: list[str] = []
+        g = genus(delta)
         if g == 0:
-            return self._record(delta, g, "rational", None, (), (), (), "infinite", ())
+            return self._record(delta, g, "rational")
         if g == 1:
-            return self._record(delta, g, "elliptic", None, (), (), (), "infinite", ())
+            return self._record(delta, g, "elliptic")
 
         biell, hyper, evidence = self._witness_search(delta, g)
-
         if hyper or g == 2:
-            if g == 2 and not hyper:
-                evidence = evidence + (
-                    Evidence("genus-two", "every genus-2 curve is hyperelliptic"),
-                )
-            return self._record(delta, g, "hyperelliptic", bool(biell), biell, hyper,
-                                evidence, "infinite")
-
+            if not hyper:
+                evidence += (Evidence("genus-two", "every genus-2 curve is hyperelliptic"),)
+            return self._record(delta, g, "hyperelliptic", evidence, biell, hyper)
         if biell:
-            qp, qp_facts, qp_warn = self._quadratic_points_bielliptic(N)
-            return self._record(
-                delta, g, "bielliptic", True, biell, hyper, evidence,
-                qp, qp_facts, warnings=qp_warn,
-            )
+            return self._record(delta, g, "bielliptic", evidence, biell)
 
         covers = self._covers(delta)
-        accola = self._accola_genus4(N, g, covers)
+        accola = self._accola_genus4(delta, g, covers)
         if accola is not None:
-            warnings.append(
+            return self._record(delta, g, "bielliptic", evidence + (accola,), warnings=(
                 "bielliptic witness is an exceptional automorphism, "
-                "not induced by a normalizer matrix"
-            )
-            qp, qp_facts, qp_warn = self._quadratic_points_bielliptic(N)
-            return self._record(
-                delta, g, "bielliptic", True, (), (), evidence + (accola,),
-                qp, qp_facts, warnings=tuple(warnings) + qp_warn,
-            )
+                "not induced by a normalizer matrix",
+            ))
 
         negative = self._eliminations(delta, g, covers)
-        evidence = evidence + negative
         if negative:
-            qp, qp_facts, qp_warn = self._quadratic_points_not_bielliptic()
-            return self._record(
-                delta, g, "not-bielliptic", False, (), (), evidence,
-                qp, qp_facts, warnings=qp_warn,
-            )
-
-        if not self.facts.enabled:
-            warnings.append(
+            return self._record(delta, g, "not-bielliptic", evidence + negative)
+        return self._record(delta, g, "undecided", evidence, warnings=(
+            "no decisive evidence found" if self.facts.enabled else (
                 "no decisive evidence with curated facts disabled; "
                 "status downgraded to undecided"
-            )
-        else:
-            warnings.append("no decisive evidence found")
-        return self._record(delta, g, "undecided", None, (), (), evidence, "n/a", (),
-                            warnings=tuple(warnings))
+            ),
+        ))
 
     def _record(
         self,
         delta: DeltaSubgroup,
         g: int,
         status: str,
-        is_bielliptic: bool | None,
-        biell: tuple[Witness, ...],
-        hyper: tuple[Witness, ...],
-        evidence: tuple[Evidence, ...],
-        qp: str,
-        qp_facts: tuple[str, ...] = (),
-        warnings: tuple[str, ...] | list[str] = (),
+        evidence: tuple[Evidence, ...] = (),
+        biell: tuple[Witness, ...] = (),
+        hyper: tuple[Witness, ...] = (),
+        warnings: tuple[str, ...] = (),
     ) -> ClassificationRecord:
-        facts_used = set(qp_facts)
-        for ev in evidence:
-            facts_used.update(ev.facts_used)
+        """The record of X_Delta(N) of genus ``g`` with this status; whether
+        it is bielliptic and what that means for its quadratic points follow
+        from the status.  A hyperelliptic curve is bielliptic exactly when a
+        bielliptic witness was found."""
+        is_bielliptic = {
+            "hyperelliptic": bool(biell), "bielliptic": True, "not-bielliptic": False,
+        }.get(status)
+        qp, qp_facts, qp_warnings = self._quadratic_points(status, delta.N)
+        facts_used = set(qp_facts).union(*(ev.facts_used for ev in evidence))
         return ClassificationRecord(
             N=delta.N,
             delta_label=delta.label,
@@ -743,44 +723,45 @@ class Classifier:
             evidence=evidence,
             facts_used=tuple(sorted(facts_used)),
             quadratic_points=qp,
-            warnings=tuple(warnings),
+            warnings=warnings + qp_warnings,
         )
 
     # -- quadratic points ---------------------------------------------------
 
-    def _quadratic_points_bielliptic(self, N: int):
+    def _quadratic_points(self, status: str, N: int):
+        """``(quadratic_points, fact_tags, warnings)`` for a curve of level
+        ``N`` with this status.  A subhyperelliptic curve has infinitely many
+        quadratic points.  A bielliptic one has finitely many when its
+        elliptic quotient has rank 0, and a not-bielliptic one when it is
+        not hyperelliptic either; both read curated data, without which the
+        answer is conditional."""
+        if status in ("rational", "elliptic", "hyperelliptic"):
+            return "infinite", (), ()
+        if status == "undecided":
+            return "n/a", (), ()
+        if status == "not-bielliptic":
+            if self.facts.get("intermediate.hyperelliptic") is not None:
+                return "finite", ("intermediate.hyperelliptic",), ()
+            return "finite-conditional", (), (
+                "hyperellipticity cannot be excluded without the curated "
+                "inventory; finiteness of quadratic points reported "
+                "conditionally",
+            )
         if N == 37:
-            fact = self.facts.get("n37.quadratic-finite")
-            if fact is not None:
+            if self.facts.get("n37.quadratic-finite") is not None:
                 return "finite", ("n37.quadratic-finite",), ()
         else:
             fact = self.facts.get("rank0")
             if fact is not None and N in fact.as_levels():
                 return "finite", ("rank0",), ()
             if fact is not None:
-                return (
-                    "finite-conditional",
-                    (),
-                    (f"level {N} lacks curated rank data; "
-                     "finiteness of quadratic points not certified",),
+                return "finite-conditional", (), (
+                    f"level {N} lacks curated rank data; "
+                    "finiteness of quadratic points not certified",
                 )
-        return (
-            "finite-conditional",
-            (),
-            ("curated rank data disabled; finiteness of quadratic points "
-             "reported conditionally",),
-        )
-
-    def _quadratic_points_not_bielliptic(self):
-        fact = self.facts.get("intermediate.hyperelliptic")
-        if fact is not None:
-            return "finite", ("intermediate.hyperelliptic",), ()
-        return (
-            "finite-conditional",
-            (),
-            ("hyperellipticity cannot be excluded without the curated "
-             "inventory; finiteness of quadratic points reported "
-             "conditionally",),
+        return "finite-conditional", (), (
+            "curated rank data disabled; finiteness of quadratic points "
+            "reported conditionally",
         )
 
     # -- witness search -----------------------------------------------------
@@ -852,22 +833,22 @@ class Classifier:
 
     # -- Accola certificates ------------------------------------------------
 
-    def _accola_genus4(self, N: int, g: int, covers) -> Evidence | None:
+    def _accola_genus4(self, delta: DeltaSubgroup, g: int, covers) -> Evidence | None:
         """Genus-4 curve with an unramified cyclic degree-3 cover of a
         genus-2 curve is bielliptic (Accola); the cover is found among the
         diamond quotients in ``covers``, so the certificate is
         machine-checkable."""
         if g != 4:
             return None
-        for M, label, deg, _ in covers:
-            if M != N or deg != 3 or genus(delta_by_label(N, label)) != 2:
+        for target, deg, _ in covers:
+            if target.N != delta.N or deg != 3 or genus(target) != 2:
                 continue
             # Riemann-Hurwitz: 2*4-2 == 3*(2*2-2) + ram forces ram == 0.
             return Evidence(
                 "accola-genus4",
                 f"unramified cyclic degree-3 cover of genus-2 "
-                f"{curve_name(N, label)}: genus-4 curve is bielliptic",
-                target=(N, label),
+                f"{curve_name(target.N, target.label)}: genus-4 curve is bielliptic",
+                target=(target.N, target.label),
                 degree=3,
             )
         return None
@@ -877,18 +858,15 @@ class Classifier:
     def _covers(self, delta: DeltaSubgroup):
         """Covers X_Delta(N) -> X_Delta''(M): diamond quotients at level N
         (always Galois) and level-lowering maps (Galois when of degree 2),
-        as ``(M, label, degree, galois)``.  Nothing here classifies a
-        target; ``_eliminations`` classifies the Galois ones it reads."""
+        as ``(target, degree, galois)`` with ``target`` the subgroup
+        Delta'' modulo M.  Nothing here classifies a target;
+        ``_eliminations`` classifies the Galois ones it reads."""
         N = delta.N
-        out: list[tuple[int, str, int, bool]] = []
+        out: list[tuple[DeltaSubgroup, int, bool]] = []
         deg_self = degree(delta)
         for sub in subgroups_containing_minus1(N):
-            if len(sub.elements) <= len(delta.elements):
-                continue
-            if not set(delta.elements) <= set(sub.elements):
-                continue
-            deg = len(sub.elements) // len(delta.elements)
-            out.append((N, sub.label, deg, True))
+            if sub.order > delta.order and set(delta.elements) <= set(sub.elements):
+                out.append((sub, sub.order // delta.order, True))
         for M in range(7, N):
             if N % M:
                 continue
@@ -902,7 +880,7 @@ class Classifier:
                         f"index of {curve_name(M, sub.label)} does not divide "
                         f"that of {curve_name(N, delta.label)}"
                     )
-                out.append((M, sub.label, deg, deg == 2))
+                out.append((sub, deg, deg == 2))
         return out
 
     # -- negative rules -----------------------------------------------------
@@ -941,48 +919,45 @@ class Classifier:
         """
         out: list[Evidence] = []
 
-        for M, label2, deg, galois in covers:
-            gy = genus(delta_by_label(M, label2))
-            target = self.classify(M, label2) if g >= 6 and galois else None
+        for target, deg, galois in covers:
+            key, gy = (target.N, target.label), genus(target)
+            name = curve_name(*key)
+            ok, tags = False, ()
+            if g >= 6 and galois:
+                below = self.classify(target.N, target)
+                ok, tags = self._not_subhyperelliptic(below)
 
-            if target is not None and gy >= 2:
-                ok, tags = self._not_subhyperelliptic(target)
-                if ok and g - 1 != deg * (gy - 1):
-                    out.append(Evidence(
-                        "unramified-cover",
-                        f"g-1 = {g - 1} != {deg}*({gy}-1): the degree-{deg} "
-                        f"Galois cover of {curve_name(M, label2)} admits no "
-                        f"totally unramified descent of a bielliptic quotient",
-                        target=(M, label2),
-                        degree=deg,
-                        facts_used=tags,
-                    ))
+            if ok and g - 1 != deg * (gy - 1):
+                out.append(Evidence(
+                    "unramified-cover",
+                    f"g-1 = {g - 1} != {deg}*({gy}-1): the degree-{deg} "
+                    f"Galois cover of {name} admits no totally unramified "
+                    f"descent of a bielliptic quotient",
+                    target=key,
+                    degree=deg,
+                    facts_used=tags,
+                ))
 
-            applicable = deg % 2 == 1 or (deg == 2 and gy >= 2)
-            if applicable:
-                bound = castelnuovo_bound(deg, gy, 2, 1)
-                if g > bound:
-                    out.append(Evidence(
-                        "castelnuovo",
-                        f"genus {g} exceeds the Castelnuovo-Severi bound "
-                        f"{bound} for a degree-{deg} map to "
-                        f"{curve_name(M, label2)} (genus {gy}) together with "
-                        f"a bielliptic map",
-                        target=(M, label2),
-                        degree=deg,
-                    ))
+            bound = castelnuovo_bound(deg, gy, 2, 1)
+            if (deg % 2 == 1 or (deg == 2 and gy >= 2)) and g > bound:
+                out.append(Evidence(
+                    "castelnuovo",
+                    f"genus {g} exceeds the Castelnuovo-Severi bound "
+                    f"{bound} for a degree-{deg} map to {name} "
+                    f"(genus {gy}) together with a bielliptic map",
+                    target=key,
+                    degree=deg,
+                ))
 
-            if target is not None and target.status == "not-bielliptic":
-                ok, tags = self._not_subhyperelliptic(target)
-                if ok:
-                    out.append(Evidence(
-                        "covered-by-non-bielliptic",
-                        f"degree-{deg} Galois cover of {curve_name(M, label2)}, "
-                        f"which is neither bielliptic nor subhyperelliptic",
-                        target=(M, label2),
-                        degree=deg,
-                        facts_used=tuple(sorted(set(tags) | set(target.facts_used))),
-                    ))
+            if ok and below.status == "not-bielliptic":
+                out.append(Evidence(
+                    "covered-by-non-bielliptic",
+                    f"degree-{deg} Galois cover of {name}, "
+                    f"which is neither bielliptic nor subhyperelliptic",
+                    target=key,
+                    degree=deg,
+                    facts_used=tuple(sorted(set(tags) | set(below.facts_used))),
+                ))
 
         ev = self._involution_elimination(delta, g)
         if ev is not None:

@@ -242,7 +242,7 @@ def _cmd_subgroups(args: argparse.Namespace, argv: list[str]) -> str:
     lines = [f"subgroups of (Z/{args.N}Z)* containing -1:"]
     for s in subs:
         lines.append(f"  {_pretty_label(s.label):<8} order {s.order:>3}   {_pm_set(s)}")
-    n_inter = sum(1 for s in subs if not s.is_minimal and not s.is_full)
+    n_inter = sum(1 for s in subs if s.is_intermediate)
     lines.append(f"{n_inter} intermediate subgroup(s)")
     return "\n".join(lines) + "\n"
 

@@ -171,6 +171,12 @@ class DeltaSubgroup:
     def is_full(self) -> bool:
         return self.order == totient(self.N)
 
+    @property
+    def is_intermediate(self) -> bool:
+        """True when Delta is neither {+-1} nor all of (Z/NZ)*: the curve
+        lies strictly between X_1(N) and X_0(N)."""
+        return not self.is_minimal and not self.is_full
+
     def coset_reps(self) -> tuple[int, ...]:
         """Representatives of (Z/NZ)*/Delta, each the smallest in its coset."""
         return _coset_partition(self)[0]

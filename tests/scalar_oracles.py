@@ -334,7 +334,7 @@ def coset_elliptic_count(N: int, delta: DeltaSubgroup, w: Mat2) -> int:
     for c in (1, 2, 3):
         s = isqrt(c * m)
         if s * s == c * m and s * s < 4 * m:
-            traces.add(s)
+            traces.update((s, -s))  # opposite turns at a fixed point
 
     matches: dict[QForm, set[int]] = {}
     for t in sorted(traces):

@@ -250,7 +250,7 @@ def test_census_covers_every_intermediate_once(census_on):
     assert len(keys) == len(set(keys))
     for N in CENSUS_LEVELS:
         expected = {s.label for s in subgroups_containing_minus1(N)
-                    if not s.is_minimal and not s.is_full}
+                    if s.is_intermediate}
         assert {lab for (n, lab) in keys if n == N} == expected
 
 
@@ -673,9 +673,9 @@ def test_a_curve_classifies_only_the_cover_targets_whose_verdict_it_reads():
     # verdict, so only the five Galois targets are classified.
     c = Classifier(FactBook(enabled=True))
     covers = c._covers(delta_by_label(330, "D1"))
-    galois = {(M, label) for M, label, _, is_galois in covers if is_galois}
+    galois = {(target.N, target.label) for target, _, is_galois in covers if is_galois}
     assert galois == {(330, "D6"), (330, "D8"), (330, "D11"), (330, "D14"), (330, "0")}
-    assert {(165, "D3"), (10, "0")} <= {(M, label) for M, label, _, _ in covers} - galois
+    assert {(165, "D3"), (10, "0")} <= {(t.N, t.label) for t, _, _ in covers} - galois
     c.classify(330, "D1")
     assert set(c._memo) == galois | {(330, "D1")}
 

@@ -67,7 +67,7 @@ def _atkin_lehner_lifts(N, delta):
 def _check_against_oracles(N, delta):
     # Route A at every lift.  Route B's scalar loop is slow at large det, so
     # it is compared at the reference lift of each W_d and at every diamond
-    # involution; the lift-vs-coset test covers every involutive lift.
+    # involution; the lift-vs-coset test covers every lift.
     references = set()
     for lift, base in _atkin_lehner_lifts(N, delta):
         report = lift_fixed_points(delta, lift)
@@ -194,17 +194,18 @@ def _decided_lifts(delta, w, route_a=False):
 
 def _compare_routes(N, delta) -> tuple[int, int]:
     """Count every W_d with base points once by route A and once by route
-    B and compare the counts of every involutive lift [b] * W_d, with the
-    per-lift decisions checked by ``_decided_lifts``; count the diamonds
-    once by route B and check every diamond involution [b], with its fixed
-    cusps, by Riemann-Hurwitz for the double cover
+    B and compare the counts of every lift [b] * W_d, whatever its order,
+    with the per-lift decisions checked by ``_decided_lifts``; count the
+    diamonds once by route B and check every diamond involution [b], with
+    its fixed cusps, by Riemann-Hurwitz for the double cover
     X_Delta(N) -> X_<Delta, b>(N).  Returns how many lifts and diamonds
     were compared."""
     lifts = 0
     for ref, _ in _atkin_lehner_operators(N, delta):
         direct = coset_fixed_points(delta, ref)
+        assert lift_fixed_points(delta, ref).elliptic_by_lift == direct, (N, delta.label, str(ref))
+        lifts += len(direct)
         for k, lift, lifted, _ in _decided_lifts(delta, ref, route_a=True):
-            lifts += 1
             assert lifted == direct[k], (N, delta.label, str(lift))
     diamonds = 0
     g = genus(delta)
@@ -222,7 +223,7 @@ def _compare_routes(N, delta) -> tuple[int, int]:
 def test_lift_route_agrees_with_coset_route():
     compared = [_compare_routes(N, delta)
                 for N in SMALL_LEVELS for delta in subgroups_containing_minus1(N)]
-    assert [sum(col) for col in zip(*compared)] == [1530, 132]
+    assert [sum(col) for col in zip(*compared)] == [1750, 132]
 
 
 @pytest.mark.slow

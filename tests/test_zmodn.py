@@ -123,7 +123,7 @@ def test_subgroup_counts(N):
     subs = subgroups_containing_minus1(N)
     total, intermediate = SUBGROUP_COUNTS[N]
     assert len(subs) == total
-    inters = [s for s in subs if not s.is_minimal and not s.is_full]
+    inters = [s for s in subs if s.is_intermediate]
     assert len(inters) == intermediate
 
 
@@ -192,7 +192,7 @@ def test_labels_sorted_by_order_then_lex():
         keys = [(s.order, s.elements) for s in subs]
         assert keys == sorted(keys)
         assert subs[0].label == "1" and subs[-1].label == "0"
-        inter_labels = [s.label for s in subs if not s.is_minimal and not s.is_full]
+        inter_labels = [s.label for s in subs if s.is_intermediate]
         assert inter_labels == [f"D{i}" for i in range(1, len(inter_labels) + 1)]
 
 
@@ -202,6 +202,9 @@ def test_delta_by_label_variants():
     assert delta_by_label(21, "Δ1") == ref  # Δ1
     assert delta_by_label(21, "0").is_full
     assert delta_by_label(21, "1").is_minimal
+    assert ref.is_intermediate
+    assert not delta_by_label(21, "0").is_intermediate
+    assert not delta_by_label(21, "1").is_intermediate
     with pytest.raises(UnknownDelta):
         delta_by_label(21, "D7")
     # "0" is the full group at every level, also at N = 3, 4, 6, where the
