@@ -8,9 +8,11 @@ scaling by Delta; the canonical coset name is the lexicographically least
 scaled pair.
 
 The coset space is kept in one int64 form: the cosets, sigma_S, sigma_T,
-the T-cycles and the transversal are arrays with one row per coset, read
-from a table over the pair indices c*N + d that is dropped once they are
-built.  The cusp table keeps one class per reduced pair (x mod gcd(y, N); y),
+the T-cycles and the transversal are arrays with one row per coset.  The
+cosets are built from the canonical rows (``_kernels.canonical_rows``), and
+every pair (c, d) is read through a pair -> coset index of tau(N) x N
+cells, ``CosetAction.coset_index``; no table over the N^2 pairs is built.
+The cusp table keeps one class per reduced pair (x mod gcd(y, N); y),
 P(N) = sum_y gcd(y, N) of them, and reads every pair through one lookup.
 
 Every function here reads the level N from ``delta.N``.  The degree and the
@@ -29,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import canonical_pair_table
+from ._kernels import canonical_rows
 from .errors import (
     CuspCountMismatch,
     DeterminantMismatch,
@@ -77,12 +79,12 @@ def is_member(m: Mat2, delta: DeltaSubgroup) -> bool:
 # ---------------------------------------------------------------------------
 # size limits
 
-#: Levels above this bound are refused: the coset action is read from an
-#: N^2 int64 pair table, dropped once the action is built.  Building the coset
-#: action and the cusp table for Delta = {+-1} at N = 1021 peaks at 67 MB and
-#: keeps 17 MB (tracemalloc; 18 MB and 0.1 MB for the full Delta at
-#: N = 1024).  ``degree`` and ``genus`` build no table but refuse the same
-#: levels.
+#: Levels above this bound are refused: the coset action keeps four int64
+#: entries per coset, and Delta = {+-1} has about N^2/2 cosets.  Building the
+#: coset action and the cusp table for Delta = {+-1} at N = 1021 peaks at
+#: 42 MB and keeps 17 MB (tracemalloc; 7 MB and 0.2 MB for the full Delta
+#: at N = 1024).  ``degree`` and ``genus`` build no table but refuse the
+#: same levels.
 LEVEL_LIMIT = 1024
 
 #: Moduli m*N at or above this bound are refused, so that a sum of two
@@ -170,7 +172,10 @@ class CosetAction:
     S = [[0,-1],[1,0]] and T = [[1,1],[0,1]]; ``cycle_starts`` is the least
     coset of every T-cycle, in increasing order, and ``cycle_widths`` the
     length of each cycle.  All five are read-only int64 arrays of at most
-    ``degree`` rows.
+    ``degree`` rows.  The pair -> coset index is kept in ``row_start``,
+    ``row_scale`` and ``row_divisor`` (one entry per residue c mod N) and
+    ``column_rank`` (one row per divisor of N); read it through
+    :meth:`coset_index`.
     """
 
     delta: DeltaSubgroup
@@ -179,6 +184,10 @@ class CosetAction:
     sigma_T: np.ndarray
     cycle_starts: np.ndarray
     cycle_widths: np.ndarray
+    row_start: np.ndarray
+    row_scale: np.ndarray
+    row_divisor: np.ndarray
+    column_rank: np.ndarray
 
     @property
     def N(self) -> int:
@@ -187,6 +196,19 @@ class CosetAction:
     @property
     def degree(self) -> int:
         return len(self.cosets)
+
+    def coset_index(self, c, d):
+        """Position of the coset of the pair (c, d) mod N, an int for ints
+        and an int64 array for int64 arrays; NotUnimodular when some
+        gcd(c, d, N) != 1."""
+        N = self.N
+        c = np.asarray(c, dtype=np.int64) % N
+        d = np.asarray(d, dtype=np.int64) % N
+        rank = self.column_rank[self.row_divisor[c], self.row_scale[c] * d % N]
+        if (rank < 0).any():
+            raise NotUnimodular(f"some pair (c, d) has gcd(c, d, {N}) != 1")
+        idx = self.row_start[c] + rank
+        return int(idx) if idx.ndim == 0 else idx
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -209,20 +231,14 @@ def coset_action(delta: DeltaSubgroup) -> CosetAction:
     """
     N = delta.N
     _require_level(N)
-    canon = canonical_pair_table(N, delta.elements)
-    # the canonical pairs are the fixed points of the table; scaling by a
-    # unit keeps gcd(c, d, N), so a non-unimodular pair has a canonical
-    # pair that is not a key and gets rank -1
-    fixed = np.flatnonzero(canon == np.arange(N * N, dtype=np.int64))
-    keys = fixed[np.gcd(np.gcd(fixed // N, fixed % N), N) == 1]
-    rank = np.full(N * N, -1, dtype=np.int64)
-    rank[keys] = np.arange(keys.size, dtype=np.int64)
-    c, d = keys // N, keys % N
+    cosets, *index = canonical_rows(N, delta.elements)
+    empty = np.empty(0, dtype=np.int64)
+    act = CosetAction(delta, cosets, empty, empty, empty, empty, *index)
     # Right action on row vectors: (c, d) * S = (d, -c), (c, d) * T = (c, c+d).
-    sigma_S = rank[canon[d * N + (-c) % N]]
-    sigma_T = rank[canon[c * N + (c + d) % N]]
-    cosets = np.stack((c, d), axis=1)
-    mu = keys.size
+    c, d = cosets.T
+    sigma_S = act.coset_index(d, -c)
+    sigma_T = act.coset_index(c, c + d)
+    mu = len(cosets)
     k = np.arange(mu)
     e2 = int(np.count_nonzero(sigma_S == k))
     e3 = int(np.count_nonzero(sigma_T[sigma_S] == k))
@@ -233,8 +249,8 @@ def coset_action(delta: DeltaSubgroup) -> CosetAction:
             f"the coset action gives mu = {mu}, 12g = {num} for N={N}, "
             f"delta={delta.label}, against the counting formulas"
         )
-    _read_only(cosets, sigma_S, sigma_T, starts, widths)
-    return CosetAction(delta, cosets, sigma_S, sigma_T, starts, widths)
+    _read_only(cosets, sigma_S, sigma_T, starts, widths, *index)
+    return replace(act, sigma_S=sigma_S, sigma_T=sigma_T, cycle_starts=starts, cycle_widths=widths)
 
 
 def _t_cycles(sigma_T: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:

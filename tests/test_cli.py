@@ -214,6 +214,11 @@ def test_census_outputs_match_their_golden_digests(capsys, argv, digest):
      "04540f93ca44d1c9331ab53afc0bd63c"),
     (("curve", "256", "--delta", "D1", "--facts", "off", "--format", "json"),
      "ef0685a8a5a37aaf4ccb312693a5f572"),
+    # the largest levels the coset tables accept
+    (("curve", "1021", "--delta", "D1", "--facts", "on", "--format", "json"),
+     "59e853c45bab8b51c687487e8b3c9531"),
+    (("curve", "1024", "--delta", "D1", "--facts", "on", "--format", "json"),
+     "98c73c78da1fa762f6d0ec7fcccc6bb9"),
 ])
 def test_large_curve_outputs_match_their_golden_digests(capsys, argv, digest):
     # single-curve queries classify only the cover targets whose verdicts

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import scalar_oracles as oracle
-from modcurve._kernels import canonical_pair_table
 from modcurve.atkinlehner import diamond_matrix
 from modcurve.classify import generic_atkin_lehner
 import modcurve.congruence as congruence
@@ -28,6 +28,7 @@ from modcurve.matrices import Mat2
 from modcurve.zmodn import (
     DeltaSubgroup,
     delta_by_label,
+    divisors,
     hall_divisors,
     subgroups_containing_minus1,
 )
@@ -353,23 +354,62 @@ def _cusp_test_matrices(N, delta):
     yield Mat2(0, 1, 1, 0)
 
 
+def _check_coset_index(N, delta):
+    act = coset_action(delta)
+    c, d = np.divmod(np.arange(N * N, dtype=np.int64), N)
+    unimodular = np.gcd(np.gcd(c, d), N) == 1
+    # a unimodular pair lies in the coset of its canonical pair
+    canon = oracle.canonical_pair_table(N, delta.elements)[unimodular]
+    keys = np.unique(canon)
+    positions = np.array([oracle.position(N, delta, k // N, k % N) for k in keys.tolist()])
+    expected = positions[np.searchsorted(keys, canon)]
+    c, d = c[unimodular], d[unimodular]
+    assert np.array_equal(act.coset_index(c, d), expected), delta.label
+    assert np.array_equal(act.coset_index(c - N, d + 2 * N), expected), delta.label
+    # every other pair is refused on its own
+    x, y = np.nonzero(~unimodular.reshape(N, N))
+    assert all(_refused(act, *pair) for pair in zip(x.tolist(), y.tolist())), delta.label
+
+
+def _refused(act, c, d):
+    try:
+        act.coset_index(c, d)
+    except NotUnimodular:
+        return True
+    return False
+
+
 @pytest.mark.parametrize("N", [
     N if N <= ORACLE_LEVEL or N in (256, 330) else pytest.param(N, marks=pytest.mark.slow)
     for N in [*range(3, 257), 330]
 ])
 def test_pair_table_matches_scalar_oracle(N):
+    # every pair (c, d) mod N, read through coset_index, against the
+    # oracle's table of canonical pairs
     for delta in subgroups_containing_minus1(N):
-        table = canonical_pair_table(N, delta.elements)
-        expected = oracle.canonical_pair_table(N, delta.elements)
-        assert np.array_equal(table, expected), delta.label
+        _check_coset_index(N, delta)
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("subgroup", [_full, _minimal])
 def test_pair_table_matches_scalar_oracle_at_the_level_bound(subgroup):
-    delta = subgroup(1024)
-    table = canonical_pair_table(1024, delta.elements)
-    assert np.array_equal(table, oracle.canonical_pair_table(1024, delta.elements))
+    _check_coset_index(1024, subgroup(1024))
+
+
+def test_coset_action_at_the_level_bound_builds_no_pair_table():
+    # built through a table over the N^2 pairs, this coset action peaked at
+    # 67 MB under tracemalloc; the record it keeps takes 17 MB
+    delta = _minimal(1021)
+    _clear_level_caches()
+    tracemalloc.start()
+    try:
+        act = coset_action(delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _clear_level_caches()
+    assert act.degree == degree(delta)
+    assert peak < 50 << 20
 
 
 def _check_cusp_labels(N, delta):
@@ -425,12 +465,16 @@ def test_coset_space_matches_scalar_oracles(N):
 
 @pytest.mark.parametrize("N,label", [(330, "D1"), (256, "D1"), (97, "1")])
 def test_coset_record_keeps_one_row_per_coset(N, label):
-    # the coset record keeps no table over the N^2 pairs, and its degree and
-    # T-cycles agree with degree() and with the cusps of the cusp table
+    # the coset record keeps no table over the N^2 pairs: its arrays have
+    # one row per coset, per residue mod N or, for the pair -> coset index,
+    # per divisor of N; its degree and T-cycles agree with degree() and with
+    # the cusps of the cusp table
     delta = delta_by_label(N, label)
     act = coset_action(delta)
     arrays = [v for v in vars(act).values() if isinstance(v, np.ndarray)]
     assert all(len(arr) <= act.degree for arr in arrays)
+    assert all(arr.size < N * N for arr in arrays)
+    assert act.column_rank.shape == (len(divisors(N)), N)
     assert degree(delta) == act.degree
     assert act.cycle_widths.sum() == act.degree
     assert len(act.cycle_starts) == len(cusp_table(delta).classes)
