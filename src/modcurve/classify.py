@@ -54,12 +54,14 @@ operator, b over ``delta.coset_reps()``:
 As [b] lies in Gamma_0(N), which normalises Gamma_Delta(N), each product
 P without [b] is tested for P = m * gamma with gamma in Gamma_0(N); the
 coset of gamma's upper-left class then names the lift, b^-1 * Delta in
-route A and b * Delta in route B.  All rows are tested at once modulo m*N
-in int64 (see ``_mul_mod``); m*N must stay below 2^31.  The classifier
-counts every operator through ``_involution_counts``: it decides per lift,
-in the same int64 form, its order 2 and its fixed cusps, then runs route A
-for the Atkin-Lehner operators, route B for the others, and the
-Riemann-Hurwitz check on every lift that is an involution.
+route A and b * Delta in route B.  Route A tests all its rows at once
+modulo m*N in int64 (see ``_mul_mod``).  Route B first forms only the
+lower-left entry of P on every coset, which must be 0 mod m*N, and the
+whole product on the few cosets where it is.  m*N must stay below 2^31.
+The classifier counts every operator through ``_involution_counts``: it
+decides per lift, in the same int64 form, its order 2 and its fixed cusps,
+then runs route A for the Atkin-Lehner operators, route B for the others,
+and the Riemann-Hurwitz check on every lift that is an involution.
 
 Every function here reads the level N from ``delta.N``, except the entry
 points :meth:`Classifier.classify` and :func:`classify_curve`, which also
@@ -83,7 +85,9 @@ from .atkinlehner import (
 from .congruence import (
     _clear_level_caches,
     _modulus,
+    _read_only,
     coset_action,
+    cusp_diamonds,
     cusp_table,
     degree,
     genus,
@@ -303,7 +307,9 @@ def _fibre_reps(delta: DeltaSubgroup, extra_class: int | None) -> np.ndarray:
     gens = set(delta.elements)
     if extra_class is not None:
         gens.add(extra_class)
-    return np.array(delta_from_elements(delta.N, gens).coset_reps(), dtype=np.int64)
+    reps = np.array(delta_from_elements(delta.N, gens).coset_reps(), dtype=np.int64)
+    _read_only(reps)
+    return reps
 
 
 @lru_cache(maxsize=None)
@@ -313,6 +319,7 @@ def _diamond_columns(N: int) -> tuple[np.ndarray, ...]:
     cols = np.zeros((4, N), dtype=np.int64)
     for a in units(N):
         cols[:, a] = diamond_matrix(a, N).entries()
+    _read_only(cols)  # and so its rows, which are views of it
     return tuple(cols)
 
 
@@ -409,13 +416,16 @@ def coset_fixed_points(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
     an element of Gamma_0(N) whose upper-left class lies in b * Delta.
     Elliptic elements are enumerated by trace and by the primitive binary
     quadratic form of their fixed point, and each is tested against all
-    cosets at once, modulo det(w)*N.  Both signs of each trace are tried:
-    the elements of trace t and -t with one fixed point turn by opposite
-    angles there, so a lift of order 3, 4 or 6 may have fixed points that
-    only one sign sees.  A point is named by its form and its
-    coset position, taken least in its orbit under the stabiliser of the
-    form's root (S at discriminant -4, S*T at -3): the positions of one
-    orbit represent one and the same point.
+    cosets at once, modulo det(w)*N: the lower row of U_x * E times the
+    first column of adj(U_x) * adj(w), built once per call, gives the
+    lower-left entry of the product, and only the cosets where it is 0 get
+    the whole product and the test of its other entries.  Both signs of
+    each trace are tried: the elements of trace t and -t with one fixed
+    point turn by opposite angles there, so a lift of order 3, 4 or 6 may
+    have fixed points that only one sign sees.  A point is named by its
+    form and its coset position, taken least in its orbit under the
+    stabiliser of the form's root (S at discriminant -4, S*T at -3): the
+    positions of one orbit represent one and the same point.
     """
     N, m = delta.N, w.det
     if m <= 0:
@@ -423,11 +433,10 @@ def coset_fixed_points(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
     M = _modulus(m, N)
     act = coset_action(delta)
     trans = tuple(col % M for col in transversal(delta))
-    # adj(U_x) * adj(w) does not depend on the elliptic element
-    tail = _mul_mod(_adj(trans), _adj(_residues(w, M)), M)
-    positions, st = np.arange(act.degree), act.sigma_T[act.sigma_S]
-    least = {-4: np.minimum(positions, act.sigma_S),
-             -3: np.minimum(np.minimum(positions, st), st[st])}
+    w_adj = _adj(_residues(w, M))
+    # the first column of adj(U_x) * adj(w): adj(U_x) times (d_w, -c_w)
+    ta, tb, tc, td = trans
+    head = ((td * w_adj[0] - tb * w_adj[2]) % M, (ta * w_adj[2] - tc * w_adj[0]) % M)
 
     traces = {0}
     for c in (1, 2, 3):
@@ -458,30 +467,44 @@ def coset_fixed_points(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
                     raise DeterminantMismatch(
                         f"elliptic element {elem} should have det {m}, trace {t}"
                     )
-                p = _mul_mod(_mul_mod(trans, _residues(elem, M), M), tail, M)
+                e = _residues(elem, M)
+                # the lower-left entry of U_x * E * adj(U_x) * adj(w): the
+                # lower row of U_x * E times the first column above
+                lower = ((tc * e[0] + td * e[2]) % M, (tc * e[1] + td * e[3]) % M)
+                rows = np.flatnonzero((lower[0] * head[0] + lower[1] * head[1]) % M == 0)
+                if not rows.size:
+                    continue
+                u_x = tuple(col[rows] for col in trans)
+                p = _mul_mod(_mul_mod(u_x, e, M), _mul_mod(_adj(u_x), w_adj, M), M)
                 lift = _scaled_cosets(p, m, delta, 0)
                 hits = np.flatnonzero(lift >= 0)
-                if hits.size:
-                    named = least.get(form.disc, positions)[hits]
-                    key = forms.setdefault(form, len(forms)) * act.degree + named
-                    points.append(key * delta.index + lift[hits])
+                named = _orbit_least(act, form.disc, rows[hits])
+                key = forms.setdefault(form, len(forms)) * act.degree + named
+                points.append(key * delta.index + lift[hits])
     fixed = _distinct(np.concatenate(points))
     return tuple(np.bincount(fixed % delta.index, minlength=delta.index).tolist())
+
+
+def _orbit_least(act, disc: int, positions: np.ndarray) -> np.ndarray:
+    """The least coset position in the orbit of each of ``positions`` under
+    the stabiliser of a root of discriminant ``disc``: S at -4, S*T at -3,
+    the trivial group otherwise."""
+    if disc == -4:
+        return np.minimum(positions, act.sigma_S[positions])
+    if disc == -3:
+        once = act.sigma_T[act.sigma_S[positions]]
+        return np.minimum(np.minimum(positions, once), act.sigma_T[act.sigma_S[once]])
+    return positions
 
 
 def cuspidal_fixed_count(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
     """Numbers of cusp classes of X_Delta(N) fixed by the automorphisms
     induced by the lifts [b] * w of the normalising matrix ``w``, b over
     ``delta.coset_reps()`` (entry 0 is w itself).  ``CuspTable.images``
-    maps every class by w; the diamond [b] = [[a, beta], [N, d]] then sends
-    the pair (x; y) of an image to (a*x + beta*y; d*y) mod N."""
-    N, table = delta.N, cusp_table(delta)
-    images = table.images(w)
-    x, y = (v[images, None] % N for v in table.lifts)
-    reps = list(delta.coset_reps())
-    a, beta, _, d = (col[reps] for col in _diamond_columns(N))
-    fixed = table.class_of(a * x + beta * y, d * y) == np.arange(images.size)[:, None]
-    return tuple(np.count_nonzero(fixed, axis=0).tolist())
+    maps every class by w, and ``cusp_diamonds`` then by every [b]."""
+    images = cusp_table(delta).images(w)
+    fixed = cusp_diamonds(delta)[:, images] == np.arange(images.size)
+    return tuple(np.count_nonzero(fixed, axis=1).tolist())
 
 
 def _involution_counts(

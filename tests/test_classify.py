@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
@@ -21,6 +23,7 @@ from modcurve.classify import (
 from modcurve.congruence import (
     _clear_level_caches,
     coset_action,
+    cusp_diamonds,
     cusp_table,
     genus,
     transversal,
@@ -691,10 +694,29 @@ def test_a_curve_builds_coset_actions_only_for_the_curves_it_searches(N, builds)
     _clear_level_caches()
 
 
-def test_census_frees_each_levels_coset_tables(census_on):
+def test_census_frees_each_levels_coset_tables(census_on, monkeypatch):
+    # every diamond action on the cusps that a level builds is gone once the
+    # level ends, not only out of its cache
+    built, freed = [], []
+
+    def diamonds(delta):
+        table = cusp_diamonds(delta)
+        built.append(weakref.ref(table))
+        return table
+
+    def clear():
+        _clear_level_caches()
+        gc.collect()
+        assert all(ref() is None for ref in built)
+        freed.append(len(built))
+        built.clear()
+
+    monkeypatch.setattr(classify, "cusp_diamonds", diamonds)
+    monkeypatch.setattr(classify, "_clear_level_caches", clear)
     c = Classifier(FactBook(enabled=True))
     records = c.census(40)
-    for cache in (coset_action, cusp_table, transversal):
+    assert len(freed) == len(c.scope_levels(40)) and sum(freed) > 0
+    for cache in (coset_action, cusp_table, transversal, cusp_diamonds):
         assert cache.cache_info().currsize == 0, cache
     assert records == tuple(r for r in census_on if r.N <= 40)
     # a level classified on its own, in any order, gives the census records

@@ -20,7 +20,16 @@ from modcurve.classify import (
     cuspidal_fixed_count,
     lift_fixed_points,
 )
-from modcurve.congruence import LEVEL_LIMIT, coset_action, cusp_table, degree, genus, transversal
+from modcurve.congruence import (
+    LEVEL_LIMIT,
+    _clear_level_caches,
+    coset_action,
+    cusp_diamonds,
+    cusp_table,
+    degree,
+    genus,
+    transversal,
+)
 from modcurve.errors import InputError
 from modcurve.facts import FactBook
 from modcurve.matrices import IDENTITY, Mat2
@@ -104,12 +113,16 @@ def test_routes_and_cusps_match_scalar_oracles_on_census_curves(N, label):
     _check_against_oracles(N, delta_by_label(N, label))
 
 
-@pytest.mark.parametrize("N", range(3, 41))
+@pytest.mark.parametrize("N", [*range(3, 41), 48, 56, 63])
 def test_every_lift_of_one_evaluation_matches_the_scalar_oracles(N):
     # One evaluation of a route counts every lift [b] * w; each entry must
     # match the scalar oracle run on that lift alone.  Route B is checked on
-    # the diamonds (the lifts of the identity) and on the lifts of W_d for
-    # d <= 6, where its scalar loop stays cheap.
+    # the diamonds (the lifts of the identity), on the lifts of W_d for
+    # d <= 6, where its scalar loop stays cheap, and on the explicit
+    # candidates of the witness search, [[1,0],[N/2,1]] for 4 | N and the
+    # listed extra involutions, whose lower-left entry is not 0 mod det*N.
+    # 48, 56 and 63 are the levels past 40 with a listed matrix.
+    search = Classifier(FactBook())
     for delta in subgroups_containing_minus1(N):
         for ref, base in _atkin_lehner_operators(N, delta):
             report = lift_fixed_points(delta, ref)
@@ -119,7 +132,7 @@ def test_every_lift_of_one_evaluation_matches_the_scalar_oracles(N):
         operators = [IDENTITY] + [
             al_reference(d, delta)[0] for d in hall_divisors(N)
             if 1 < d <= 6 and descends(d, delta)
-        ]
+        ] + [w for kind, w, _ in search._witness_candidates(delta) if kind == "explicit"]
         for w in operators:
             expected = tuple(coset_elliptic_count(N, delta, lift) for lift in _lifts(w, delta))
             assert coset_fixed_points(delta, w) == expected, (N, delta.label, str(w))
@@ -265,6 +278,37 @@ def test_named_lift_orders_and_cusp_counts():
     assert 0 in involutive(28, "D1", Mat2(1, 0, 14, 1))
 
 
+def test_coset_route_at_the_level_bound_finishes_only_the_rows_it_needs():
+    # Forming every entry of every product on every coset peaked at 103.5 MB
+    # under tracemalloc here; the lower-left entries alone select the rows.
+    delta = DeltaSubgroup(1021, (1, 1020), "1")
+    _clear_level_caches()
+    coset_action(delta)
+    transversal(delta)
+    tracemalloc.start()
+    try:
+        counts = coset_fixed_points(delta, IDENTITY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        _clear_level_caches()
+    assert len(counts) == delta.index and counts[0] == 0
+    assert peak < 64 << 20
+
+
+def test_cached_route_arrays_are_read_only():
+    # the arrays are shared by every caller through the caches
+    delta = delta_by_label(21, "1")
+    shared = [
+        classify._fibre_reps(delta, None),
+        *classify._diamond_columns(21),
+        cusp_diamonds(delta),
+    ]
+    for arr in shared:
+        with pytest.raises(ValueError):
+            arr += 1
+
+
 def _peak_bytes(fn) -> int:
     tracemalloc.start()
     try:
@@ -290,7 +334,7 @@ def test_lift_route_refuses_modulus_past_int32():
     assert peak < 1 << 20
 
 
-@pytest.mark.parametrize("build", [coset_action, cusp_table, degree, genus, transversal])
+@pytest.mark.parametrize("build", [coset_action, cusp_table, cusp_diamonds, degree, genus, transversal])
 def test_coset_tables_refuse_levels_past_the_bound(build):
     N = LEVEL_LIMIT + 1
     delta = DeltaSubgroup(N, (1, N - 1), "1")
