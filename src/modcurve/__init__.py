@@ -20,9 +20,6 @@ the level from ``delta.N``, as in ``genus(delta)``.  Only
 
 The command-line interface lives in :mod:`modcurve.cli` (``python -m
 modcurve`` or the ``modcurve`` script).
-
-The unit-group record and its constructor gave way to ``units(N)``, and the
-field degree of the lifts of W_N to ``DeltaSubgroup.index`` (see README).
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from .errors import (
     DoesNotDescend,
     InputError,
     NotCoprime,
-    UNBOUNDED,
 )
 from .matrices import Mat2, T_MAT
 from .qforms import _require_hall
@@ -39,7 +38,7 @@ __all__ = [
     "ORDER_CAP",
 ]
 
-#: automorphism_order gives up past this power and returns UNBOUNDED.
+#: automorphism_order gives up past this power and returns None.
 ORDER_CAP = 24
 
 
@@ -188,8 +187,8 @@ def normalizes(matrix: Mat2, delta: DeltaSubgroup) -> bool:
     return True
 
 
-def automorphism_order(w: Mat2, delta: DeltaSubgroup):
-    """Order of the automorphism induced by w, or UNBOUNDED past the cap.
+def automorphism_order(w: Mat2, delta: DeltaSubgroup) -> int | None:
+    """Order of the automorphism induced by w, or None past ``ORDER_CAP``.
 
     w^k induces the identity exactly when w^k is a scalar multiple of a
     member of Gamma_Delta(N): det(w^k) = s^2, s | w^k entrywise, and
@@ -202,5 +201,5 @@ def automorphism_order(w: Mat2, delta: DeltaSubgroup):
         if s * s == det and power.divisible_by(s) and is_member(power.divided_by(s), delta):
             return k
         power = power * w
-    return UNBOUNDED
+    return None
 

@@ -102,7 +102,7 @@ from .errors import (
     MembershipViolation,
     ParityViolation,
 )
-from .facts import FactBook
+from .facts import Fact, FactBook
 from .matrices import IDENTITY, Mat2
 from .qforms import QForm, fixed_points_X0, reduced_classes
 from .zmodn import (
@@ -148,8 +148,9 @@ def _resolve(N: int, delta) -> DeltaSubgroup:
 
 
 def _full(N: int) -> DeltaSubgroup:
-    """The full unit subgroup, i.e. the curve X_0(N)."""
-    return delta_by_label(N, "0")
+    """The full unit subgroup, i.e. the curve X_0(N), built without
+    enumerating the subgroups of the level."""
+    return DeltaSubgroup(N, units(N), "0")
 
 
 def curve_name(N: int, label: str) -> str:
@@ -163,12 +164,10 @@ def curve_name(N: int, label: str) -> str:
 
 def _stabilizer_generator(form: QForm) -> Mat2 | None:
     """Generator (mod +-1) of the stabiliser of the root of ``form`` in
-    SL_2(Z), for the two discriminants with extra automorphisms."""
-    p, q, r = form.p, form.q, form.r
-    if form.disc == -4:
-        return Mat2(-q // 2, -r, p, q // 2)
-    if form.disc == -3:
-        return Mat2((1 - q) // 2, -r, p, (1 + q) // 2)
+    SL_2(Z), for the two discriminants with extra automorphisms: the
+    elliptic element of determinant 1 and trace 0 at -4, 1 at -3."""
+    if form.disc in (-4, -3):
+        return form.elliptic(form.disc + 4, 1)
     return None
 
 
@@ -366,8 +365,6 @@ def lift_fixed_points(delta: DeltaSubgroup, w: Mat2) -> LiftReport:
             corrections = [(1, 0, 0, 1)]
             extra = None
             if stab is not None:
-                if stab.det != 1:
-                    raise DeterminantMismatch(f"stabiliser {stab} of {primitive}")
                 s1 = _residues(stab, M)
                 corrections.append(s1)
                 if primitive.disc == -3:
@@ -457,17 +454,7 @@ def coset_fixed_points(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
             for form in reduced_classes(d0):
                 if (t - u * form.q) % 2:
                     continue
-                elem = Mat2(
-                    (t - u * form.q) // 2,
-                    -u * form.r,
-                    u * form.p,
-                    (t + u * form.q) // 2,
-                )
-                if elem.det != m or elem.trace != t:
-                    raise DeterminantMismatch(
-                        f"elliptic element {elem} should have det {m}, trace {t}"
-                    )
-                e = _residues(elem, M)
+                e = _residues(form.scaled(u).elliptic(t, m), M)
                 # the lower-left entry of U_x * E * adj(U_x) * adj(w): the
                 # lower row of U_x * E times the first column above
                 lower = ((tc * e[0] + td * e[2]) % M, (tc * e[1] + td * e[3]) % M)
@@ -642,7 +629,7 @@ class Classifier:
             raise InputError("census is supported for levels up to 256")
         out = []
         for N in range(13, max_n + 1):
-            if self._x0_type(N) is None:
+            if not self._x0_in_scope(N):
                 continue
             if any(s.is_intermediate for s in subgroups_containing_minus1(N)):
                 out.append(N)
@@ -667,18 +654,14 @@ class Classifier:
 
     # -- curated X_0(N) inventory -------------------------------------------
 
-    def _x0_type(self, N: int) -> str | None:
-        """Coarse type of X_0(N), N >= 13, or ``None`` when X_0(N) is neither
-        subhyperelliptic nor bielliptic.  Genus 0 and 1 are counted without
-        enumerating subgroups; the complete literature lists give the rest.
-        Used only to delimit the survey scope."""
-        g = genus(DeltaSubgroup(N, units(N), "0"))
-        if g <= 1:
-            return ("rational", "elliptic")[g]
-        for label in ("hyperelliptic", "bielliptic"):
-            if N in self.facts.read_past_switch(f"x0.{label}").as_levels():
-                return label
-        return None
+    def _x0_in_scope(self, N: int) -> bool:
+        """Whether X_0(N), N >= 13, is subhyperelliptic or bielliptic.
+        Genus 0 and 1 are counted without enumerating subgroups; the
+        complete literature lists give the rest."""
+        if genus(_full(N)) <= 1:
+            return True
+        return any(N in self.facts.read_past_switch(f"x0.{label}").as_levels()
+                   for label in ("hyperelliptic", "bielliptic"))
 
     # -- main classification flow -------------------------------------------
 
@@ -917,20 +900,16 @@ class Classifier:
             # a bielliptic curve of genus >= 4 cannot be hyperelliptic
             # (Castelnuovo-Severi), so no curated input is needed
             return True, ()
-        if record.delta_label == "0":
-            fact = self.facts.get("x0.hyperelliptic")
-            if fact is not None and record.N not in fact.as_levels():
-                return True, ("x0.hyperelliptic",)
+        label = record.delta_label
+        if label in ("0", "1"):
+            key, curve, listed = f"x{label}.hyperelliptic", record.N, Fact.as_levels
+        else:
+            key, curve, listed = ("intermediate.hyperelliptic", (record.N, label),
+                                  Fact.as_curve_labels)
+        fact = self.facts.get(key)
+        if fact is None or curve in listed(fact):
             return False, ()
-        if record.delta_label == "1":
-            fact = self.facts.get("x1.hyperelliptic")
-            if fact is not None and record.N not in fact.as_levels():
-                return True, ("x1.hyperelliptic",)
-            return False, ()
-        fact = self.facts.get("intermediate.hyperelliptic")
-        if fact is not None and (record.N, record.delta_label) not in fact.as_curve_labels():
-            return True, ("intermediate.hyperelliptic",)
-        return False, ()
+        return True, (key,)
 
     def _eliminations(self, delta: DeltaSubgroup, g: int, covers) -> tuple[Evidence, ...]:
         """Negative evidence against a bielliptic X_Delta(N) of genus ``g``.
@@ -1102,14 +1081,9 @@ class Classifier:
 # --------------------------------------------------------------------------
 # module-level convenience API
 
-_DEFAULT: Classifier | None = None
-
-
+@lru_cache(maxsize=None)
 def _default_classifier() -> Classifier:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = Classifier(FactBook())
-    return _DEFAULT
+    return Classifier(FactBook())
 
 
 def classify_curve(N: int, delta) -> ClassificationRecord:

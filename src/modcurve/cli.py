@@ -85,9 +85,9 @@ def _pretty_name(N: int, label: str) -> str:
     return f"X_{{{_pretty_label(label)}}}({N})"
 
 
-def _pm_set(delta: DeltaSubgroup) -> str:
+def _pm_set(N: int, elements: tuple[int, ...]) -> str:
     """Residue set rendered as ±{a,b,...} using the smaller of a, N-a."""
-    reps = sorted({min(a, delta.N - a) for a in delta.elements})
+    reps = sorted({min(a, N - a) for a in elements})
     return "±{" + ",".join(str(a) for a in reps) + "}"
 
 
@@ -135,10 +135,9 @@ def _record_dict(r: ClassificationRecord) -> dict[str, Any]:
 
 
 def _record_text(r: ClassificationRecord, verbose: bool = True) -> list[str]:
-    delta = delta_from_elements(r.N, r.delta_elements)
     lines = [
         f"{_pretty_name(r.N, r.delta_label)}   N={r.N}   "
-        f"Δ = {_pm_set(delta)}   (order {len(r.delta_elements)})",
+        f"Δ = {_pm_set(r.N, r.delta_elements)}   (order {len(r.delta_elements)})",
         f"  genus:  {r.genus}",
         f"  status: {r.status}"
         + ("  (also bielliptic)" if r.is_bielliptic and r.status == "hyperelliptic" else ""),
@@ -241,7 +240,9 @@ def _cmd_subgroups(args: argparse.Namespace, argv: list[str]) -> str:
         return _json_text(_envelope(argv, results, []))
     lines = [f"subgroups of (Z/{args.N}Z)* containing -1:"]
     for s in subs:
-        lines.append(f"  {_pretty_label(s.label):<8} order {s.order:>3}   {_pm_set(s)}")
+        lines.append(
+            f"  {_pretty_label(s.label):<8} order {s.order:>3}   {_pm_set(s.N, s.elements)}"
+        )
     n_inter = sum(1 for s in subs if s.is_intermediate)
     lines.append(f"{n_inter} intermediate subgroup(s)")
     return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import canonical_rows
+from ._kernels import _BLOCK, canonical_rows
 from .errors import (
     CuspCountMismatch,
     DeterminantMismatch,
@@ -424,7 +424,7 @@ def _cusp_labels(delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
     under a.(x'; y) = (a*x' mod g; a^-1*y mod N), and its least pair is
     the least (a*x' mod g)*N + a^-1*y mod N.  The P(N) = sum_y gcd(y, N)
     reduced pairs are laid out y by y, (x'; y) at offset[y] + x'; the scaled
-    pairs are compared in blocks of Delta of at most 2^18 cells.
+    pairs are compared in blocks of Delta of at most ``_BLOCK`` cells.
     """
     N = delta.N
     residues = np.arange(N, dtype=np.int64)
@@ -436,7 +436,7 @@ def _cusp_labels(delta: DeltaSubgroup) -> tuple[np.ndarray, ...]:
     a = np.array(delta.elements, dtype=np.int64)
     a_inv = np.array([pow(e, -1, N) for e in delta.elements], dtype=np.int64)
     least = np.full(ry.size, N * N, dtype=np.int64)
-    step = max(1, (1 << 18) // ry.size)
+    step = max(1, _BLOCK // ry.size)
     for lo in range(0, a.size, step):
         cand = np.multiply.outer(a[lo:lo + step], rx)
         cand %= rg

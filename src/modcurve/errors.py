@@ -102,28 +102,3 @@ class MalformedSubgroup(InvariantError):
 
 class SearchExhausted(InvariantError):
     """A bounded representative search hit its cap without success."""
-
-    def __init__(self, message: str, bound: int | None = None) -> None:
-        super().__init__(message)
-        self.bound = bound
-
-
-class _UnboundedType:
-    """Singleton returned when an element's order exceeds the search cap."""
-
-    _instance: "_UnboundedType | None" = None
-
-    def __new__(cls) -> "_UnboundedType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Unbounded"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Sentinel: the order search cap (24) was exceeded.
-UNBOUNDED = _UnboundedType()

@@ -98,6 +98,17 @@ class QForm:
     def scaled(self, k: int) -> "QForm":
         return QForm(k * self.p, k * self.q, k * self.r)
 
+    def elliptic(self, trace: int, det: int) -> Mat2:
+        """The element [[(t-q)/2, -r], [p, (t+q)/2]] of trace t = ``trace``,
+        which fixes the root of [p, q, r]; its determinant (t^2 - disc)/4
+        must be ``det``.  Requires q = t (mod 2)."""
+        if (self.q - trace) % 2:
+            raise FormMismatch(f"{self} needs q = {trace} (mod 2)")
+        w = Mat2((trace - self.q) // 2, -self.r, self.p, (trace + self.q) // 2)
+        if w.det != det:
+            raise DeterminantMismatch(f"{w} should have determinant {det}")
+        return w
+
     def __str__(self) -> str:
         return f"[{self.p},{self.q},{self.r}]"
 
@@ -168,20 +179,18 @@ def beta_candidates(N: int, d: int) -> list[tuple[int, int]]:
 
     Family 1 (all d): D = -4d, beta mod 2N with beta^2 = D (mod 4N) and
     beta = 0 (mod 2d).  Family 2 (d in {2, 3} only): D = d^2 - 4d, beta = d
-    (mod 2d).  Listed family 1 first, beta ascending within each family.
+    (mod 2d).  Listed family 1 first, beta ascending within each family;
+    each family steps through its own class of beta mod 2d, so every beta
+    is tested once.
     """
     _require_hall(N, d)
-    out: list[tuple[int, int]] = []
-    D1 = -4 * d
-    for beta in range(0, 2 * N):
-        if beta % (2 * d) == 0 and (beta * beta - D1) % (4 * N) == 0:
-            out.append((beta, D1))
-    if d in (2, 3):
-        D2 = d * d - 4 * d
-        for beta in range(0, 2 * N):
-            if beta % (2 * d) == d % (2 * d) and (beta * beta - D2) % (4 * N) == 0:
-                out.append((beta, D2))
-    return out
+    families = [(-4 * d, 0)] + ([(d * d - 4 * d, d)] if d in (2, 3) else [])
+    return [
+        (beta, D)
+        for D, shift in families
+        for beta in range(shift, 2 * N, 2 * d)
+        if (beta * beta - D) % (4 * N) == 0
+    ]
 
 
 @dataclass(frozen=True)
@@ -294,7 +303,7 @@ def _stratum_representatives(classes: tuple[GKZClass, ...]) -> tuple[QForm, ...]
         scanned_to = bound
         bound *= 2
     missing = next(cls for cls in classes if cls.reduced_image not in found)
-    raise SearchExhausted(f"no representative for {missing} with |q| <= {bound // 2}", bound // 2)
+    raise SearchExhausted(f"no representative for {missing} with |q| <= {bound // 2}")
 
 
 def class_representative(cls: GKZClass) -> QForm:
@@ -337,27 +346,13 @@ class FixedPointSet:
         return len(self.points)
 
 
-def _matrix_from_form(f: QForm, trace: int, d: int, N: int) -> Mat2:
-    """Element of determinant d, given trace, fixing the root of f = [p,q,r].
-
-    For trace t: W = [[(t-q)/2, -r], [p, (t+q)/2]]; requires q = t (mod 2)
-    and N | p.
-    """
-    if (f.q - trace) % 2 or f.p % N:
-        raise FormMismatch(f"{f} needs q = {trace} (mod 2) and {N} | p")
-    w = Mat2((trace - f.q) // 2, -f.r, f.p, (trace + f.q) // 2)
-    if w.det != d or w.trace != trace:
-        raise DeterminantMismatch(f"{w} should have determinant {d}, trace {trace}")
-    return w
-
-
 @lru_cache(maxsize=None)
 def fixed_points_X0(N: int, d: int) -> FixedPointSet:
     """Non-cuspidal fixed points of the Atkin-Lehner involution W_d on X_0(N).
 
     Runs the family/stratum decomposition, scans each stratum once for a
-    representative form of every class in it, and recovers the elliptic
-    element for each.  For d = 3 the discriminant -3 layers of the trace-0
+    representative form of every class in it, and builds the elliptic
+    element of each with :meth:`QForm.elliptic`.  For d = 3 the discriminant -3 layers of the trace-0
     family duplicate the trace-3 family and are skipped there.
     """
     _require_hall(N, d)
@@ -374,8 +369,10 @@ def fixed_points_X0(N: int, d: int) -> FixedPointSet:
             classes = tuple(group)
             for cls, prim in zip(classes, _stratum_representatives(classes)):
                 total = prim.scaled(cls.ell)
-                if total.q % (2 * N) != beta % (2 * N):
-                    raise FormMismatch(f"{total} should have q = {beta} (mod {2 * N})")
-                w = _matrix_from_form(total, trace, d, N)
+                if total.q % (2 * N) != beta % (2 * N) or total.p % N:
+                    raise FormMismatch(
+                        f"{total} should have q = {beta} (mod {2 * N}) and {N} | p"
+                    )
+                w = total.elliptic(trace, d)
                 points.append(FixedPoint(total, w, cls.D, cls.ell, cls))
     return FixedPointSet(N, d, tuple(points))

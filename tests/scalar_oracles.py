@@ -582,5 +582,5 @@ def class_representative(cls: GKZClass) -> QForm:
                     return QForm(P, q, r)
         scanned_to = bound
         bound *= 2
-    raise SearchExhausted(f"no representative for {cls} with |q| <= {bound // 2}", bound // 2)
+    raise SearchExhausted(f"no representative for {cls} with |q| <= {bound // 2}")
 

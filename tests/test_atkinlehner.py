@@ -8,7 +8,6 @@ import pytest
 
 from modcurve.atkinlehner import (
     ORDER_CAP,
-    UNBOUNDED,
     automorphism_order,
     descends,
     diamond_matrix,
@@ -233,11 +232,11 @@ def test_automorphism_order_of_involutions():
 
 def test_automorphism_order_unbounded_marker():
     # no power of [[2,1],[0,1]] is a scalar times a member, so the search
-    # stops at the cap and reports the unbounded sentinel
+    # stops at the cap and returns None
     delta = delta_by_label(21, "D1")
     m = Mat2(2, 1, 0, 1)
     assert not normalizes(m, delta)
-    assert automorphism_order(m, delta) is UNBOUNDED
+    assert automorphism_order(m, delta) is None
 
 
 def test_unbounded_marker_for_parabolic():

@@ -12,6 +12,7 @@ from modcurve import atkinlehner, classify
 from modcurve.atkinlehner import descends, diamond_matrix, hat_W, normalizes
 from modcurve.classify import (
     Classifier,
+    _full,
     _involution_counts,
     classify_curve,
     coset_fixed_points,
@@ -28,7 +29,7 @@ from modcurve.congruence import (
     genus,
     transversal,
 )
-from modcurve.errors import InputError
+from modcurve.errors import InputError, InvariantError
 from modcurve.facts import FactBook, default_facts_path
 from modcurve.matrices import Mat2
 from modcurve.qforms import fixed_points_X0
@@ -291,7 +292,7 @@ def test_scope_enumerates_subgroups_only_at_levels_in_scope():
         subgroups_containing_minus1(N)
         if subgroups_containing_minus1.cache_info().hits > hits:
             cached.add(N)
-    typed = {N for N in range(13, 132) if clf._x0_type(N) is not None}
+    typed = {N for N in range(13, 132) if clf._x0_in_scope(N)}
     assert cached == typed
 
 
@@ -653,6 +654,23 @@ def test_classify_curve_matches_census(census_by_key):
 def test_classifier_memoizes():
     c = Classifier(FactBook(enabled=True))
     assert c.classify(34, "D2") is c.classify(34, "D2")
+
+
+def test_a_cover_leading_back_to_the_curve_is_a_cycle(monkeypatch):
+    # X_D1(31) has genus 6 and no witness, so the eliminations classify its
+    # Galois cover targets; a cover of the curve by itself would recurse
+    c = Classifier(FactBook(enabled=True))
+    monkeypatch.setattr(c, "_covers", lambda delta: [(delta, 1, True)])
+    with pytest.raises(InvariantError, match="classification cycle"):
+        c.classify(31, "D1")
+    assert not c._in_progress and (31, "D1") not in c._memo
+
+
+def test_full_unit_group_is_the_last_subgroup_of_its_level():
+    # the coset caches key on the subgroup, so the X_0(N) that the
+    # classifier builds directly must equal the enumerated one
+    for N in range(7, 257):
+        assert _full(N) == subgroups_containing_minus1(N)[-1], N
 
 
 def test_the_witness_search_checks_each_descent_once(monkeypatch):

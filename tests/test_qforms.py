@@ -7,7 +7,13 @@ import math
 import pytest
 
 from modcurve.classify import coset_fixed_points, generic_atkin_lehner
-from modcurve.errors import BadDiscriminant, InputError, NotPositiveDefinite
+from modcurve.errors import (
+    BadDiscriminant,
+    DeterminantMismatch,
+    FormMismatch,
+    InputError,
+    NotPositiveDefinite,
+)
 from modcurve.matrices import Mat2
 from modcurve.qforms import (
     QForm,
@@ -324,6 +330,33 @@ def test_gkz_strata_at_28_7():
     assert sorted((c.D, c.ell, c.m1, c.m2) for c in strata) == [
         (-28, 1, 1, 2), (-28, 1, 2, 1), (-7, 2, 1, 1),
     ]
+
+
+def test_elliptic_element_of_a_form():
+    # [[(t-q)/2, -r], [p, (t+q)/2]] fixes the root of [p, q, r] and has
+    # determinant (t^2 - disc)/4
+    form = QForm(28, 14, 2)
+    w = form.elliptic(0, 7)
+    assert w == Mat2(-7, -2, 28, 7) and w.trace == 0
+    assert form.apply(w) == form.scaled(7)
+    assert QForm(1, 1, 1).elliptic(1, 1) == Mat2(0, -1, 1, 1)
+    with pytest.raises(FormMismatch):
+        form.elliptic(1, 7)  # q = 14 and the trace 1 differ in parity
+    with pytest.raises(DeterminantMismatch):
+        form.elliptic(0, 5)
+
+
+def test_beta_candidates_scan_every_beta():
+    # both families against a plain scan of every beta mod 2N: trace 0 with
+    # D = -4d and beta = 0 (mod 2d), then trace d in {2, 3} with D = d^2 - 4d
+    for N, d in hall_pairs(range(2, 121)):
+        expected = [(beta, -4 * d) for beta in range(2 * N)
+                    if beta % (2 * d) == 0 and (beta * beta + 4 * d) % (4 * N) == 0]
+        if d in (2, 3):
+            D = d * d - 4 * d
+            expected += [(beta, D) for beta in range(2 * N)
+                         if beta % (2 * d) == d and (beta * beta - D) % (4 * N) == 0]
+        assert beta_candidates(N, d) == expected, (N, d)
 
 
 def test_fixed_points_requires_hall_divisor():

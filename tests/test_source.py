@@ -55,3 +55,14 @@ def test_no_function_takes_a_level_beside_a_subgroup():
             found += [f"{stem}.{name}" for name, fn in functions.items()
                       if {"N", "delta"} <= set(inspect.signature(fn).parameters)]
     assert sorted(found) == ["classify.Classifier.classify", "classify.classify_curve"]
+
+
+def test_scalar_oracles_build_their_own_elliptic_elements():
+    # route B's oracle builds each elliptic element inline, so that it does
+    # not share QForm.elliptic with the routes it checks
+    path = Path(__file__).resolve().parent / "scalar_oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "elliptic"]
+    assert not calls, calls
