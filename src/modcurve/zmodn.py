@@ -17,20 +17,25 @@ studies; they are enumerated in a canonical order and given stable labels:
 The enumeration works one Sylow part at a time.  A subgroup H of the
 abelian group G = (Z/NZ)* is the direct product of its parts H_p, the
 intersections of H with the Sylow parts G_p over the primes p dividing
-phi(N); G_p = {u^(phi/p^a) : u in G} for p^a exactly dividing phi(N).
-As -1 has order 2, it lies in H exactly when it lies in H_2.  Inside each
-G_p a breadth-first search starts from {+-1} for p = 2 and from {1} for
-odd p, and joins each subgroup K found with one generator g of every
-distinct cyclic subgroup <g, -1> (p = 2) or <g> (odd p), building K<g> as
-the union of the cosets g^k K.  Every product of one subgroup per part is
-then one subgroup containing -1.  The labels are a function of the set of
+phi(N).  As -1 has order 2, it lies in H exactly when it lies in H_2.
+Each G_p gets a basis u_0, ..., u_(r-1) of elements of orders n_i by CRT
+over the prime powers exactly dividing N (:func:`_sylow_basis`), so that
+G_p is the sum of the Z/n_i.  Its subgroups are then the lattices L with
+(+) n_i Z <= L <= Z^r, and each is built once, directly, from its unique
+upper-triangular Hermite basis (:func:`_hermite_bases`), with no joins and
+no dedupe set.  For p = 2 the basis puts -1 = u_0^(n_0/2) first, so that
+the subgroups containing -1 are the lattices of G_2/<-1> (n_0 halved),
+each lifted by +-1.  Every product of one subgroup per part is then one
+subgroup containing -1.  The labels are a function of the set of
 subgroups alone (through the sort above), so the way the search finds
 them cannot move a label.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -123,10 +128,10 @@ def units(N: int) -> tuple[int, ...]:
 # subgroups containing -1
 
 #: Levels above this bound are refused by the subgroup enumeration.  On a
-#: 2-core x86-64 host one enumeration takes at most 0.07 s per level up to
-#: 1024 (at 1020) and at most 0.96 s from 1025 to 2048 (at 2040, whose unit
-#: group of order 512 is all one Sylow 2-part, so the split gains nothing
-#: there); 1729, with 400 subgroups, takes 0.025 s.
+#: 2-core x86-64 host one enumeration takes at most 0.02 s per level up to
+#: 2048 (0.011-0.015 s at 2040, whose unit group of order 512 has 511
+#: subgroups containing -1), 0.39-0.47 s summed over 3..1024 and
+#: 1.2-1.35 s over 1025..2048.
 SUBGROUP_LEVEL_LIMIT = 2048
 
 
@@ -143,7 +148,7 @@ class DeltaSubgroup:
     label: str
 
     def __post_init__(self) -> None:
-        if self.elements != tuple(sorted(set(self.elements))):
+        if self.elements != tuple(sorted(self.elements)) or len(set(self.elements)) != self.order:
             raise MalformedSubgroup(
                 f"elements of Delta modulo {self.N} are not sorted and unique: {self.elements}"
             )
@@ -229,54 +234,136 @@ def _closure(N: int, gens: set[int]) -> tuple[int, ...]:
     return tuple(sorted(elems))
 
 
-def _cyclic_generators(N: int, part: list[int], base: frozenset[int]) -> list[int]:
-    """One g in ``part`` for each subgroup <g> * base of it other than base.
+@lru_cache(maxsize=None)
+def _primitive_root(m: int) -> int:
+    """The least primitive root modulo an odd prime power m."""
+    n = totient(m)
+    cofactors = [n // r for r in prime_divisors(n)]
+    return next(g for g in range(2, m) if math.gcd(g, m) == 1
+                and all(pow(g, c, m) != 1 for c in cofactors))
 
-    ``part`` is a Sylow part of (Z/NZ)* and ``base`` is {+-1} in the 2-part
-    and {1} in an odd part.  One pass over the part: each new g walks its
-    powers once and marks every g^k * b with gcd(k, ord g) = 1 and b in
-    base, which generate the same <g> * base, so no later element repeats
-    that subgroup's walk.
+
+def _sylow_basis(N: int, p: int) -> list[tuple[int, int]]:
+    """A basis of the Sylow p-part of (Z/NZ)* as (residue, order) pairs.
+
+    The part is the product of its parts modulo the prime powers q^e
+    exactly dividing N, each lifted by CRT to 1 modulo N/q^e.  For odd q
+    the units modulo q^e are cyclic of order n, and the least primitive
+    root g gives the generator g^(n/p^v), p^v exactly dividing n.  For
+    q = 2 the generators are -1 (order 2, e >= 2) and 5 (order 2^(e-2),
+    e >= 3).  For p = 2 the element u_0 of least order n_0 among those
+    whose element of order 2 is -1 modulo their prime power (the elements
+    in which -1 has a non-zero coordinate) is multiplied by u_j^(n_j/n_0)
+    of each other such u_j and put first, so that -1 = u_0^(n_0/2).
     """
-    marked = set(base)
-    gens: list[int] = []
-    for g in part:
-        if g in marked:
-            continue
-        gens.append(g)
-        powers = [1]
-        x = g
-        while x != 1:
-            powers.append(x)
-            x = x * g % N
-        order = len(powers)
-        for k in range(1, order):
-            if math.gcd(k, order) == 1:
-                marked.update(powers[k] * b % N for b in base)
-    return gens
+    basis: list[tuple[int, int]] = []
+    signed: list[int] = []  # positions in ``basis`` that carry -1
+    for q in prime_divisors(N):
+        m = q
+        while N % (m * q) == 0:
+            m *= q
+        local: list[tuple[int, int]] = []
+        if q != 2:
+            n = m - m // q
+            pv = math.gcd(n, p ** n.bit_length())
+            if pv > 1:
+                local.append((pow(_primitive_root(m), n // pv, m), pv))
+        elif p == 2:
+            if m >= 4:
+                local.append((m - 1, 2))
+            if m >= 8:
+                local.append((5, m // 4))
+        for r, order in local:
+            if p == 2 and pow(r, order // 2, m) == m - 1:
+                signed.append(len(basis))
+            basis.append((crt(r, m, 1, N // m), order))
+    if signed:
+        first = min(signed, key=lambda j: basis[j][1])
+        u0, n0 = basis[first]
+        for j in signed:
+            if j != first:
+                u0 = u0 * pow(basis[j][0], basis[j][1] // n0, N) % N
+        basis = [(u0, n0)] + basis[:first] + basis[first + 1:]
+    return basis
 
 
-def _part_subgroups(N: int, part: list[int], base: frozenset[int]) -> list[frozenset[int]]:
-    """Every subgroup of the Sylow part ``part`` of (Z/NZ)* that contains
-    ``base``, found breadth-first from ``base`` by joining each subgroup
-    found with one generator of every cyclic subgroup <g> * base: such a
-    subgroup is the product of the <h> * base of its elements h, so every
-    one is reached."""
-    gens = _cyclic_generators(N, part, base)
-    found = {base}
-    frontier = [base]
-    while frontier:
-        nxt: list[frozenset[int]] = []
-        for have in frontier:
-            for g in gens:
-                if g in have:
-                    continue
-                bigger = frozenset(_join(N, have, g))
-                if bigger not in found:
-                    found.add(bigger)
-                    nxt.append(bigger)
-        frontier = nxt
-    return list(found)
+def _hermite_bases(orders: list[int], p: int) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """Every lattice L with (+) n_i Z <= L <= Z^r, n_i = ``orders`` (powers
+    of p), once, by its upper-triangular Hermite basis.
+
+    Row i is (0, ..., d_i, a_i,i+1, ...) with d_i | n_i and 0 <= a_ij < d_j,
+    given from its diagonal on as (d_i, a_i,i+1, ...).  The rows are built
+    from the last one up, and a row is kept when (n_i/d_i) * (a_i,i+1, ...)
+    lies in the lattice of the rows below it, which is when n_i e_i lies in
+    L.  Each lattice has exactly one such basis.
+    """
+    if not orders:
+        yield ()
+        return
+    n = orders[0]
+    for below in _hermite_bases(orders[1:], p):
+        tails = list(itertools.product(*(range(row[0]) for row in below)))
+        d = 1
+        while n % d == 0:
+            k = n // d
+            for tail in tails:
+                v = [k * a for a in tail]
+                for j, row in enumerate(below):
+                    c, rest = divmod(v[j], row[0])
+                    if rest:
+                        break
+                    if c:
+                        for i in range(1, len(row)):
+                            v[j + i] -= c * row[i]
+                else:
+                    yield ((d, *tail), *below)
+            d *= p
+
+
+def _part_subgroups(N: int, p: int) -> list[frozenset[int]]:
+    """Every subgroup of the Sylow p-part of (Z/NZ)*, containing -1 for
+    p = 2, each built once from its Hermite basis over ``_sylow_basis``.
+
+    A lattice L with (+) n_i Z <= L <= Z^r and Hermite rows b_i (diagonal
+    d_i) is the subgroup of the products of b_i^c_i with 0 <= c_i < n_i/d_i,
+    that many distinct residues.  For p = 2 the lattices are those of the
+    quotient by <-1> = <u_0^(n_0/2)> (n_0 halved), and each is lifted by
+    +-1.  Raises :class:`MalformedSubgroup` when a basis element does not
+    have its stated order, when -1 is not u_0^(n_0/2), or when a
+    subgroup's elements repeat (a basis that is not independent).
+    """
+    basis = _sylow_basis(N, p)
+    for u, n in basis:
+        if pow(u, n, N) != 1 or pow(u, n // p, N) == 1:
+            raise MalformedSubgroup(f"{u} modulo {N} does not have order {n}")
+    orders = [n for _, n in basis]
+    if p == 2:
+        if pow(basis[0][0], orders[0] // 2, N) != N - 1:
+            raise MalformedSubgroup(f"-1 is not the first basis element's power modulo {N}")
+        orders[0] //= 2
+    # the largest orders in the first rows leave the fewest tails to try
+    rank = sorted(range(len(basis)), key=lambda i: -orders[i])
+    orders = [orders[i] for i in rank]
+    gens = [basis[i][0] for i in rank]
+    powers = [[pow(u, k, N) for k in range(n + 1)] for u, n in zip(gens, orders)]
+    subs: list[frozenset[int]] = []
+    for rows in _hermite_bases(orders, p):
+        elems = [1]
+        for i, row in enumerate(rows):
+            g = 1
+            for table, a in zip(powers[i:], row):
+                g = g * table[a] % N
+            step = elems
+            for _ in range(orders[i] // row[0] - 1):
+                step = [e * g % N for e in step]
+                elems += step
+        if p == 2:
+            elems += [N - e for e in elems]
+        sub = frozenset(elems)
+        if len(sub) != len(elems):
+            raise MalformedSubgroup(f"a subgroup of the {p}-part modulo {N} repeats an element")
+        subs.append(sub)
+    return subs
 
 
 @lru_cache(maxsize=None)
@@ -291,7 +378,8 @@ def subgroups_containing_minus1(N: int) -> tuple[DeltaSubgroup, ...]:
 
     Each Sylow part G_p of the unit group is searched on its own (see the
     module docstring): its subgroups containing -1 for p = 2, all of its
-    subgroups for odd p.  Every product of one subgroup per part must have
+    subgroups for odd p, each built once from its Hermite basis over a CRT
+    basis of G_p.  Every product of one subgroup per part must have
     the product of their orders as its size, and the products must be
     pairwise distinct, else :class:`MalformedSubgroup` is raised.  Labels
     depend only on the set of subgroups and the sort above, not on the
@@ -306,13 +394,10 @@ def subgroups_containing_minus1(N: int) -> tuple[DeltaSubgroup, ...]:
         )
     phi = totient(N)
     base = frozenset({1, N - 1})
-    found = [frozenset({1})]
-    for p in prime_divisors(phi):
-        cofactor = phi
-        while cofactor % p == 0:
-            cofactor //= p
-        part = sorted({pow(u, cofactor, N) for u in units(N)})
-        subs = _part_subgroups(N, part, base if p == 2 else frozenset({1}))
+    # phi(N) is even for N >= 3: the 2-part comes first and starts the products
+    found = _part_subgroups(N, 2)
+    for p in prime_divisors(phi)[1:]:
+        subs = _part_subgroups(N, p)
         grown: list[frozenset[int]] = []
         for have in found:
             for sub in subs:

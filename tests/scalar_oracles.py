@@ -10,11 +10,13 @@ package does not keep.
 The fixed-point counters and the cusp table are the per-coset ``Mat2``
 loops that the package replaced with int64 arithmetic modulo m*N; the
 normalizer test conjugates every Schreier generator of Gamma_Delta(N),
-where the package tests |Delta| + 2 generators modulo m*N.  The pair
-table makes one numpy pass over all N^2 pairs per element of Delta, and
-``_cycles`` walks a permutation in Python, where the package builds the
-table in one block per divisor of N and labels the T-cycles by pointer
-doubling.  ``cusp_labels`` labels the cusp orbits one at a time, where
+where the package tests |Delta| + 2 generators modulo m*N.  Both
+fixed-point counters build their elliptic elements, the stabilisers of
+the base points included, inline rather than through ``QForm.elliptic``.
+The pair table makes one numpy pass over all N^2 pairs per element of
+Delta, and ``_cycles`` walks a permutation in Python, where the package
+builds the table in one block per divisor of N and labels the T-cycles by
+pointer doubling.  ``cusp_labels`` labels the cusp orbits one at a time, where
 the package finds the least pair of every orbit at once from the reduced
 pairs (x mod gcd(y, N); y), and ``cusp_classes`` names the cusp of each
 T-cycle through the transversal, where the package names the cycle through
@@ -28,11 +30,12 @@ time, where ``fixed_points_X0`` walks each stratum's forms once for all of
 its classes; it finds divisors and the prime-power part N2 by its own
 brute-force loops, sharing no helper with the package.
 ``subgroup_search`` is the breadth-first search over the whole unit group
-that enumerated the subgroups containing -1 before the package split it
-into one search per Sylow part, with its own copy of the join of a
-subgroup and a unit.  Everything else uses exact Python integers.  They
-serve only as oracles: the tests require the package to agree with them
-exactly.
+that enumerated the subgroups containing -1 before the package built each
+Sylow part's subgroups from Hermite bases over a CRT basis, with its own
+copy of the join of a subgroup and a unit: it shares neither the basis
+nor the lattice enumeration with the package.  Everything else uses exact
+Python integers.  They serve only as oracles: the tests require the
+package to agree with them exactly.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from math import isqrt
 import numpy as np
 
 from modcurve.atkinlehner import diamond_matrix
-from modcurve.classify import _stabilizer_generator, curve_name
+from modcurve.classify import curve_name
 from modcurve.congruence import cusp_table, is_member
 from modcurve.errors import (
     CoverMismatch,
@@ -300,10 +303,13 @@ def lift_witnesses(
             point.form.q // point.ell,
             point.form.r // point.ell,
         )
-        stab = _stabilizer_generator(primitive)
         corrections = [IDENTITY]
         gens = set(delta.elements)
-        if stab is not None:
+        if primitive.disc in (-4, -3):
+            # the stabiliser of the root: the elliptic element of
+            # determinant 1 and trace t = disc + 4 (0 at -4, 1 at -3)
+            t = primitive.disc + 4
+            stab = Mat2((t - primitive.q) // 2, -primitive.r, primitive.p, (t + primitive.q) // 2)
             corrections.append(stab)
             if primitive.disc == -3:
                 corrections.append(stab * stab)
@@ -364,10 +370,11 @@ def coset_elliptic_count(N: int, delta: DeltaSubgroup, w: Mat2) -> int:
 
     count = 0
     for form, positions in matches.items():
-        stab = _stabilizer_generator(form)
-        if stab is None:
+        if form.disc not in (-4, -3):
             count += len(positions)
             continue
+        t = form.disc + 4
+        stab = Mat2((t - form.q) // 2, -form.r, form.p, (t + form.q) // 2)
         seen: set[int] = set()
         for x in sorted(positions):
             if x in seen:

@@ -66,3 +66,21 @@ def test_scalar_oracles_build_their_own_elliptic_elements():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "elliptic"]
     assert not calls, calls
+
+
+def test_scalar_oracles_import_no_private_name_of_the_package():
+    # an oracle that borrowed a private helper of the code it checks (such
+    # as route A's stabiliser) would share that helper's faults
+    path = Path(__file__).resolve().parent / "scalar_oracles.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "modcurve":
+            parts = node.module.split(".") + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            parts = [part for alias in node.names if alias.name.split(".")[0] == "modcurve"
+                     for part in alias.name.split(".")]
+        else:
+            continue
+        found += [f"{node.lineno}: {part}" for part in parts if part.startswith("_")]
+    assert not found, found

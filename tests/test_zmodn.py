@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -135,11 +136,11 @@ def test_enumeration_matches_brute_force(N):
 
 @pytest.mark.parametrize("N", [
     N if N <= 400 else pytest.param(N, marks=pytest.mark.slow)
-    for N in range(3, 1025)
+    for N in range(3, SUBGROUP_LEVEL_LIMIT + 1)
 ])
 def test_sylow_enumeration_matches_the_whole_group_search(N):
     # the element tuples in order, and so the labels, of the search over
-    # the whole unit group that the one-Sylow-part-at-a-time search replaced
+    # the whole unit group that the per-Sylow-part Hermite search replaced
     subs = subgroups_containing_minus1(N)
     assert [s.elements for s in subs] == scalar_oracles.subgroup_search(N)
 
@@ -148,15 +149,95 @@ def test_products_of_sylow_parts_are_checked(monkeypatch):
     search = zmodn._part_subgroups
     enumerate_uncached = subgroups_containing_minus1.__wrapped__
     # every subgroup of a part listed twice: two products coincide
-    monkeypatch.setattr(zmodn, "_part_subgroups", lambda N, part, base: 2 * search(N, part, base))
+    monkeypatch.setattr(zmodn, "_part_subgroups", lambda N, p: 2 * search(N, p))
     with pytest.raises(MalformedSubgroup):
         enumerate_uncached(21)
     # {1, 8} modulo 21 is no subgroup of the 3-part {1, 4, 16}: its product
     # with the 2-part {1, 8, 13, 20} has 4 elements, not 8
-    monkeypatch.setattr(zmodn, "_part_subgroups", lambda N, part, base:
-                        search(N, part, base) if N - 1 in base else [frozenset({1, 8})])
+    monkeypatch.setattr(zmodn, "_part_subgroups", lambda N, p:
+                        search(N, p) if p == 2 else [frozenset({1, 8})])
     with pytest.raises(MalformedSubgroup):
         enumerate_uncached(21)
+
+
+def test_sylow_basis_spans_each_part_with_its_stated_orders():
+    for N in range(3, 401):
+        phi = totient(N)
+        for p in prime_divisors(phi):
+            basis = zmodn._sylow_basis(N, p)
+            assert math.prod(n for _, n in basis) == math.gcd(phi, p ** phi.bit_length()), (N, p)
+            for u, n in basis:
+                # order n exactly: u^d = 1 for the divisor d = n of n only
+                assert [d for d in divisors(n) if pow(u, d, N) == 1] == [n], (N, p, u)
+            if p == 2:
+                u0, n0 = basis[0]
+                assert pow(u0, n0 // 2, N) == N - 1, N
+
+
+def brute_force_lattice_subgroups(orders: tuple[int, ...]) -> set[frozenset[tuple[int, ...]]]:
+    """Every subgroup of the sum of the Z/n_i, breadth-first by joining
+    each subgroup found with every element."""
+
+    def join(have: frozenset[tuple[int, ...]], g: tuple[int, ...]) -> frozenset[tuple[int, ...]]:
+        out = set(have)
+        frontier = set(have)
+        while frontier:
+            frontier = {tuple((x + y) % n for x, y, n in zip(h, g, orders))
+                        for h in frontier} - out
+            out |= frontier
+        return frozenset(out)
+
+    zero = frozenset({(0,) * len(orders)})
+    found = {zero}
+    frontier = [zero]
+    while frontier:
+        nxt = []
+        for have in frontier:
+            for g in itertools.product(*(range(n) for n in orders)):
+                bigger = join(have, g)
+                if bigger not in found:
+                    found.add(bigger)
+                    nxt.append(bigger)
+        frontier = nxt
+    return found
+
+
+@pytest.mark.parametrize("orders, p", [
+    ((1,), 2), ((8,), 2), ((2, 2), 2), ((2, 4), 2), ((4, 2), 2), ((2, 2, 2), 2),
+    ((1, 4, 2), 2), ((4, 8), 2), ((3, 3), 3), ((3, 9), 3), ((5, 5), 5),
+])
+def test_hermite_bases_give_every_subgroup_once(orders, p):
+    lattices = []
+    for rows in zmodn._hermite_bases(list(orders), p):
+        # row i starts at its diagonal entry d_i: the sums of c_i * b_i with
+        # 0 <= c_i < n_i/d_i, reduced modulo the n_i
+        full = [(0,) * i + row for i, row in enumerate(rows)]
+        elems = frozenset(
+            tuple(sum(c * b[j] for c, b in zip(cs, full)) % orders[j] for j in range(len(orders)))
+            for cs in itertools.product(*(range(n // row[0]) for n, row in zip(orders, rows)))
+        )
+        assert len(elems) == math.prod(n // row[0] for n, row in zip(orders, rows))
+        lattices.append(elems)
+    assert len(set(lattices)) == len(lattices)
+    assert set(lattices) == brute_force_lattice_subgroups(orders)
+
+
+def test_part_subgroups_check_their_basis(monkeypatch):
+    basis = zmodn._sylow_basis
+    # a basis that repeats an element is not independent: the subgroup of
+    # the whole lattice repeats its elements
+    monkeypatch.setattr(zmodn, "_sylow_basis", lambda N, p: 2 * basis(N, p))
+    for N, p in ((13, 2), (13, 3), (21, 2), (63, 3)):
+        with pytest.raises(MalformedSubgroup, match="repeats"):
+            zmodn._part_subgroups(N, p)
+    # 8 has order 4 modulo 13, not 2
+    monkeypatch.setattr(zmodn, "_sylow_basis", lambda N, p: [(8, 2)])
+    with pytest.raises(MalformedSubgroup, match="order"):
+        zmodn._part_subgroups(13, 2)
+    # 11 = (-1 mod 3, 1 mod 5) has order 2 modulo 15, but is not -1
+    monkeypatch.setattr(zmodn, "_sylow_basis", lambda N, p: [(11, 2), (2, 4)])
+    with pytest.raises(MalformedSubgroup, match="-1"):
+        zmodn._part_subgroups(15, 2)
 
 
 @pytest.mark.parametrize("N", [21, 40, 56, 63])
