@@ -55,6 +55,7 @@ from .matrices import IDENTITY, Mat2
 from .congruence import (
     CuspClass,
     CuspTable,
+    branch_counts,
     coset_action,
     cusp_field,
     cusp_table,
@@ -111,6 +112,7 @@ __all__ = [
     "Mat2",
     "IDENTITY",
     # congruence-subgroup geometry
+    "branch_counts",
     "coset_action",
     "degree",
     "genus",

@@ -58,10 +58,18 @@ route A and b * Delta in route B.  Route A tests all its rows at once
 modulo m*N in int64 (see ``_mul_mod``).  Route B first forms only the
 lower-left entry of P on every coset, which must be 0 mod m*N, and the
 whole product on the few cosets where it is.  m*N must stay below 2^31.
-The classifier counts every operator through ``_involution_counts``: it
-decides per lift, in the same int64 form, its order 2 and its fixed cusps,
-then runs route A for the Atkin-Lehner operators, route B for the others,
-and the Riemann-Hurwitz check on every lift that is an involution.
+The classifier counts every operator through ``_involution_counts``.  The
+diamonds need neither route: a diamond involution [b] is the deck
+involution of the double cover X_Delta(N) -> X_<Delta, b>(N), which can
+ramify only above i, rho and the cusp of X(1), and Riemann-Hurwitz counts
+its fixed points from the branch counts of both curves
+(``congruence.branch_counts``, see :func:`_diamond_counts`); the tests
+compare those counts with route B and :func:`cuspidal_fixed_count`.  For
+every other operator it decides per lift, in the same int64 form, its
+order 2, then runs route A for the Atkin-Lehner operators and route B for
+the explicit candidates, counts the fixed cusps of every lift (none, with
+no cusp table of X_Delta(N), when W_d fixes no cusp of X_0(N)) and runs
+the Riemann-Hurwitz check on every lift that is an involution.
 
 Every function here reads the level N from ``delta.N``, except the entry
 points :meth:`Classifier.classify` and :func:`classify_curve`, which also
@@ -86,6 +94,7 @@ from .congruence import (
     _clear_level_caches,
     _modulus,
     _read_only,
+    branch_counts,
     coset_action,
     cusp_diamonds,
     cusp_table,
@@ -494,20 +503,69 @@ def cuspidal_fixed_count(delta: DeltaSubgroup, w: Mat2) -> tuple[int, ...]:
     return tuple(np.count_nonzero(fixed, axis=1).tolist())
 
 
+def _diamond_counts(delta: DeltaSubgroup, g: int) -> list[tuple[int, Mat2, int, int]]:
+    """``(k, [b], elliptic, cuspidal)`` for every diamond involution [b] of
+    X_Delta(N) of genus ``g``, b the k-th of ``delta.coset_reps()``, counted
+    by Riemann-Hurwitz from :func:`branch_counts`, with no coset table.
+
+    [b] is an involution when b is not in Delta and b^2 is, and then it is
+    the deck involution of the double cover X_Delta(N) -> X_Delta'(N),
+    Delta' = <Delta, b>, so mu = 2*mu'.  Its fixed points are the
+    ramification points of the cover, which lie above the branch points
+    i, rho and the cusp of X(1).  Above them X_Delta(N) has
+    n = (mu + e2)/2, (mu + 2*e3)/3 and c points, and a double cover with
+    n' points below has r = 2n' - n ramified ones, so
+    elliptic = (2*e2' - e2)/2 + (4*e3' - 2*e3)/3 and cuspidal = 2*c' - c.
+    :class:`ParityViolation` is raised when mu != 2*mu', when a ramification
+    count is negative or not an integer, or when the quotient genus of
+    :func:`involution_quotient_genus` is not ``genus(Delta')``.
+    """
+    N = delta.N
+    mu, e2, e3, c = branch_counts(delta)
+    out = []
+    for k, b in enumerate(delta.coset_reps()):
+        if b == 1 or b * b % N not in delta:
+            continue
+        quotient = delta_from_elements(N, (*delta.elements, b))
+        mu_q, e2_q, e3_q, c_q = branch_counts(quotient)
+        above_i, above_rho, cuspidal = 2 * e2_q - e2, 4 * e3_q - 2 * e3, 2 * c_q - c
+        if (mu != 2 * mu_q or min(above_i, above_rho, cuspidal) < 0
+                or above_i % 2 or above_rho % 3):
+            raise ParityViolation(
+                f"[{b}] on {curve_name(N, delta.label)}: branch counts {(mu, e2, e3, c)} "
+                f"do not make a double cover of {(mu_q, e2_q, e3_q, c_q)}"
+            )
+        elliptic = above_i // 2 + above_rho // 3
+        if involution_quotient_genus(g, elliptic + cuspidal) != genus(quotient):
+            raise ParityViolation(
+                f"[{b}] on {curve_name(N, delta.label)} has {elliptic + cuspidal} "
+                f"fixed points, against the genus {genus(quotient)} of its quotient"
+            )
+        out.append((k, diamond_matrix(b, N), elliptic, cuspidal))
+    return out
+
+
 def _involution_counts(
     delta: DeltaSubgroup, w: Mat2, g: int, route_a: bool = False
 ) -> list[tuple[int, Mat2, int, int]]:
     """``(k, lift, elliptic, cuspidal)`` for every lift = [b] * w of order 2
     on X_Delta(N) of genus ``g``, b the k-th of ``delta.coset_reps()``.
 
-    All lifts are formed at once modulo m*N, m = det(w) >= 1, with
-    [[1,0],[N,1]] * w for b = 1: a lift has order 2 when its square is m
-    times an element of Gamma_Delta(N) and, if m = s^2, it is not s times
-    one.  The operator is evaluated once, and only if some lift has order 2,
-    by route A (``w`` above an Atkin-Lehner operator W_m) when ``route_a``,
-    else by route B; each total must pass :func:`involution_quotient_genus`.
+    The lifts of the identity, the diamonds, are counted by
+    :func:`_diamond_counts`.  Otherwise all lifts are formed at once modulo
+    m*N, m = det(w) >= 1, with [[1,0],[N,1]] * w for b = 1: a lift has
+    order 2 when its square is m times an element of Gamma_Delta(N) and, if
+    m = s^2, it is not s times one.  The operator is evaluated once, and
+    only if some lift has order 2, by route A (``w`` above an Atkin-Lehner
+    operator W_m) when ``route_a``, else by route B; each total must pass
+    :func:`involution_quotient_genus`.  Every cusp of X_Delta(N) lies above
+    a cusp of X_0(N), on which every lift of a ``w`` above W_m acts as W_m,
+    so when W_m fixes no cusp of X_0(N) no lift fixes a cusp and the cusp
+    table of X_Delta(N) is not built.
     """
     N, m = delta.N, w.det
+    if w == IDENTITY:
+        return _diamond_counts(delta, g)
     if m < 1:
         raise InputError("automorphism matrix must have positive determinant")
     M = _modulus(m, N)
@@ -520,9 +578,15 @@ def _involution_counts(
     involutions = np.flatnonzero(involutive).tolist()
     if not involutions:
         return []
-    elliptic = (lift_fixed_points(delta, w).elliptic_by_lift if route_a
-                else coset_fixed_points(delta, w))
-    cuspidal = cuspidal_fixed_count(delta, w)
+    if route_a:
+        elliptic = lift_fixed_points(delta, w).elliptic_by_lift
+        if cuspidal_fixed_count(_full(N), w)[0] == 0:
+            cuspidal = (0,) * delta.index
+        else:
+            cuspidal = cuspidal_fixed_count(delta, w)
+    else:
+        elliptic = coset_fixed_points(delta, w)
+        cuspidal = cuspidal_fixed_count(delta, w)
     for k in involutions:
         involution_quotient_genus(g, elliptic[k] + cuspidal[k])
     return [(k, diamond_matrix(reps[k], N) * w if k else w, elliptic[k], cuspidal[k])

@@ -15,9 +15,11 @@ cells, ``CosetAction.coset_index``; no table over the N^2 pairs is built.
 The cusp table keeps one class per reduced pair (x mod gcd(y, N); y),
 P(N) = sum_y gcd(y, N) of them, and reads every pair through one lookup.
 
-Every function here reads the level N from ``delta.N``.  The degree and the
-genus are counted from Delta (:func:`degree`, :func:`genus`) without building
-any table; the coset action checks its own count against them.  The coset
+Every function here reads the level N from ``delta.N``.  The branch counts
+(the degree mu, the elliptic points e2 and e3 and the cusps) and the genus
+are counted from Delta (:func:`branch_counts`, :func:`degree`,
+:func:`genus`) without building any table; the coset action and the cusp
+table check their own counts against them one by one.  The coset
 actions, transversals, cusp tables and diamond actions on the cusps are
 cached per Delta until ``_clear_level_caches`` frees them, which the
 classifier does after each level of a census.
@@ -51,6 +53,7 @@ __all__ = [
     "CuspClass",
     "CuspTable",
     "FieldDescriptor",
+    "branch_counts",
     "coset_action",
     "degree",
     "is_member",
@@ -83,12 +86,15 @@ def is_member(m: Mat2, delta: DeltaSubgroup) -> bool:
 #: Levels above this bound are refused: the coset action keeps four int64
 #: entries per coset, and Delta = {+-1} has about N^2/2 cosets.  Building the
 #: coset action and the cusp table for Delta = {+-1} at N = 1021 peaks at
-#: 42 MB and keeps 17 MB (tracemalloc; 7 MB and 0.2 MB for the full Delta
+#: 40 MB and keeps 16 MB (tracemalloc; 6 MB and 0.2 MB for the full Delta
 #: at N = 1024).  With those built, the diamond action on the cusps
-#: (``cusp_diamonds``) peaks at 20 MB and keeps 4 MB, and route B's count
-#: of the fixed points of the identity (``classify.coset_fixed_points``,
-#: transversal built) peaks at 44 MB.  ``degree`` and ``genus`` build no
-#: table but refuse the same levels.
+#: (``cusp_diamonds``) peaks at 20 MB and keeps 4 MB, the transversal peaks
+#: at 44 MB and keeps 16 MB, and route B's count of the fixed points of the
+#: identity (``classify.coset_fixed_points``) then peaks at 44 MB.  The
+#: classifier counts the diamonds from ``branch_counts`` with no table, so
+#: classifying X_{D1}(1021) (|Delta| = 4) peaks at 6 MB and X_{D1}(1024) at
+#: 43 MB.  ``branch_counts``, ``degree`` and ``genus`` build no table but
+#: refuse the same levels.
 LEVEL_LIMIT = 1024
 
 #: Moduli m*N at or above this bound are refused, so that a sum of two
@@ -116,51 +122,67 @@ def _modulus(m: int, N: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# degree and genus by counting
-
-
-def degree(delta: DeltaSubgroup) -> int:
-    """Number of cosets of Gamma_Delta(N) in SL2(Z), psi(N)*phi(N)/|Delta|.
-
-    The pairs (c, d) mod N with gcd(c, d, N) = 1 number
-    N^2 * prod_{p | N} (1 - 1/p^2) = psi(N)*phi(N), and Delta scales them
-    freely.  Levels above ``LEVEL_LIMIT`` are refused with ``InputError``.
-    """
-    N = delta.N
-    _require_level(N)
-    pairs = N * N
-    for p in prime_divisors(N):
-        pairs = pairs // (p * p) * (p * p - 1)
-    return pairs // len(delta.elements)
+# branch counts, degree and genus by counting
 
 
 @lru_cache(maxsize=None)
-def genus(delta: DeltaSubgroup) -> int:
-    """Genus of the modular curve attached to Gamma_Delta(N), by counting.
+def branch_counts(delta: DeltaSubgroup) -> tuple[int, int, int, int]:
+    """``(mu, e2, e3, cusps)`` of X_Delta(N), by counting: the degree of
+    X_Delta(N) -> X(1), the elliptic points of order 2 and 3 and the cusps.
 
-    12g = 12 + mu - 3*e2 - 4*e3 - 6*c with mu = ``degree(delta)``,
+    The pairs (c, d) mod N with gcd(c, d, N) = 1 number
+    N^2 * prod_{p | N} (1 - 1/p^2) = psi(N)*phi(N), and Delta scales them
+    freely, so mu = psi(N)*phi(N)/|Delta|.  Then
     e2 = phi(N) * #{a in Delta : a^2 = -1} / |Delta|,
     e3 = phi(N) * #{a in Delta : a^2 - a + 1 = 0} / |Delta| (mod N) and
-    c = sum_{d | N} phi(d)*phi(N/d) / |Delta mod lcm(d, N/d)| cusps, where
-    |Delta mod m| = |Delta| / #{a in Delta : a = 1 (mod m)}.  No coset table
-    is built, and only the integer is cached; :class:`NonIntegralGenus` is
-    raised on a remainder, and levels above ``LEVEL_LIMIT`` are refused
-    with ``InputError``.
+    cusps = sum_{d | N} phi(d)*phi(N/d) / |Delta mod lcm(d, N/d)|, where
+    |Delta mod m| = |Delta| / #{a in Delta : a = 1 (mod m)} (Shimura,
+    *Introduction to the Arithmetic Theory of Automorphic Functions*, 1.5;
+    Diamond-Shurman 3.1).  The points of X_Delta(N) above i, rho and the
+    cusp of X(1) number (mu + e2)/2, (mu + 2*e3)/3 and ``cusps``.  No coset
+    table is built and only the four ints are cached;
+    :class:`NonIntegralGenus` is raised on a remainder, and levels above
+    ``LEVEL_LIMIT`` are refused with ``InputError``.
     """
-    N, mu = delta.N, degree(delta)
+    N = delta.N
+    _require_level(N)
     elems, order = delta.elements, len(delta.elements)
     phi = totient(N)
-    # every term below is |Delta| times its term in 12g
+    # every term below is |Delta| times its count
+    pairs = N * N
+    for p in prime_divisors(N):
+        pairs = pairs // (p * p) * (p * p - 1)
     e2 = phi * sum((a * a + 1) % N == 0 for a in elems)
     e3 = phi * sum((a * a - a + 1) % N == 0 for a in elems)
     cusps = 0
     for d in divisors(N):
         m = math.lcm(d, N // d)
         cusps += totient(d) * totient(N // d) * sum(a % m == 1 % m for a in elems)
-    num = (12 + mu) * order - 3 * e2 - 4 * e3 - 6 * cusps
-    if num % (12 * order):
-        raise NonIntegralGenus(f"12g = {num}/{order} for N={N}, delta={delta.label}")
-    return num // (12 * order)
+    terms = (pairs, e2, e3, cusps)
+    if any(t % order for t in terms):
+        raise NonIntegralGenus(
+            f"a branch count of N={N}, delta={delta.label} is not a multiple of |Delta| = {order}"
+        )
+    return tuple(t // order for t in terms)
+
+
+def degree(delta: DeltaSubgroup) -> int:
+    """Number of cosets of Gamma_Delta(N) in SL2(Z), psi(N)*phi(N)/|Delta|
+    (see :func:`branch_counts`)."""
+    return branch_counts(delta)[0]
+
+
+def genus(delta: DeltaSubgroup) -> int:
+    """Genus of the modular curve attached to Gamma_Delta(N), by counting:
+    12g = 12 + mu - 3*e2 - 4*e3 - 6*cusps over :func:`branch_counts`.
+    :class:`NonIntegralGenus` is raised on a remainder, and levels above
+    ``LEVEL_LIMIT`` are refused with ``InputError``.
+    """
+    mu, e2, e3, cusps = branch_counts(delta)
+    num = 12 + mu - 3 * e2 - 4 * e3 - 6 * cusps
+    if num % 12:
+        raise NonIntegralGenus(f"12g = {num} for N={delta.N}, delta={delta.label}")
+    return num // 12
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +248,13 @@ def coset_action(delta: DeltaSubgroup) -> CosetAction:
     """The coset action of SL2(Z) on Gamma_Delta(N)\\SL2(Z).
 
     Cosets are numbered in increasing order of their canonical pair index
-    c*N + d.  As a check, the genus is read from the action too,
-    12g = 12 + mu - 3*e2 - 4*e3 - 6*einf with e2 (resp. e3) the number of
-    cosets fixed by S (resp. ST) and einf the number of T-cycles;
+    c*N + d.  As a check, the branch counts and the genus are read from the
+    action too: mu cosets, e2 (resp. e3) of them fixed by S (resp. ST),
+    einf T-cycles and 12g = 12 + mu - 3*e2 - 4*e3 - 6*einf;
     :class:`GenusMismatch` is raised when mu or 12g differs from
-    :func:`degree` or :func:`genus`.  Levels above ``LEVEL_LIMIT`` are
-    refused with ``InputError``.
+    :func:`degree` or :func:`genus`, or e2, e3 or einf from
+    :func:`branch_counts`.  Levels above ``LEVEL_LIMIT`` are refused with
+    ``InputError``.
     """
     N = delta.N
     _require_level(N)
@@ -248,9 +271,11 @@ def coset_action(delta: DeltaSubgroup) -> CosetAction:
     e3 = int(np.count_nonzero(sigma_T[sigma_S] == k))
     starts, widths = _t_cycles(sigma_T, N)
     num = 12 + mu - 3 * e2 - 4 * e3 - 6 * len(starts)
-    if mu != degree(delta) or num != 12 * genus(delta):
+    if (mu != degree(delta) or num != 12 * genus(delta)
+            or (e2, e3, len(starts)) != branch_counts(delta)[1:]):
         raise GenusMismatch(
-            f"the coset action gives mu = {mu}, 12g = {num} for N={N}, "
+            f"the coset action gives mu = {mu}, e2 = {e2}, e3 = {e3}, "
+            f"{len(starts)} T-cycles and 12g = {num} for N={N}, "
             f"delta={delta.label}, against the counting formulas"
         )
     _read_only(cosets, sigma_S, sigma_T, starts, widths, *index)
@@ -463,8 +488,8 @@ def cusp_table(delta: DeltaSubgroup) -> CuspTable:
     (signs included via -1 in Delta).  Every orbit is named by its least
     pair, the class representative, and the classes are numbered in
     increasing order of x*N + y of their representatives (see
-    ``_cusp_labels``).  The orbit count must equal the number of T-cycles.
-    Levels above ``LEVEL_LIMIT`` are refused by ``coset_action`` before
+    ``_cusp_labels``).  The orbit count must equal the number of T-cycles
+    and the cusp count of :func:`branch_counts`.  Levels above ``LEVEL_LIMIT`` are refused by ``coset_action`` before
     anything is allocated.
     """
     N, act = delta.N, coset_action(delta)
@@ -474,10 +499,10 @@ def cusp_table(delta: DeltaSubgroup) -> CuspTable:
     _read_only(rank, offset, *lifts)
     table = CuspTable(delta, (), rank, offset, lifts)
 
-    if len(act.cycle_starts) != len(keys):
+    if len(act.cycle_starts) != len(keys) or branch_counts(delta)[3] != len(keys):
         raise CuspCountMismatch(
-            f"{len(keys)} cusp orbits vs {len(act.cycle_starts)} T-cycles for "
-            f"N={N}, delta={delta.label}"
+            f"{len(keys)} cusp orbits vs {len(act.cycle_starts)} T-cycles and "
+            f"{branch_counts(delta)[3]} cusps counted for N={N}, delta={delta.label}"
         )
     # the T-cycle through coset (c, d) is the cusp (a; c) of any
     # [[a, b], [c, d]] in SL2(Z), and a = d^-1 mod gcd(c, N) names it

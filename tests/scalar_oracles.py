@@ -202,12 +202,19 @@ def act(N: int, delta: DeltaSubgroup, pos: int, m: Mat2) -> int:
     return position(N, delta, c * m.a + d * m.c, c * m.b + d * m.d)
 
 
-def genus(sigma_S: list[int], sigma_T: list[int]) -> int:
-    """12g = 12 + mu - 3*e2 - 4*e3 - 6*einf from the permutations S and T."""
+def branch_counts(sigma_S: list[int], sigma_T: list[int]) -> tuple[int, int, int, int]:
+    """(mu, e2, e3, einf) from the permutations S and T: the cosets, those
+    fixed by S and by ST, and the T-cycles."""
     mu = len(sigma_S)
     e2 = sum(sigma_S[k] == k for k in range(mu))
     e3 = sum(sigma_T[sigma_S[k]] == k for k in range(mu))
-    num = 12 + mu - 3 * e2 - 4 * e3 - 6 * len(_cycles(sigma_T))
+    return mu, e2, e3, len(_cycles(sigma_T))
+
+
+def genus(sigma_S: list[int], sigma_T: list[int]) -> int:
+    """12g = 12 + mu - 3*e2 - 4*e3 - 6*einf from the permutations S and T."""
+    mu, e2, e3, einf = branch_counts(sigma_S, sigma_T)
+    num = 12 + mu - 3 * e2 - 4 * e3 - 6 * einf
     assert num % 12 == 0
     return num // 12
 

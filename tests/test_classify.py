@@ -8,7 +8,7 @@ from collections import Counter
 
 import pytest
 
-from modcurve import atkinlehner, classify
+from modcurve import atkinlehner, classify, congruence
 from modcurve.atkinlehner import descends, diamond_matrix, hat_W, normalizes
 from modcurve.classify import (
     Classifier,
@@ -701,15 +701,37 @@ def test_a_curve_classifies_only_the_cover_targets_whose_verdict_it_reads():
     assert set(c._memo) == galois | {(330, "D1")}
 
 
-@pytest.mark.parametrize("N,builds", [(330, 6), (256, 20)])
+@pytest.mark.parametrize("N,builds", [(330, 1), (256, 17)])
 def test_a_curve_builds_coset_actions_only_for_the_curves_it_searches(N, builds):
     # cover degrees and genera are counted, so a coset action is built only
-    # for a curve the witness search visits, never for a cover target alone
+    # for a curve the witness search visits, never for a cover target alone;
+    # the diamonds are counted from the branch counts, and a W_d that fixes
+    # no cusp of X_0(N) is counted with X_0(N)'s cusp table alone, so at 330
+    # only X_0(330)'s coset action is built
     _clear_level_caches()
     c = Classifier(FactBook(enabled=True))
     c.classify(N, "D1")
     assert coset_action.cache_info().misses == builds <= len(c._memo)
     _clear_level_caches()
+
+
+def test_the_census_builds_a_coset_action_only_where_a_route_needs_one(monkeypatch):
+    # the diamonds are counted from the branch counts, and the lifts of a
+    # W_d that fixes no cusp of X_0(N) fix none of X_Delta(N), so the census
+    # at 131 builds 136 coset actions: for route B on the explicit
+    # candidates, for the cusps that some lift may fix, and for the cusp
+    # rules of the eliminations (224 when every diamond went through route B)
+    built = []
+    canonical_rows = congruence.canonical_rows
+
+    def rows(N, elements):
+        built.append((N, len(elements)))
+        return canonical_rows(N, elements)
+
+    _clear_level_caches()
+    monkeypatch.setattr(congruence, "canonical_rows", rows)
+    Classifier(FactBook(enabled=True)).census(131)
+    assert len(built) == 136
 
 
 def test_census_frees_each_levels_coset_tables(census_on, monkeypatch):

@@ -14,6 +14,7 @@ from modcurve.classify import generic_atkin_lehner
 import modcurve.congruence as congruence
 from modcurve.congruence import (
     _clear_level_caches,
+    branch_counts,
     coset_action,
     cusp_field,
     cusp_table,
@@ -23,7 +24,13 @@ from modcurve.congruence import (
     is_member,
     transversal,
 )
-from modcurve.errors import GenusMismatch, InputError, NonIntegralGenus, NotUnimodular
+from modcurve.errors import (
+    CuspCountMismatch,
+    GenusMismatch,
+    InputError,
+    NonIntegralGenus,
+    NotUnimodular,
+)
 from modcurve.matrices import Mat2
 from modcurve.zmodn import (
     DeltaSubgroup,
@@ -172,13 +179,14 @@ def test_genus_gives_the_rational_and_elliptic_x0_lists():
     for N in range(3, 401)
 ])
 def test_counting_formulas_match_the_coset_action(N):
-    # degree and genus are counted from N and Delta; the coset action built
-    # pair by pair must give the same index, and the same genus read from
-    # its sigma_S and sigma_T by the oracle
+    # the branch counts, degree and genus are counted from N and Delta; the
+    # coset action built pair by pair must give the same index, and the same
+    # branch counts and genus read from its sigma_S and sigma_T by the oracle
     for delta in subgroups_containing_minus1(N):
         act = coset_action(delta)
         assert degree(delta) == len(act.cosets), delta.label
         sigma_S, sigma_T = act.sigma_S.tolist(), act.sigma_T.tolist()
+        assert branch_counts(delta) == oracle.branch_counts(sigma_S, sigma_T), delta.label
         assert genus(delta) == oracle.genus(sigma_S, sigma_T), delta.label
     _clear_level_caches()
 
@@ -195,6 +203,26 @@ def test_coset_action_checks_its_count_against_the_formulas(monkeypatch):
         build(delta)
     monkeypatch.undo()
     assert build(delta).degree == 96
+    # e2, e3 and the T-cycles are each compared with the branch counts, so
+    # two errors that leave 12g unchanged cannot cancel; mu and 12g are held
+    # at their true values, so each field's own comparison must raise
+    counts = branch_counts(delta)
+    assert counts == (96, 0, 0, 12)
+    monkeypatch.setattr(congruence, "degree", lambda d: 96)
+    monkeypatch.setattr(congruence, "genus", lambda d: 3)
+    for field in (1, 2, 3):
+        wrong = tuple(n + (i == field) for i, n in enumerate(counts))
+        monkeypatch.setattr(congruence, "branch_counts", lambda d, wrong=wrong: wrong)
+        with pytest.raises(GenusMismatch):
+            build(delta)
+    # the cusp table compares its orbit count with the branch counts' cusps
+    monkeypatch.undo()
+    coset_action(delta)
+    monkeypatch.setattr(congruence, "branch_counts", lambda d: (*counts[:3], 13))
+    with pytest.raises(CuspCountMismatch):
+        cusp_table.__wrapped__(delta)
+    monkeypatch.undo()
+    assert len(cusp_table.__wrapped__(delta).classes) == 12
 
 
 def test_counting_formulas_check_their_input():

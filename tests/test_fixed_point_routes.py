@@ -1,8 +1,10 @@
 """The int64 fixed-point routes and cusp table against their scalar oracles,
-the two routes against each other, diamond involutions against
-Riemann-Hurwitz, the per-lift order and cusp decisions against
-``automorphism_order`` and the cusp images of each lift, the route
-evaluations of one classification, and the modulus and level guards."""
+the two routes against each other, the diamond involutions counted from the
+branch counts against route B, the cusp counts and Riemann-Hurwitz, the
+lifts of a W_d that fixes no cusp of X_0(N) against the cusp counts, the
+per-lift order and cusp decisions against ``automorphism_order`` and the
+cusp images of each lift, the route evaluations of one classification,
+and the modulus and level guards."""
 
 from __future__ import annotations
 
@@ -30,7 +32,7 @@ from modcurve.congruence import (
     genus,
     transversal,
 )
-from modcurve.errors import InputError
+from modcurve.errors import InputError, ParityViolation
 from modcurve.facts import FactBook
 from modcurve.matrices import IDENTITY, Mat2
 from modcurve.qforms import fixed_points_X0
@@ -205,14 +207,11 @@ def _decided_lifts(delta, w, route_a=False):
     return counts
 
 
-def _compare_routes(N, delta) -> tuple[int, int]:
+def _compare_routes(N, delta) -> int:
     """Count every W_d with base points once by route A and once by route
     B and compare the counts of every lift [b] * W_d, whatever its order,
-    with the per-lift decisions checked by ``_decided_lifts``; count the
-    diamonds once by route B and check every diamond involution [b], with
-    its fixed cusps, by Riemann-Hurwitz for the double cover
-    X_Delta(N) -> X_<Delta, b>(N).  Returns how many lifts and diamonds
-    were compared."""
+    with the per-lift decisions checked by ``_decided_lifts``.  Returns how
+    many lifts were compared."""
     lifts = 0
     for ref, _ in _atkin_lehner_operators(N, delta):
         direct = coset_fixed_points(delta, ref)
@@ -220,21 +219,34 @@ def _compare_routes(N, delta) -> tuple[int, int]:
         lifts += len(direct)
         for k, lift, lifted, _ in _decided_lifts(delta, ref, route_a=True):
             assert lifted == direct[k], (N, delta.label, str(lift))
-    diamonds = 0
+    return lifts
+
+
+def _compare_diamonds(N, delta) -> int:
+    """Check every diamond involution [b] that the classifier counts from
+    the branch counts: its elliptic part against route B on the identity,
+    its cuspidal part against ``cuspidal_fixed_count`` of [b], and its
+    total against Riemann-Hurwitz for the double cover
+    X_Delta(N) -> X_<Delta, b>(N).  Returns how many diamonds were checked."""
     g = genus(delta)
+    counts = classify._involution_counts(delta, IDENTITY, g)
+    expected = [k for k, b in enumerate(delta.coset_reps()) if b != 1 and b * b % N in delta]
+    assert [k for k, _, _, _ in counts] == expected, (N, delta.label)
+    if not counts:
+        return 0
     direct = coset_fixed_points(delta, IDENTITY)
-    for k, b in enumerate(delta.coset_reps()):
-        if b == 1 or b * b % N not in delta:
-            continue
-        diamonds += 1
-        fixed = direct[k] + cuspidal_fixed_count(delta, diamond_matrix(b, N))[0]
+    for k, mat, elliptic, cuspidal in counts:
+        b = delta.coset_reps()[k]
+        assert mat == diamond_matrix(b, N), (N, delta.label, b)
+        assert elliptic == direct[k], (N, delta.label, b)
+        assert cuspidal == cuspidal_fixed_count(delta, mat)[0], (N, delta.label, b)
         quotient = delta_from_elements(N, {*delta.elements, b})
-        assert fixed == 2 * g + 2 - 4 * genus(quotient), (N, delta.label, b)
-    return lifts, diamonds
+        assert elliptic + cuspidal == 2 * g + 2 - 4 * genus(quotient), (N, delta.label, b)
+    return len(counts)
 
 
 def test_lift_route_agrees_with_coset_route():
-    compared = [_compare_routes(N, delta)
+    compared = [(_compare_routes(N, delta), _compare_diamonds(N, delta))
                 for N in SMALL_LEVELS for delta in subgroups_containing_minus1(N)]
     assert [sum(col) for col in zip(*compared)] == [1750, 132]
 
@@ -244,6 +256,54 @@ def test_lift_route_agrees_with_coset_route():
 def test_lift_route_agrees_with_coset_route_beyond_tier_one(N):
     for delta in subgroups_containing_minus1(N):
         _compare_routes(N, delta)
+        _compare_diamonds(N, delta)
+
+
+def test_diamond_counts_check_the_branch_counts(monkeypatch):
+    # X_1(13) has genus 2 and one diamond involution, [5], with 6 fixed
+    # points; a quotient whose branch counts are off by one in any field
+    # makes no double cover of X_1(13) with those fixed points
+    delta = delta_by_label(13, "1")
+    counts = classify._involution_counts(delta, IDENTITY, 2)
+    assert [(k, elliptic, cuspidal) for k, _, elliptic, cuspidal in counts] == [(4, 6, 0)]
+    true_counts = classify.branch_counts
+    for field in range(4):
+        def wrong(d, field=field):
+            counts = true_counts(d)
+            return counts if d == delta else tuple(n + (i == field) for i, n in enumerate(counts))
+
+        monkeypatch.setattr(classify, "branch_counts", wrong)
+        with pytest.raises(ParityViolation):
+            classify._involution_counts(delta, IDENTITY, 2)
+
+
+def _check_cusp_free_lifts(levels) -> tuple[int, int]:
+    """Every lift of a descending W_d whose reference fixes no cusp of
+    X_0(N) fixes no cusp of X_Delta(N), the premise of the classifier's
+    cusp shortcut.  Returns how many W_d there are at these levels and how
+    many fix no cusp of X_0(N)."""
+    total = free = 0
+    for N in levels:
+        for delta in subgroups_containing_minus1(N):
+            for d in hall_divisors(N):
+                if d == 1 or not descends(d, delta):
+                    continue
+                w = al_reference(d, delta)[0]
+                total += 1
+                if cuspidal_fixed_count(classify._full(N), w)[0] == 0:
+                    free += 1
+                    assert not any(cuspidal_fixed_count(delta, w)), (N, delta.label, d)
+        _clear_level_caches()
+    return total, free
+
+
+def test_lifts_of_a_cusp_free_w_d_fix_no_cusp():
+    assert _check_cusp_free_lifts(SMALL_LEVELS) == (579, 547)
+
+
+@pytest.mark.slow
+def test_lifts_of_a_cusp_free_w_d_fix_no_cusp_up_to_256():
+    assert _check_cusp_free_lifts(range(3, 257)) == (8052, 7777)
 
 
 def test_every_candidate_lift_is_decided_in_the_int64_form(classifier_on, census_on):
