@@ -58,6 +58,7 @@ from .congruence import (
     branch_counts,
     coset_action,
     cusp_field,
+    cusp_orbit_sizes,
     cusp_table,
     cusps,
     degree,
@@ -119,6 +120,7 @@ __all__ = [
     "cusps",
     "cusp_table",
     "cusp_field",
+    "cusp_orbit_sizes",
     "CuspClass",
     "CuspTable",
     # quadratic forms

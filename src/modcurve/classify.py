@@ -78,6 +78,7 @@ accept a label or an element list for Delta.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -92,11 +93,13 @@ from .atkinlehner import (
 )
 from .congruence import (
     _clear_level_caches,
+    _cusp_terms,
     _modulus,
     _read_only,
     branch_counts,
     coset_action,
     cusp_diamonds,
+    cusp_orbit_sizes,
     cusp_table,
     degree,
     genus,
@@ -1074,23 +1077,43 @@ class Classifier:
 
     def _cusp_obstruction(self, delta: DeltaSubgroup, w: Mat2) -> str | None:
         """A rational cusp whose image cusp on X_0(N) has no rational cusp
-        of X_Delta(N) above it; obstructs a Q-rational lift of ``w``."""
-        N, table = delta.N, cusp_table(delta)
+        of X_Delta(N) above it; obstructs a Q-rational lift of ``w``.
+
+        Read from the denominators, with X_0(N)'s cusp table alone.  Every
+        cusp of X_Delta(N) above the X_0 class j has j's denominator g, so
+        by :func:`cusp_orbit_sizes` they are all rational or all not, as g
+        is rational for Delta or not.  So the rule is blocked exactly at
+        the classes j of a rational denominator whose image under w has
+        none.  The least pair of an X_0 class is also the least pair of the
+        Delta-orbit that holds it, and both cusp tables are ordered by the
+        x*N + y of their least pairs; so the first blocked cusp of
+        X_Delta(N) in its own table order is ``table0.classes[j].rep`` for
+        the first blocked j.
+
+        Each class j has the same number of cusps above it as every other
+        class of its denominator g, since the Galois action commutes with
+        the cover and permutes those classes transitively.  The cusps of
+        X_Delta(N) of denominator g number
+        phi(g)*phi(N/g)/|Delta mod lcm(g, N/g)|, the g-th term of the cusp
+        count of ``branch_counts``; :class:`CoverMismatch` is raised unless
+        each is a positive multiple of the X_0(N) cusps of denominator g.
+        """
+        N = delta.N
         table0 = cusp_table(_full(N))
-        proj = table0.class_of(*table.lifts)
-        rational = np.array([cls.is_rational for cls in table.classes])
-        covered = np.zeros(len(table0.classes), dtype=bool)
-        covered[proj] = True
-        if not covered.all():
-            raise CoverMismatch(
-                f"no cusp of {curve_name(N, delta.label)} above a cusp of X_0({N})"
-            )
-        rational_above = np.zeros(len(table0.classes), dtype=bool)
-        rational_above[proj[rational]] = True
-        blocked = np.flatnonzero(rational & ~rational_above[table0.images(w)[proj]])
+        below = Counter(cls.denominator for cls in table0.classes)
+        for g, term in _cusp_terms(delta):
+            step = delta.order * below[g]
+            if not step or term % step or term < step:
+                raise CoverMismatch(
+                    f"the cusps of {curve_name(N, delta.label)} of denominator {g} "
+                    f"do not cover the {below[g]} cusps of X_0({N}) of that denominator evenly"
+                )
+        rational = {g for g, size in cusp_orbit_sizes(delta) if size == 1}
+        ok = np.array([cls.denominator in rational for cls in table0.classes])
+        blocked = np.flatnonzero(ok & ~ok[table0.images(w)])
         if not blocked.size:
             return None
-        rep = table.classes[blocked[0]].rep
+        rep = table0.classes[blocked[0]].rep
         return (
             f"rational cusp ({rep[0]};{rep[1]}) maps to a cusp of "
             f"X_0({N}) with no rational cusp above it"

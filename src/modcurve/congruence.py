@@ -19,10 +19,13 @@ Every function here reads the level N from ``delta.N``.  The branch counts
 (the degree mu, the elliptic points e2 and e3 and the cusps) and the genus
 are counted from Delta (:func:`branch_counts`, :func:`degree`,
 :func:`genus`) without building any table; the coset action and the cusp
-table check their own counts against them one by one.  The coset
-actions, transversals, cusp tables and diamond actions on the cusps are
-cached per Delta until ``_clear_level_caches`` frees them, which the
-classifier does after each level of a census.
+table check their own counts against them one by one.  The Galois orbit
+size of the cusps of each denominator is read from Delta the same way
+(:func:`cusp_orbit_sizes`), which is all the classifier's cusp-rationality
+rule needs beside X_0(N)'s cusp table.  The coset actions, transversals,
+cusp tables and diamond actions on the cusps are cached per Delta until
+``_clear_level_caches`` frees them, which the classifier does after each
+level of a census.
 """
 
 from __future__ import annotations
@@ -63,6 +66,7 @@ __all__ = [
     "cusp_table",
     "cusp_diamonds",
     "cusp_field",
+    "cusp_orbit_sizes",
     "lift_to_coprime",
 ]
 
@@ -154,16 +158,27 @@ def branch_counts(delta: DeltaSubgroup) -> tuple[int, int, int, int]:
         pairs = pairs // (p * p) * (p * p - 1)
     e2 = phi * sum((a * a + 1) % N == 0 for a in elems)
     e3 = phi * sum((a * a - a + 1) % N == 0 for a in elems)
-    cusps = 0
-    for d in divisors(N):
-        m = math.lcm(d, N // d)
-        cusps += totient(d) * totient(N // d) * sum(a % m == 1 % m for a in elems)
+    cusps = sum(term for _, term in _cusp_terms(delta))
     terms = (pairs, e2, e3, cusps)
     if any(t % order for t in terms):
         raise NonIntegralGenus(
             f"a branch count of N={N}, delta={delta.label} is not a multiple of |Delta| = {order}"
         )
     return tuple(t // order for t in terms)
+
+
+def _cusp_terms(delta: DeltaSubgroup) -> tuple[tuple[int, int], ...]:
+    """``(g, term)`` for every divisor g of N, where term is |Delta| times
+    the number of cusps of X_Delta(N) of denominator g:
+    phi(g)*phi(N/g) * #{a in Delta : a = 1 (mod lcm(g, N/g))}, the g-th
+    term of the cusp count of :func:`branch_counts`."""
+    N = delta.N
+    terms = []
+    for g in divisors(N):
+        m = math.lcm(g, N // g)
+        fixed = sum(a % m == 1 % m for a in delta.elements)
+        terms.append((g, totient(g) * totient(N // g) * fixed))
+    return tuple(terms)
 
 
 def degree(delta: DeltaSubgroup) -> int:
@@ -570,35 +585,68 @@ def _clear_level_caches() -> None:
         cache.cache_clear()
 
 
+def _galois_fixer(delta: DeltaSubgroup, g: int) -> list[int]:
+    """K_g = {a mod g : a in Delta, a = 1 (mod N/g)}, sorted."""
+    ng = delta.N // g
+    return sorted({a % g for a in delta.elements if a % ng == 1 % ng})
+
+
+def cusp_orbit_sizes(delta: DeltaSubgroup) -> tuple[tuple[int, int], ...]:
+    """``(g, phi(g)/|K_g|)`` for every divisor g of N, N = ``delta.N``, with
+    K_g = {a mod g : a in Delta, a = 1 (mod N/g)}: the Galois orbit size of
+    every cusp of X_Delta(N) of denominator g, read from Delta alone in one
+    pass per divisor.  The denominator g is rational for Delta when its
+    size is 1.
+
+    Proof.  A unit s sends the cusp +-(x; y) with g = gcd(y, N) to
+    +-(s*x; y).  The cusp of (x; y) is {(a*(x + b*y), a^-1*y) : a in Delta,
+    b mod N} (see :func:`cusp_table`), so (s*x; y) lies in it exactly when
+    some a in Delta has a^-1*y = y (mod N), that is a = 1 (mod N/g), and
+    a*x = s*x (mod g), as b*y runs over the multiples of g.  Since
+    gcd(x, g) = gcd(x, y, N) = 1, x is a unit mod g and the second
+    condition reads a = s (mod g).  So s fixes the cusp exactly when
+    s mod g lies in K_g, the same subgroup for every cusp of denominator g,
+    and as (Z/NZ)* maps onto (Z/gZ)* the orbit has phi(g)/|K_g| cusps.
+    :class:`FieldDegreeMismatch` is raised if |K_g| does not divide phi(g).
+    """
+    sizes = []
+    for g in divisors(delta.N):
+        size, rest = divmod(totient(g), len(_galois_fixer(delta, g)))
+        if rest:
+            raise FieldDegreeMismatch(
+                f"|K_{g}| does not divide phi({g}) for N={delta.N}, delta={delta.label}"
+            )
+        sizes.append((g, size))
+    return tuple(sizes)
+
+
 def cusp_field(delta: DeltaSubgroup, cusp: CuspClass) -> FieldDescriptor:
     """Field of definition of a cusp inside Q(zeta_N), N = ``delta.N``.
 
-    The degree always equals the cusp's Galois orbit size.  When the
-    denominator d satisfies gcd(d, N/d) = 1 the field is the subfield of
-    Q(zeta_d) fixed by Delta^(d) = {a mod d : a in Delta, a = 1 mod N/d};
-    both routes are computed and must agree.  A cusp of another level is
-    refused with ``InputError``.
+    The degree is the cusp's Galois orbit size, and it must equal the size
+    that :func:`cusp_orbit_sizes` gives its denominator d:
+    :class:`FieldDegreeMismatch` is raised otherwise.  When d satisfies
+    gcd(d, N/d) = 1 the field is named as the subfield of Q(zeta_d) fixed
+    by K_d = {a mod d : a in Delta, a = 1 mod N/d}.  A cusp of another
+    level is refused with ``InputError``.
     """
     N = delta.N
     if cusp.N != N:
         raise InputError(f"cusp {cusp.rep} has level {cusp.N}, Delta has level {N}")
     degree = cusp.galois_orbit_size
     d = cusp.denominator
-    if is_hall_divisor(d, N):
-        nd = N // d
-        delta_d = sorted({a % d for a in delta.elements if a % nd == 1 % nd})
-        phi_d = totient(d)
-        if phi_d % len(delta_d) or phi_d // len(delta_d) != degree:
-            raise FieldDegreeMismatch(
-                f"cusp field degree mismatch at N={N}, delta={delta.label}, "
-                f"cusp={cusp.rep}: orbit {degree} vs index {phi_d}/{len(delta_d)}"
-            )
-        if degree == 1:
-            return FieldDescriptor(1, "Q")
-        if len(delta_d) == 1:
-            return FieldDescriptor(degree, f"Q(zeta_{d})")
-        fixer = ",".join(str(a) for a in delta_d)
-        return FieldDescriptor(degree, f"Q(zeta_{d})^{{{fixer}}}")
+    size = dict(cusp_orbit_sizes(delta)).get(d)
+    if size != degree:
+        raise FieldDegreeMismatch(
+            f"cusp field degree mismatch at N={N}, delta={delta.label}, "
+            f"cusp={cusp.rep}: orbit {degree} vs {size} from the denominator {d}"
+        )
     if degree == 1:
         return FieldDescriptor(1, "Q")
-    return FieldDescriptor(degree, f"degree-{degree} subfield of Q(zeta_{N})")
+    if not is_hall_divisor(d, N):
+        return FieldDescriptor(degree, f"degree-{degree} subfield of Q(zeta_{N})")
+    delta_d = _galois_fixer(delta, d)
+    if len(delta_d) == 1:
+        return FieldDescriptor(degree, f"Q(zeta_{d})")
+    fixer = ",".join(str(a) for a in delta_d)
+    return FieldDescriptor(degree, f"Q(zeta_{d})^{{{fixer}}}")

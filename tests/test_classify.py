@@ -29,7 +29,7 @@ from modcurve.congruence import (
     genus,
     transversal,
 )
-from modcurve.errors import InputError, InvariantError
+from modcurve.errors import CoverMismatch, InputError, InvariantError
 from modcurve.facts import FactBook, default_facts_path
 from modcurve.matrices import Mat2
 from modcurve.qforms import fixed_points_X0
@@ -565,6 +565,53 @@ def test_cusp_obstruction_matches_scalar_oracle(classifier_on, census_on):
     assert (pairs, obstructed) == (288, 265)
 
 
+def _cusp_obstruction_sweep(classifier, max_n):
+    # every intermediate Delta against each W_d, [[1,0],[N/2,1]] when 4 | N
+    # and the listed extra involutions of X_0(N)
+    pairs, obstructed = 0, 0
+    for N in range(3, max_n + 1):
+        candidates = [generic_atkin_lehner(N, d) for d in hall_divisors(N)[1:]]
+        if N % 4 == 0:
+            candidates.append(Mat2(1, 0, N // 2, 1))
+        extra = classifier.facts.get(f"x0.extra-involutions.{N}")
+        if extra is not None:
+            candidates.extend(extra.as_matrices())
+        for delta in subgroups_containing_minus1(N):
+            if not delta.is_intermediate:
+                continue
+            for w in candidates:
+                got = classifier._cusp_obstruction(delta, w)
+                assert got == scalar_oracles.cusp_obstruction(N, delta, w), (N, delta.label, w)
+                pairs += 1
+                obstructed += got is not None
+        _clear_level_caches()
+    return pairs, obstructed
+
+
+def test_cusp_obstruction_matches_scalar_oracle_on_every_candidate(classifier_on):
+    assert _cusp_obstruction_sweep(classifier_on, 131) == (2013, 1604)
+
+
+@pytest.mark.slow
+def test_cusp_obstruction_matches_scalar_oracle_up_to_200(classifier_on):
+    assert _cusp_obstruction_sweep(classifier_on, 200) == (4583, 3695)
+
+
+@pytest.mark.parametrize("change", ["none", "odd", "fractional"])
+def test_cusp_obstruction_checks_the_cusp_counts(classifier_on, monkeypatch, change):
+    # X_Delta(45) for Delta = {1, 19, 26, 44} has 4 cusps of denominator 3,
+    # twice the 2 of X_0(45); a count of 0 or 5, or of 4 + 1/|Delta|,
+    # breaks the cover
+    delta = delta_by_label(45, "D1")
+    terms = congruence._cusp_terms(delta)
+    assert dict(terms)[3] == 4 * delta.order
+    new = {"none": 0, "odd": 5 * delta.order, "fractional": 4 * delta.order + 1}[change]
+    wrong = tuple((g, new if g == 3 else term) for g, term in terms)
+    monkeypatch.setattr(classify, "_cusp_terms", lambda _: wrong)
+    with pytest.raises(CoverMismatch, match="denominator 3 "):
+        classifier_on._cusp_obstruction(delta, generic_atkin_lehner(45, 5))
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("N", range(132, 401))
 def test_no_curve_beyond_the_census_is_bielliptic(classifier_on, N):
@@ -716,11 +763,13 @@ def test_a_curve_builds_coset_actions_only_for_the_curves_it_searches(N, builds)
 
 
 def test_the_census_builds_a_coset_action_only_where_a_route_needs_one(monkeypatch):
-    # the diamonds are counted from the branch counts, and the lifts of a
-    # W_d that fixes no cusp of X_0(N) fix none of X_Delta(N), so the census
-    # at 131 builds 136 coset actions: for route B on the explicit
-    # candidates, for the cusps that some lift may fix, and for the cusp
-    # rules of the eliminations (224 when every diamond went through route B)
+    # the diamonds are counted from the branch counts, the lifts of a W_d
+    # that fixes no cusp of X_0(N) fix none of X_Delta(N), and the
+    # cusp-rationality rule reads the denominators with X_0(N)'s cusp table
+    # alone, so the census at 131 builds 84 coset actions: 57 for the
+    # X_0(N), and the rest for route B on the explicit candidates and for
+    # the cusps that some lift may fix (136 when the cusp rule read the
+    # cusp table of X_Delta(N), 224 when every diamond went through route B)
     built = []
     canonical_rows = congruence.canonical_rows
 
@@ -731,7 +780,24 @@ def test_the_census_builds_a_coset_action_only_where_a_route_needs_one(monkeypat
     _clear_level_caches()
     monkeypatch.setattr(congruence, "canonical_rows", rows)
     Classifier(FactBook(enabled=True)).census(131)
-    assert len(built) == 136
+    assert len(built) == 84
+
+
+def test_the_census_builds_a_cusp_table_only_where_a_route_needs_one(monkeypatch):
+    # each cusp table comes with its coset action, so the census at 131
+    # builds 84 of them; 136 when the cusp-rationality rule read the cusp
+    # table of every intermediate curve it checked
+    built = []
+    cusp_labels = congruence._cusp_labels
+
+    def labels(delta):
+        built.append((delta.N, delta.label))
+        return cusp_labels(delta)
+
+    _clear_level_caches()
+    monkeypatch.setattr(congruence, "_cusp_labels", labels)
+    Classifier(FactBook(enabled=True)).census(131)
+    assert len(built) == 84
 
 
 def test_census_frees_each_levels_coset_tables(census_on, monkeypatch):

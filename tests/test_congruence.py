@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ from modcurve.classify import generic_atkin_lehner
 import modcurve.congruence as congruence
 from modcurve.congruence import (
     _clear_level_caches,
+    _cusp_terms,
     branch_counts,
     coset_action,
     cusp_field,
+    cusp_orbit_sizes,
     cusp_table,
     cusps,
     degree,
@@ -26,6 +29,7 @@ from modcurve.congruence import (
 )
 from modcurve.errors import (
     CuspCountMismatch,
+    FieldDegreeMismatch,
     GenusMismatch,
     InputError,
     NonIntegralGenus,
@@ -282,6 +286,63 @@ def test_cusp_field_refuses_a_cusp_of_another_level():
     for cusp in cusps(delta_by_label(35, "0")):
         with pytest.raises(InputError, match="level 35"):
             cusp_field(delta, cusp)
+
+
+def test_cusp_field_checks_a_non_hall_denominator(monkeypatch):
+    # at level 40 the denominator 4 is not a Hall divisor (gcd(4, 10) = 2),
+    # yet its cusp fields are checked against cusp_orbit_sizes too
+    delta = delta_by_label(40, "D4")
+    quartic = [c for c in cusps(delta) if c.denominator == 4]
+    sizes = cusp_orbit_sizes(delta)
+    assert quartic and {cusp_field(delta, c).degree for c in quartic} == {dict(sizes)[4]}
+    wrong = tuple((g, size + (g == 4)) for g, size in sizes)
+    monkeypatch.setattr(congruence, "cusp_orbit_sizes", lambda _: wrong)
+    for c in quartic:
+        with pytest.raises(FieldDegreeMismatch, match="from the denominator 4"):
+            cusp_field(delta, c)
+    others = [c for c in cusps(delta) if c.denominator != 4]
+    assert [cusp_field(delta, c).degree for c in others] == [c.galois_orbit_size for c in others]
+
+
+def _cusp_orbit_sweep(max_n):
+    # the Galois orbit size of every cusp, from its denominator alone
+    subgroups = total = 0
+    for N in range(3, max_n + 1):
+        for delta in subgroups_containing_minus1(N):
+            sizes = dict(cusp_orbit_sizes(delta))
+            assert list(sizes) == list(divisors(N))
+            for c in cusps(delta):
+                assert sizes[c.denominator] == c.galois_orbit_size, (N, delta.label, c.rep)
+            subgroups += 1
+            total += len(cusps(delta))
+        _clear_level_caches()
+    return subgroups, total
+
+
+def test_cusp_orbit_sizes_match_the_cusp_tables():
+    assert _cusp_orbit_sweep(131) == (780, 28817)
+
+
+@pytest.mark.slow
+def test_cusp_orbit_sizes_match_the_cusp_tables_up_to_256():
+    assert _cusp_orbit_sweep(256) == (2200, 146017)
+
+
+def test_cusps_of_each_denominator_cover_those_of_x0_evenly():
+    # the g-th term of the cusp count is |Delta| times the cusps of
+    # denominator g, and those are a positive multiple of X_0(N)'s, which
+    # the cusp-rationality rule checks in place of a cusp table of X_Delta(N)
+    triples = 0
+    for N in range(3, 132):
+        below = Counter(c.denominator for c in cusps(_full(N)))
+        for delta in subgroups_containing_minus1(N):
+            above = Counter(c.denominator for c in cusps(delta))
+            for g, term in _cusp_terms(delta):
+                assert term == delta.order * above[g], (N, delta.label, g)
+                assert above[g] % below[g] == 0 < above[g], (N, delta.label, g)
+                triples += 1
+        _clear_level_caches()
+    assert triples == 4709
 
 
 def test_cusp_widths_sum_to_index():
